@@ -13,10 +13,10 @@ from .euler import (DecompositionError, EulerAngles, PHI_PERIOD, canonicalize,
 from .gellmann import (LAMBDA, SQRT3, commutator, expand_in_basis,
                        gell_mann_matrix, structure_constants,
                        verify_cartan_split)
-from .haar import (AngleRanges, HaarSample, IntegrationResult, RANGES_COVER,
-                   RANGES_QUAD, RANGES_STATED, character, density,
-                   density_from_coframe, group_volume, integrate_mc,
-                   integrate_quadrature, sample, sample_angles, volume_report)
+from .haar import (AngleRanges, IntegrationResult, RANGES_COVER, RANGES_QUAD,
+                   RANGES_STATED, character, density, density_from_coframe,
+                   group_volume, integrate_mc, integrate_quadrature,
+                   mc_moments, sample_angles, volume_report)
 from .invariant_forms import (CoFrameMatrix, left_coframe, left_coframe_closed,
                               maurer_cartan_matrix, right_coframe,
                               right_coframe_closed)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -29,18 +28,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-def _workers(args):
-    env = os.environ.get("SU3_GEOM_WORKERS")
-    if args.workers is not None:
-        return max(1, args.workers)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def cmd_verify(args):
@@ -75,7 +62,7 @@ def cmd_sample(args):
     if args.format == "csv" and args.emit != "angles":
         print("error: csv output only supports --emit angles", file=sys.stderr)
         return EXIT_USAGE
-    xs = haar.sample_angles(args.n, args.seed, workers=_workers(args))
+    xs = haar.sample_angles(args.n, args.seed)
     weights = haar.density(xs)
     if args.format == "csv":
         for line in sample_csv_lines(xs, weights):
@@ -213,7 +200,7 @@ def cmd_integrate(args):
     try:
         if args.method == "mc":
             result = haar.integrate_mc(fn_mat, args.n, args.seed,
-                                       workers=_workers(args), vectorized=True)
+                                       vectorized=True)
         else:
             def fn_angles(xs):
                 return fn_mat(compose_many(xs))
@@ -249,9 +236,6 @@ def build_parser():
         prog="su3geom",
         description="Euler-angle geometry of SU(3): verification, sampling, "
                     "factorization, frames and invariant integration.")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="shard count for sampling/integration "
-                             "(default: SU3_GEOM_WORKERS or CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run identity-check suites")

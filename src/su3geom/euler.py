@@ -136,6 +136,27 @@ def factors(x):
     return [factor_exponential(g, t) for g, t in zip(GENERATOR_SLOTS, x)]
 
 
+def partial_derivatives(x):
+    """Exact dD/dx_k for all eight coordinates, stacked (8, 3, 3).
+
+    The derivative of the ordered product inserts i*generator at the
+    differentiated factor; prefix/suffix products make this one pass.
+    """
+    F = factors(x)
+    pre = [np.eye(3, dtype=complex)]
+    for Fk in F:
+        pre.append(pre[-1] @ Fk)
+    suf = [np.eye(3, dtype=complex)]
+    for Fk in reversed(F):
+        suf.insert(0, Fk @ suf[0])
+    out = np.empty((8, 3, 3), dtype=complex)
+    for k in range(8):
+        # suf[k] starts with the k-th factor, which commutes with its own
+        # generator, so d/dx_k inserts i*lam in front of it.
+        out[k] = pre[k] @ (1j * gell_mann_matrix(GENERATOR_SLOTS[k])) @ suf[k]
+    return out
+
+
 def compose(x):
     """Group element for the given angles (total over all finite angles)."""
     F = factors(x)
@@ -287,34 +308,12 @@ def _su2_angles_free_gamma(x, y):
     return alpha, beta, gamma
 
 
-def _su2_angles_parity(x, y):
-    """Euler angles of SU(2) row (x, y) with both phase angles in [0, pi).
-
-    Same conventions as :func:`_su2_angles_free_gamma` but the third angle is
-    also confined to [0, pi), which is only possible for one of the two signs
-    of (x, y).  Returns (a, b, c, parity_ok); on parity_ok == False the
-    caller must retry with (-x, -y) (absorbed elsewhere in the product).
-    At a gimbal lock the representative is chosen deterministically and
-    parity_ok is True since either sign is reachable.
-    """
-    b = math.atan2(abs(y), abs(x))
-    if abs(y) < _GIMBAL:
-        p = np.angle(x) % (2 * math.pi)
-        return p / 2.0, b, p / 2.0, True
-    if abs(x) < _GIMBAL:
-        q = float(np.angle(y))  # principal value in (-pi, pi]
-        return (math.pi + q) / 2.0, b, (math.pi - q) / 2.0, True
-    p, q = float(np.angle(x)), float(np.angle(y))
-    araw, craw = (p + q) / 2.0, (p - q) / 2.0
-    a = araw % math.pi
-    r = round((araw - a) / math.pi)
-    c = craw % math.pi
-    s = round((craw - c) / math.pi)
-    return a, b, c, (r - s) % 2 == 0
-
-
 def _analytic_decompose(U):
-    """Closed-form angle extraction; assumes U is special unitary."""
+    """Closed-form angle extraction; assumes U is special unitary.
+
+    The result can sit outside the canonical box by exact symmetries
+    (alpha or a at pi, c in [pi, 2 pi)); ``_fold_into_box`` moves it in.
+    """
     u33 = U[2, 2]
     ct = min(abs(u33), 1.0)
     # |U31|^2 + |U32|^2 = sin^2(theta) exactly (row unitarity), which keeps
@@ -322,23 +321,20 @@ def _analytic_decompose(U):
     st = math.hypot(abs(U[2, 0]), abs(U[2, 1]))
     theta = math.atan2(st, ct)
     psi = float(np.angle(u33))
-    # u33 = cos(theta) e^{-2 i phi / sqrt(3)} fixes phi modulo sqrt(3) pi;
-    # the remaining two-fold lift is resolved by the K2 extraction parity.
-    phi0 = (-SQRT3 / 2.0 * psi) % (SQRT3 * math.pi)
+    # u33 = cos(theta) e^{-2 i phi / sqrt(3)} fixes phi modulo sqrt(3) pi.
+    # Take the lower lift and let c run over [0, 2 pi); _fold_into_box then
+    # trades a half-turn of c for the upper lift, an exact symmetry of the
+    # product, so no phase has to be rounded to pick the lift.
+    phi = (-SQRT3 / 2.0 * psi) % (SQRT3 * math.pi)
 
     if st < _THETA_FOLD:
         # R5 factor is the identity: the SU(2) factors merge.  Fold a=b=c=0
         # and take the principal phi; gamma absorbs the leftover half-turn.
-        V = U[:2, :2] * np.exp(-1j * phi0 / SQRT3)
+        V = U[:2, :2] * np.exp(-1j * phi / SQRT3)
         al, be, ga = _su2_angles_free_gamma(V[0, 0], V[0, 1])
-        return np.array([al, be, ga, theta, 0.0, 0.0, 0.0, phi0])
-    for phi in (phi0, phi0 + SQRT3 * math.pi):
-        e8bar = np.exp(-1j * phi / SQRT3)
-        x2 = -U[2, 0] * e8bar / st
-        y2 = -U[2, 1] * e8bar / st
-        a, b, c, ok = _su2_angles_parity(x2, y2)
-        if ok:
-            break
+        return np.array([al, be, ga, theta, 0.0, 0.0, 0.0, phi])
+    e8bar = np.exp(-1j * phi / SQRT3)
+    a, b, c = _su2_angles_free_gamma(-U[2, 0] * e8bar / st, -U[2, 1] * e8bar / st)
     K2 = _block(np.cos(b) * np.exp(1j * (a + c)), np.sin(b) * np.exp(1j * (a - c)))
     E8 = factor_exponential(8, phi)
     E5 = factor_exponential(5, theta)
@@ -347,28 +343,13 @@ def _analytic_decompose(U):
     return np.array([al, be, ga, theta, a, b, c, phi])
 
 
-def _compose_jacobian(x):
-    """Exact d(compose)/d(angles) stacked as (8, 3, 3) complex."""
-    F = factors(x)
-    pre = [np.eye(3, dtype=complex)]
-    for Fk in F:
-        pre.append(pre[-1] @ Fk)
-    suf = [np.eye(3, dtype=complex)]
-    for Fk in reversed(F):
-        suf.insert(0, Fk @ suf[0])
-    out = np.empty((8, 3, 3), dtype=complex)
-    for k in range(8):
-        out[k] = pre[k] @ (1j * gell_mann_matrix(GENERATOR_SLOTS[k])) @ suf[k]
-    return out
-
-
 def _gauss_newton_polish(x, U):
     """One damped Gauss-Newton step on || compose(x) - U ||_F^2."""
     r = compose(x) - U
     r0 = np.linalg.norm(r)
     if r0 == 0.0:
         return x, 0.0, False
-    J = _compose_jacobian(x).reshape(8, 9).T  # d(entries)/d(angles)
+    J = partial_derivatives(x).reshape(8, 9).T  # d(entries)/d(angles)
     Jr = np.concatenate([J.real, J.imag])
     rr = np.concatenate([r.reshape(9).real, r.reshape(9).imag])
     step, *_ = np.linalg.lstsq(Jr, -rr, rcond=1e-12)
@@ -392,7 +373,7 @@ def decompose(U, tol=1e-9, full_output=False):
     group needs the former; the flat phi fraction needs the latter).
     """
     U = ensure_group_element(U)
-    x = _analytic_decompose(U)
+    x = _fold_into_box(_analytic_decompose(U))
     residual = float(np.linalg.norm(compose(x) - U))
     polished = False
     if residual > 1e-12:
@@ -418,9 +399,12 @@ def decompose(U, tol=1e-9, full_output=False):
 def _fold_into_box(x):
     """Fold angles into the canonical box by exact product symmetries only.
 
-    Used after the Gauss-Newton polish, whose unconstrained step can leave
-    the box by an exact symmetry amount.  Angles that are outside by less
-    than 1e-9 (boundary roundoff) are clamped.
+    Applied to every extraction, which leaves c in [0, 2 pi) and, where a
+    phase sits exactly on a branch cut, alpha or a at pi or gamma at 2 pi;
+    the unconstrained Gauss-Newton step can also leave the box by an exact
+    symmetry amount.
+    Angles that are outside by less than 1e-9 (boundary roundoff) are
+    clamped.
     """
     x = np.array(x, dtype=float)
     TWO_PI = 2 * math.pi

@@ -30,8 +30,9 @@ available.  Three range boxes matter:
     so periodic quadrature nodes are spectrally accurate.  Default box for
     ``integrate_quadrature``.
 
-All randomness is counter-based (Philox): results are a deterministic
-function of (seed, n, workers).
+All randomness comes from one counter-based (Philox) stream keyed by the
+seed: results are a deterministic function of (seed, n), and a shorter run
+draws a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .euler import EulerAngles, PHI_PERIOD, compose, compose_many, _as_angle_array
+from .euler import EulerAngles, PHI_PERIOD, compose_many
 from .invariant_forms import left_coframe
 
 _PI = math.pi
@@ -115,28 +116,9 @@ def density_from_coframe(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HaarSample:
-    """One draw: the angles, with the matrix materialized on demand."""
-
-    angles: EulerAngles
-
-    @property
-    def element(self):
-        return compose(self.angles)
-
-    @property
-    def weight(self):
-        return float(density(self.angles))
-
-
-def _shard_sizes(n, workers):
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
-def _shard_rng(seed, shard):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(shard))
+def _stream(seed):
+    """The one Philox stream behind every draw made with this seed."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def _angles_from_uniform(u):
@@ -153,25 +135,15 @@ def _angles_from_uniform(u):
     return x
 
 
-def sample_angles(n, seed, workers=1):
-    """(n, 8) i.i.d. Haar angles; deterministic in (seed, n, workers)."""
+def sample_angles(n, seed):
+    """(n, 8) i.i.d. Haar angles; deterministic in (seed, n).
+
+    Rows come in order from one stream, so ``sample_angles(k, seed)`` is
+    the first k rows of ``sample_angles(n, seed)`` for every k <= n.
+    """
     if n < 1:
         raise ValueError(f"need at least one sample, got n = {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    parts = []
-    for shard, m in enumerate(_shard_sizes(n, workers)):
-        if m == 0:
-            continue
-        rng = _shard_rng(seed, shard)
-        parts.append(_angles_from_uniform(rng.random((m, 8))))
-    return np.concatenate(parts, axis=0)
-
-
-def sample(n, seed, workers=1):
-    """List of :class:`HaarSample`; see ``sample_angles`` for the array form."""
-    xs = sample_angles(n, seed, workers)
-    return [HaarSample(EulerAngles.from_array(row)) for row in xs]
+    return _angles_from_uniform(_stream(seed).random((n, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +162,29 @@ class IntegrationResult:
 _CHUNK = 131072
 
 
-def integrate_mc(f, n, seed, workers=1, vectorized=False):
+def mc_moments(f, n, seed):
+    """Sample mean and standard error of f over n Haar-distributed elements.
+
+    The elements are ``compose_many(sample_angles(n, seed))``, drawn and
+    composed ``_CHUNK`` rows at a time; ``f`` maps each (m, 3, 3) stack to
+    an array of shape (m,) or (m, ...), and both moments are summed over
+    axis 0.  The standard error is the sample standard deviation of f over
+    sqrt(n), entry by entry.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one sample, got n = {n}")
+    rng = _stream(seed)
+    total = total_sq = 0.0
+    for start in range(0, n, _CHUNK):
+        xs = _angles_from_uniform(rng.random((min(_CHUNK, n - start), 8)))
+        vals = np.asarray(f(compose_many(xs)))
+        total = total + vals.sum(axis=0)
+        total_sq = total_sq + (np.abs(vals) ** 2).sum(axis=0)
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
+
+
+def integrate_mc(f, n, seed, *, vectorized=False):
     """Haar average of f over n sampled group elements.
 
     ``f`` maps a 3x3 group element to a complex number; with
@@ -202,45 +196,47 @@ def integrate_mc(f, n, seed, workers=1, vectorized=False):
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for an error estimate, got {n}")
-    total = 0.0 + 0.0j
-    total_sq = 0.0
     done = 0
-    for shard, m in enumerate(_shard_sizes(n, workers)):
-        if m == 0:
-            continue
-        rng = _shard_rng(seed, shard)
-        for start in range(0, m, _CHUNK):
-            mm = min(_CHUNK, m - start)
-            xs = _angles_from_uniform(rng.random((mm, 8)))
-            us = compose_many(xs)
-            if vectorized:
-                vals = np.asarray(f(us), dtype=complex)
-                if vals.shape != (mm,):
-                    raise ValueError(
-                        f"vectorized integrand returned shape {vals.shape}, "
-                        f"expected ({mm},)")
-            else:
-                vals = np.empty(mm, dtype=complex)
-                for i in range(mm):
-                    try:
-                        vals[i] = f(us[i])
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"integrand raised at sample {done + i}: {exc}"
-                        ) from exc
-            total += vals.sum()
-            total_sq += float(np.sum(np.abs(vals) ** 2))
-            done += mm
-    mean = total / n
-    var = max(total_sq / n - abs(mean) ** 2, 0.0)
-    return IntegrationResult(estimate=complex(mean),
-                             std_error=math.sqrt(var / n),
+
+    def values(us):
+        nonlocal done
+        if vectorized:
+            vals = np.asarray(f(us), dtype=complex)
+            if vals.shape != (len(us),):
+                raise ValueError(
+                    f"vectorized integrand returned shape {vals.shape}, "
+                    f"expected ({len(us)},)")
+            return vals
+        vals = np.empty(len(us), dtype=complex)
+        for i, u in enumerate(us):
+            try:
+                vals[i] = f(u)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"integrand raised at sample {done + i}: {exc}") from exc
+        done += len(us)
+        return vals
+
+    mean, se = mc_moments(values, n, seed)
+    return IntegrationResult(estimate=complex(mean), std_error=float(se),
                              n=n, method="mc")
 
 
 #: Default cap on the total quadrature grid size; sized for desk-scale runs
 #: and leaves room for the phi-axis node bump at the six-node setting.
 NODE_CAP = 2 * 6 ** 8
+
+
+def _gauss_legendre_axis(dim, lo, hi, glx, glw):
+    """Gauss-Legendre nodes on [lo, hi], with the axis' density factor
+    (if any) folded into the weights."""
+    x = (hi - lo) / 2 * glx + (hi + lo) / 2
+    w = glw * (hi - lo) / 2
+    if _WEIGHTED.get(dim) == "sin2":
+        w = w * np.sin(2 * x)
+    elif _WEIGHTED.get(dim) == "sin2sq":
+        w = w * np.sin(2 * x) * np.sin(x) ** 2
+    return x, w
 
 
 def _quad_axis(dim, lo, hi, nodes, glx, glw):
@@ -253,13 +249,7 @@ def _quad_axis(dim, lo, hi, nodes, glx, glw):
     they fall back to Gauss-Legendre.
     """
     if dim in _WEIGHTED:
-        x = (hi - lo) / 2 * glx + (hi + lo) / 2
-        w = glw * (hi - lo) / 2
-        if _WEIGHTED[dim] == "sin2":
-            w = w * np.sin(2 * x)
-        else:
-            w = w * np.sin(2 * x) * np.sin(x) ** 2
-        return x, w
+        return _gauss_legendre_axis(dim, lo, hi, glx, glw)
     period = _FLAT_PERIOD[dim]
     span = hi - lo
     if abs(span / period - round(span / period)) < 1e-12 and span > 0:
@@ -272,8 +262,7 @@ def _quad_axis(dim, lo, hi, nodes, glx, glw):
         x = lo + (np.arange(nodes) + 0.5) * span / nodes
         w = np.full(nodes, span / nodes)
         return x, w
-    x = (hi - lo) / 2 * glx + (hi + lo) / 2
-    return x, glw * (hi - lo) / 2
+    return _gauss_legendre_axis(dim, lo, hi, glx, glw)
 
 
 def integrate_quadrature(f, nodes_per_dim, ranges=None, vectorized=False,
@@ -335,30 +324,32 @@ def _axis_volume(dim, lo, hi):
     return hi - lo
 
 
+def _quadrature_volume(ranges, nodes=48):
+    """The density integral by a Gauss-Legendre rule on each axis.
+
+    The density is separable, so the eight-dimensional product rule is the
+    product of the eight one-dimensional sums.
+    """
+    glx, glw = np.polynomial.legendre.leggauss(nodes)
+    vol = 1.0
+    for dim, (lo, hi) in enumerate(ranges.as_tuples()):
+        vol *= float(np.sum(_gauss_legendre_axis(dim, lo, hi, glx, glw)[1]))
+    return vol
+
+
 def group_volume(ranges=None, quadrature_nodes=48, rtol=1e-10):
     """Unnormalized integral of the density over the given ranges.
 
-    Computed both as the product of eight exact one-dimensional integrals
-    and by one-dimensional Gauss-Legendre quadrature per axis (the density
-    is separable, so the product rule collapses); raises if the two
+    Computed as the product of eight exact one-dimensional integrals and
+    cross-checked against ``_quadrature_volume``; raises if the two
     disagree beyond ``rtol``.  Default ranges are the stated ones, for
     which the value is pi^5.
     """
     if ranges is None:
         ranges = RANGES_STATED
-    analytic = 1.0
-    quad = 1.0
-    glx, glw = np.polynomial.legendre.leggauss(quadrature_nodes)
-    for dim, (lo, hi) in enumerate(ranges.as_tuples()):
-        analytic *= _axis_volume(dim, lo, hi)
-        x = (hi - lo) / 2 * glx + (hi + lo) / 2
-        w = glw * (hi - lo) / 2
-        if dim in (1, 5):
-            quad *= float(np.sum(w * np.sin(2 * x)))
-        elif dim == 3:
-            quad *= float(np.sum(w * np.sin(2 * x) * np.sin(x) ** 2))
-        else:
-            quad *= float(np.sum(w))
+    analytic = math.prod(_axis_volume(dim, lo, hi)
+                         for dim, (lo, hi) in enumerate(ranges.as_tuples()))
+    quad = _quadrature_volume(ranges, quadrature_nodes)
     if analytic != 0.0 and abs(quad - analytic) > rtol * abs(analytic):
         raise ArithmeticError(
             f"separable quadrature volume {quad!r} disagrees with the "
@@ -378,7 +369,7 @@ def volume_report(ranges=None):
     if ranges is None:
         ranges = RANGES_STATED
     analytic = group_volume(ranges)
-    quad = group_volume(ranges)  # raises internally on disagreement
+    quad = _quadrature_volume(ranges)
     pi5 = _PI ** 5
     return {
         "analytic": analytic,

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import COORD_NAMES, EulerAngles, GENERATOR_SLOTS, factors, _as_angle_array
-from .gellmann import LAMBDA, SQRT3, gell_mann_matrix
+from .euler import EulerAngles, compose, partial_derivatives, _as_angle_array
+from .gellmann import LAMBDA, SQRT3
 
 #: Default threshold on the singular chart factors.
 SINGULAR_THRESHOLD = 1e-8
@@ -91,28 +91,6 @@ class FrameMatrix:
         return np.real(-1j * self.entries)
 
 
-def partial_derivatives(x):
-    """Exact dD/dx_k for all eight coordinates, stacked (8, 3, 3).
-
-    The derivative of the ordered product inserts i*generator at the
-    differentiated factor; prefix/suffix products make this one pass.
-    """
-    x = _as_angle_array(x)
-    F = factors(x)
-    pre = [np.eye(3, dtype=complex)]
-    for Fk in F:
-        pre.append(pre[-1] @ Fk)
-    suf = [np.eye(3, dtype=complex)]
-    for Fk in reversed(F):
-        suf.insert(0, Fk @ suf[0])
-    out = np.empty((8, 3, 3), dtype=complex)
-    for k in range(8):
-        # suf[k] starts with the k-th factor, which commutes with its own
-        # generator, so d/dx_k inserts i*lam in front of it.
-        out[k] = pre[k] @ (1j * gell_mann_matrix(GENERATOR_SLOTS[k])) @ suf[k]
-    return out
-
-
 def maurer_cartan_coefficients(x, chirality="left"):
     """Expand the translated derivatives in the Gell-Mann basis.
 
@@ -126,11 +104,7 @@ def maurer_cartan_coefficients(x, chirality="left"):
         raise ValueError(f"chirality must be 'left' or 'right', got {chirality!r}")
     x = _as_angle_array(x)
     dD = partial_derivatives(x)
-    D = factors(x)
-    U = D[0]
-    for Fk in D[1:]:
-        U = U @ Fk
-    Ui = U.conj().T
+    Ui = compose(x).conj().T
     if chirality == "left":
         A = np.einsum("kab,bc->kac", dD, Ui)
     else:

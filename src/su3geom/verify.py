@@ -544,23 +544,18 @@ def suite_forms(n_points=100, seed=30, pullback_points=10):
 
 def character_integrals_mc(n, seed):
     """The four Schur integrals by Monte Carlo; returns (name, value, se, target)."""
-    xs = haar.sample_angles(n, seed)
-    sums = np.zeros(4, dtype=complex)
-    sumsq = np.zeros(4)
-    for start in range(0, n, 1 << 17):
-        us = compose_many(xs[start:start + (1 << 17)])
+
+    def values(us):
         tr = np.einsum("nii->n", us)
         adj = np.abs(tr) ** 2 - 1.0
-        vals = np.stack([
-            (np.abs(tr) ** 2).astype(complex),  # <fund, fund>      -> 1
-            tr,                                 # <fund, 1>         -> 0
-            (adj * adj).astype(complex),        # <adj, adj>        -> 1
-            tr * tr,                            # <fund, antifund>  -> 0
-        ])
-        sums += vals.sum(axis=1)
-        sumsq += (np.abs(vals) ** 2).sum(axis=1)
-    means = sums / n
-    ses = np.sqrt(np.maximum(sumsq / n - np.abs(means) ** 2, 0.0) / n)
+        return np.stack([
+            np.abs(tr) ** 2,  # <fund, fund>      -> 1
+            tr,               # <fund, 1>         -> 0
+            adj * adj,        # <adj, adj>        -> 1
+            tr * tr,          # <fund, antifund>  -> 0
+        ], axis=1)
+
+    means, ses = haar.mc_moments(values, n, seed)
     names = ("<fund,fund>", "<fund,1>", "<adj,adj>", "<fund,antifund>")
     targets = (1.0, 0.0, 1.0, 0.0)
     return list(zip(names, means, ses, targets))
@@ -592,10 +587,10 @@ def character_integrals_quadrature(nodes, node_cap=None):
 
 
 _INVARIANCE_FUNCTIONS = (
-    ("Re tr U", lambda tr, tr2: tr.real.astype(complex)),
-    ("|tr U|^2", lambda tr, tr2: (np.abs(tr) ** 2).astype(complex)),
-    ("Re tr U^2", lambda tr, tr2: tr2.real.astype(complex)),
-    ("adjoint char", lambda tr, tr2: (np.abs(tr) ** 2 - 1.0).astype(complex)),
+    ("Re tr U", lambda tr, tr2: tr.real),
+    ("|tr U|^2", lambda tr, tr2: np.abs(tr) ** 2),
+    ("Re tr U^2", lambda tr, tr2: tr2.real),
+    ("adjoint char", lambda tr, tr2: np.abs(tr) ** 2 - 1.0),
 )
 
 
@@ -607,40 +602,29 @@ def invariance_deviations(n, seed, n_translations=5):
     (4 * combined standard error) over all (g, side, f).
     """
     gs = compose_many(haar.sample_angles(n_translations, seed + 17))
-    k = len(_INVARIANCE_FUNCTIONS)
-    n_stat = 1 + 2 * n_translations  # base row + one row per (g, side)
-    sums = np.zeros((n_stat, k), dtype=complex)
-    sumsq = np.zeros((n_stat, k))
 
-    def accumulate(row, us):
-        tr = np.einsum("nii->n", us)
-        tr2 = np.einsum("nii->n", us @ us)
-        for fi, (_, fn) in enumerate(_INVARIANCE_FUNCTIONS):
-            v = fn(tr, tr2)
-            sums[row, fi] += v.sum()
-            sumsq[row, fi] += float(np.sum(np.abs(v) ** 2))
+    def translates(us):
+        # one stack at a time: U, then gU and Ug for each g
+        yield us
+        for g in gs:
+            yield np.einsum("ab,nbc->nac", g, us)
+            yield np.einsum("nab,bc->nac", us, g)
 
-    xs = haar.sample_angles(n, seed)
-    for start in range(0, n, 1 << 16):
-        us = compose_many(xs[start:start + (1 << 16)])
-        accumulate(0, us)
-        row = 1
-        for gi in range(n_translations):
-            accumulate(row, np.einsum("ab,nbc->nac", gs[gi], us))
-            row += 1
-            accumulate(row, np.einsum("nab,bc->nac", us, gs[gi]))
-            row += 1
+    def values(us):
+        out = np.empty((len(us), 1 + 2 * n_translations,
+                        len(_INVARIANCE_FUNCTIONS)))
+        for row, vs in enumerate(translates(us)):
+            tr = np.einsum("nii->n", vs)
+            tr2 = np.einsum("nii->n", vs @ vs)
+            for fi, (_, fn) in enumerate(_INVARIANCE_FUNCTIONS):
+                out[:, row, fi] = fn(tr, tr2)
+        return out
 
-    means = sums / n
-    ses = np.sqrt(np.maximum(sumsq / n - np.abs(means) ** 2, 0.0) / n)
-    worst = 0.0
-    for row in range(1, n_stat):
-        for fi in range(k):
-            dev = abs(means[row, fi] - means[0, fi])
-            combined = 4.0 * math.hypot(ses[row, fi], ses[0, fi])
-            if combined > 0:
-                worst = max(worst, dev / combined)
-    return worst
+    means, ses = haar.mc_moments(values, n, seed)
+    dev = np.abs(means[1:] - means[0])
+    combined = 4.0 * np.hypot(ses[1:], ses[0])
+    ratio = np.divide(dev, combined, out=np.zeros_like(dev), where=combined > 0)
+    return float(ratio.max())
 
 
 def suite_measure(n_mc=200_000, seed=40, nodes=5):
@@ -668,8 +652,7 @@ def suite_measure(n_mc=200_000, seed=40, nodes=5):
         compose(folded.as_array()) - compose(shifted)))))
     if not folded.is_canonical():
         worst = max(worst, 1.0)
-    for s in haar.sample(3, seed):
-        U = s.element
+    for U in compose_many(haar.sample_angles(3, seed)):
         worst = max(worst, float(np.linalg.norm(U.conj().T @ U - np.eye(3))))
     worst = max(worst, abs(haar.character(np.eye(3), "fundamental") - 3.0),
                 abs(haar.character(np.eye(3), "adjoint") - 8.0))

@@ -1,18 +1,26 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import su3geom
 from su3geom.serialize import dumps, matrix_from_json, matrix_to_json
 
+#: The directory holding the su3geom package under test; the CLI
+#: subprocesses import from it too.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(su3geom.__file__))
 
-def run_cli(*args, stdin=None):
+
+def run_cli(*args, stdin=None, env=None):
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "su3geom.cli", *args],
-        input=stdin, capture_output=True, text=True, timeout=600)
+        input=stdin, capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path, **(env or {})})
     return proc
 
 
@@ -47,6 +55,26 @@ def test_sample_csv_deterministic():
     lines = a.stdout.strip().splitlines()
     assert lines[0] == "alpha,beta,gamma,theta,a,b,c,phi,weight"
     assert len(lines) == 4
+
+
+def test_sample_depends_only_on_seed_and_n():
+    # the rows depend on (seed, n) only, whatever the environment says
+    proc = run_cli("sample", "--n", "2", "--seed", "1",
+                   env={"SU3_GEOM_WORKERS": "3"})
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1:] == [
+        "0.95368710644280708,1.1712919889109403,0.98102374334249598,"
+        "0.43340618856296831,2.8282767585566213,0.2302092071032201,"
+        "2.3407623274291627,2.6800632459305689,0.042810347792619739",
+        "1.2825923532626879,0.42359788219005806,1.6449202171397206,"
+        "1.2581679133196753,2.3148858274734523,0.88760192413006134,"
+        "0.84265715340928349,3.9952547104162521,0.38888261066404772",
+    ]
+
+
+def test_sample_workers_option_removed():
+    assert run_cli("--workers", "2", "sample", "--n", "2").returncode == 2
+    assert run_cli("sample", "--n", "2", "--workers", "2").returncode == 2
 
 
 def test_sample_matrices_unitary_on_reread():

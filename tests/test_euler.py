@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,50 @@ def test_decompose_boundary_elements(x):
     rep = decompose(U, full_output=True)
     assert rep.residual <= 1e-9
     assert rep.angles.is_canonical(tol=1e-12)
+
+
+def signed_permutations():
+    """All 24 signed permutation matrices with determinant +1."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            P = np.zeros((3, 3), dtype=complex)
+            P[range(3), perm] = signs
+            if np.linalg.det(P).real > 0:
+                out.append(P)
+    return out
+
+
+@pytest.mark.parametrize("P", signed_permutations(),
+                         ids=lambda P: ",".join(str(int(v)) for v in P.real.ravel()))
+def test_decompose_signed_permutations_canonical(P):
+    rep = decompose(P, full_output=True)
+    assert rep.angles.is_canonical(tol=0)
+    assert rep.residual <= 1e-9
+
+
+def test_decompose_real_rotations():
+    # real input puts every phase on the +-pi branch cut or at +-1e-16
+    rng = np.random.default_rng(2007)
+    for _ in range(500):
+        Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q = Q * np.sign(np.diag(R))
+        Q = Q * np.sign(np.linalg.det(Q))
+        rep = decompose(Q.astype(complex), full_output=True)
+        assert rep.angles.is_canonical(tol=0)
+        assert rep.residual <= 1e-9
+
+
+@pytest.mark.parametrize("vals", [
+    [0.0, 0.0, 0.0, -0.0625, 0.0, 6.4375, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.21783268208617113, 0.0, -2.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 8.0, 0.0, -0.0625, 0.0, -math.pi],
+])
+def test_canonicalize_branch_cut_examples(vals):
+    x = np.array(vals)
+    y = canonicalize(x)
+    assert y.is_canonical(tol=0)
+    assert np.linalg.norm(compose(y.as_array()) - compose(x)) <= 1e-9
 
 
 def test_decompose_rejects_non_unitary():
