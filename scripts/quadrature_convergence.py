@@ -16,31 +16,16 @@ a pure Gauss-Legendre rule and the stated-ranges box.  Shows why:
 Run:  python scripts/quadrature_convergence.py
 """
 
-import numpy as np
-
-from su3geom import RANGES_STATED, compose_many, integrate_quadrature
-from su3geom.verify import character_integrals_quadrature
-
-NAMES = ("<fund,fund>", "<fund,1>", "<adj,adj>", "<fund,antifund>")
-TARGETS = (1.0, 0.0, 1.0, 0.0)
+from su3geom import RANGES_STATED, compose_many, quadrature_mean
+from su3geom.verify import (SCHUR_NAMES, SCHUR_TARGETS,
+                            character_integrals_quadrature, schur_integrands)
 
 
 def stated_box_characters(nodes):
-    out = []
-    for name, target in zip(NAMES, TARGETS):
-        def fn(xs, _name=name):
-            tr = np.einsum("nii->n", compose_many(xs))
-            if _name == "<fund,fund>":
-                return (np.abs(tr) ** 2).astype(complex)
-            if _name == "<fund,1>":
-                return tr
-            if _name == "<adj,adj>":
-                return ((np.abs(tr) ** 2 - 1.0) ** 2).astype(complex)
-            return tr * tr
-        r = integrate_quadrature(fn, nodes, ranges=RANGES_STATED,
-                                 vectorized=True)
-        out.append((name, r.estimate, None, target))
-    return out
+    means, _ = quadrature_mean(lambda xs: schur_integrands(compose_many(xs)),
+                               nodes, ranges=RANGES_STATED)
+    return [(name, complex(m), None, target)
+            for name, m, target in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
 
 
 def show(rows, label):

@@ -13,8 +13,7 @@ import sys
 import numpy as np
 
 from . import haar, verify
-from .euler import (DecompositionError, EulerAngles, compose, compose_many,
-                    decompose)
+from .euler import DecompositionError, compose_many, decompose
 from .gellmann import SQRT3
 from .invariant_forms import (left_coframe, left_coframe_closed, right_coframe,
                               right_coframe_closed)
@@ -68,6 +67,8 @@ def cmd_sample(args):
         for line in sample_csv_lines(xs, weights):
             print(line)
         return EXIT_OK
+    if args.emit in ("matrices", "both"):
+        us = compose_many(xs)
     out = []
     for i, row in enumerate(xs):
         rec = {}
@@ -75,7 +76,7 @@ def cmd_sample(args):
             rec["angles"] = angles_to_json(row)
             rec["weight"] = float(weights[i])
         if args.emit in ("matrices", "both"):
-            rec["matrix"] = matrix_to_json(compose(row))
+            rec["matrix"] = matrix_to_json(us[i])
         out.append(rec)
     print(dumps({"samples": out, "seed": args.seed, "n": args.n}))
     return EXIT_OK

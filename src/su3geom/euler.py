@@ -9,6 +9,13 @@ where Rk(t) = exp(i lam_k t).  The two R3-R2-R3 groups are SU(2) Euler
 factors embedded in the upper-left block, R5 rotates the (1,3) plane and R8
 is the diagonal hypercharge phase with period 2*sqrt(3)*pi.
 
+The product collapses to K1 R5(theta) K2 R8(phi): two SU(2) blocks
+[[x, y], [-conj(y), conj(x)]] with x = cos(beta) e^{i(alpha+gamma)} and
+y = sin(beta) e^{i(alpha-gamma)} (and the same in a, b, c), one real
+rotation and one diagonal phase, so each of the nine entries has a short
+closed form; ``compose_many`` evaluates it, and ``compose`` keeps the
+ordered product of ``factors`` as the reference.
+
 The parameterization covers the group exactly once on the box
 
     alpha, a, c in [0, pi),  gamma in [0, 2 pi),
@@ -167,75 +174,53 @@ def compose(x):
 
 
 def compose_many(xs):
-    """Vectorized ``compose``: (n, 8) angles -> (n, 3, 3) elements."""
+    """Vectorized ``compose``: (n, 8) angles -> (n, 3, 3) elements.
+
+    The product collapses to K1 R5(theta) K2 R8(phi) with SU(2) blocks
+    K1 = [[x1, y1], [-conj(y1), conj(x1)]] and K2 likewise from (x2, y2),
+    where x1 = cos(beta) e^{i(alpha+gamma)}, y1 = sin(beta) e^{i(alpha-gamma)}
+    and x2, y2 the same in (a, b, c).  With ct, st = cos, sin(theta) and
+    e = e^{i phi/sqrt3}, every entry is filled in closed form:
+
+        [(x1 ct x2 - y1 y2*) e,      (x1 ct y2 + y1 x2*) e,      x1 st e^-2]
+        [-(y1* ct x2 + x1* y2*) e,   (x1* x2* - y1* ct y2) e,    -y1* st e^-2]
+        [-st x2 e,                   -st y2 e,                   ct e^-2]
+
+    (z* is the complex conjugate).  ``compose`` is the reference product.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != 8:
         raise ValueError(f"expected (n, 8) angles, got shape {xs.shape}")
-    n = xs.shape[0]
-    U = _vec_r3(xs[:, 0])
-    for k in range(1, 8):
-        g = GENERATOR_SLOTS[k]
-        t = xs[:, k]
-        if g == 3:
-            F = _vec_r3(t)
-        elif g == 2:
-            F = _vec_r2(t)
-        elif g == 5:
-            F = _vec_r5(t)
-        else:
-            F = _vec_r8(t)
-        U = U @ F
+    alpha, beta, gamma, theta, a, b, c, phi = xs.T
+    x1 = np.cos(beta) * np.exp(1j * (alpha + gamma))
+    y1 = np.sin(beta) * np.exp(1j * (alpha - gamma))
+    x2 = np.cos(b) * np.exp(1j * (a + c))
+    y2 = np.sin(b) * np.exp(1j * (a - c))
+    ct, st = np.cos(theta), np.sin(theta)
+    e = np.exp(1j * phi / SQRT3)
+    e2 = e ** -2
+    x1c, y1c = np.conj(x1), np.conj(y1)
+    U = np.empty((len(xs), 3, 3), dtype=complex)
+    U[:, 0, 0] = (x1 * ct * x2 - y1 * np.conj(y2)) * e
+    U[:, 0, 1] = (x1 * ct * y2 + y1 * np.conj(x2)) * e
+    U[:, 0, 2] = x1 * st * e2
+    U[:, 1, 0] = -(y1c * ct * x2 + x1c * np.conj(y2)) * e
+    U[:, 1, 1] = (x1c * np.conj(x2) - y1c * ct * y2) * e
+    U[:, 1, 2] = -y1c * st * e2
+    U[:, 2, 0] = -st * x2 * e
+    U[:, 2, 1] = -st * y2 * e
+    U[:, 2, 2] = ct * e2
     return U
 
 
-def _vec_r3(t):
-    out = np.zeros((len(t), 3, 3), dtype=complex)
-    out[:, 0, 0] = np.exp(1j * t)
-    out[:, 1, 1] = np.exp(-1j * t)
-    out[:, 2, 2] = 1.0
-    return out
-
-
-def _vec_r2(t):
-    out = np.zeros((len(t), 3, 3), dtype=complex)
-    c, s = np.cos(t), np.sin(t)
-    out[:, 0, 0] = c
-    out[:, 0, 1] = s
-    out[:, 1, 0] = -s
-    out[:, 1, 1] = c
-    out[:, 2, 2] = 1.0
-    return out
-
-
-def _vec_r5(t):
-    out = np.zeros((len(t), 3, 3), dtype=complex)
-    c, s = np.cos(t), np.sin(t)
-    out[:, 0, 0] = c
-    out[:, 0, 2] = s
-    out[:, 1, 1] = 1.0
-    out[:, 2, 0] = -s
-    out[:, 2, 2] = c
-    return out
-
-
-def _vec_r8(t):
-    out = np.zeros((len(t), 3, 3), dtype=complex)
-    ph = np.exp(1j * t / SQRT3)
-    out[:, 0, 0] = ph
-    out[:, 1, 1] = ph
-    out[:, 2, 2] = ph ** -2
-    return out
-
-
 def su2_subelement(alpha, beta, gamma):
-    """R3(alpha) R2(beta) R3(gamma): an SU(2) element in the upper-left block."""
+    """R3(alpha) R2(beta) R3(gamma): an SU(2) element in the upper-left block.
+
+    With x = cos(beta) e^{i(alpha+gamma)} and y = sin(beta) e^{i(alpha-gamma)}
+    the block is [[x, y], [-conj(y), conj(x)]].
+    """
     x = np.cos(beta) * np.exp(1j * (alpha + gamma))
     y = np.sin(beta) * np.exp(1j * (alpha - gamma))
-    return _block(x, y)
-
-
-def _block(x, y):
-    """Embed the SU(2) matrix [[x, y], [-conj(y), conj(x)]] into SU(3)."""
     return np.array(
         [[x, y, 0.0], [-np.conj(y), np.conj(x), 0.0], [0.0, 0.0, 1.0]], dtype=complex
     )
@@ -335,7 +320,7 @@ def _analytic_decompose(U):
         return np.array([al, be, ga, theta, 0.0, 0.0, 0.0, phi])
     e8bar = np.exp(-1j * phi / SQRT3)
     a, b, c = _su2_angles_free_gamma(-U[2, 0] * e8bar / st, -U[2, 1] * e8bar / st)
-    K2 = _block(np.cos(b) * np.exp(1j * (a + c)), np.sin(b) * np.exp(1j * (a - c)))
+    K2 = su2_subelement(a, b, c)
     E8 = factor_exponential(8, phi)
     E5 = factor_exponential(5, theta)
     K1 = U @ E8.conj().T @ K2.conj().T @ E5.conj().T

@@ -28,6 +28,7 @@ available.  Three range boxes matter:
     Covers the group uniformly eight times (the constant cancels in
     normalized integrals) and makes every flat coordinate a full circle,
     so periodic quadrature nodes are spectrally accurate.  Default box for
+    ``quadrature_mean``, the one product-rule grid loop, and its wrapper
     ``integrate_quadrature``.
 
 All randomness comes from one counter-based (Philox) stream keyed by the
@@ -265,14 +266,15 @@ def _quad_axis(dim, lo, hi, nodes, glx, glw):
     return _gauss_legendre_axis(dim, lo, hi, glx, glw)
 
 
-def integrate_quadrature(f, nodes_per_dim, ranges=None, vectorized=False,
-                         node_cap=NODE_CAP):
+def quadrature_mean(f, nodes_per_dim, ranges=None, node_cap=NODE_CAP):
     """Haar average of f by a separable product rule with the density weight.
 
-    ``f`` maps EulerAngles to a complex number; with ``vectorized=True`` it
-    receives an (m, 8) block of angle rows.  The estimate is normalized by
-    the same rule applied to f == 1, so any constant covering multiplicity
-    of the range box cancels.  Default box is ``RANGES_QUAD``.
+    ``f`` maps an (m, 8) block of angle rows to values of shape (m,) or
+    (m, ...); every trailing entry is averaged with the same weights, so
+    several integrands share one pass over the grid.  The sum is normalized
+    by the same rule applied to f == 1, so any constant covering
+    multiplicity of the range box cancels.  Default box is ``RANGES_QUAD``.
+    Returns ``(mean, n_nodes)``.
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per dimension, got {nodes_per_dim}")
@@ -296,18 +298,33 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None, vectorized=False,
     X = np.stack([g.ravel() for g in grids], axis=1)
     wgrids = np.meshgrid(*[w for _, w in axes], indexing="ij")
     W = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    norm = W.sum()
-    acc = 0.0 + 0.0j
+    acc = 0.0
     for start in range(0, total_nodes, _CHUNK):
         sl = slice(start, min(start + _CHUNK, total_nodes))
+        vals = np.asarray(f(X[sl]))
+        # C order makes each entry's terms contiguous, so numpy sums them
+        # pairwise exactly as it sums that entry's (m,) values alone
+        terms = np.multiply(W[sl], np.moveaxis(vals, 0, -1), order="C")
+        acc = acc + terms.sum(axis=-1)
+    return acc / W.sum(), total_nodes
+
+
+def integrate_quadrature(f, nodes_per_dim, ranges=None, vectorized=False,
+                         node_cap=NODE_CAP):
+    """Haar average of a complex f by ``quadrature_mean``.
+
+    ``f`` maps EulerAngles to a complex number; with ``vectorized=True`` it
+    receives an (m, 8) block of angle rows and returns (m,) values.
+    """
+    def values(xs):
         if vectorized:
-            vals = np.asarray(f(X[sl]), dtype=complex)
-        else:
-            vals = np.array([f(EulerAngles.from_array(row)) for row in X[sl]],
-                            dtype=complex)
-        acc += np.sum(W[sl] * vals)
-    return IntegrationResult(estimate=complex(acc / norm), std_error=None,
-                             n=total_nodes, method="quadrature")
+            return np.asarray(f(xs), dtype=complex)
+        return np.array([f(EulerAngles.from_array(row)) for row in xs],
+                        dtype=complex)
+
+    mean, n_nodes = quadrature_mean(values, nodes_per_dim, ranges, node_cap)
+    return IntegrationResult(estimate=complex(mean), std_error=None,
+                             n=n_nodes, method="quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +415,7 @@ _REPS = ("fundamental", "antifundamental", "adjoint")
 
 def character(U, rep="fundamental"):
     """Character of U in the fundamental, antifundamental or adjoint rep."""
-    tr = np.trace(np.asarray(U, dtype=complex))
-    if rep == "fundamental":
-        return complex(tr)
-    if rep == "antifundamental":
-        return complex(np.conj(tr))
-    if rep == "adjoint":
-        return complex(abs(tr) ** 2 - 1.0)
-    raise ValueError(f"unknown representation {rep!r}; expected one of {_REPS}")
+    return complex(character_many(np.asarray(U)[None], rep)[0])
 
 
 def character_many(us, rep="fundamental"):

@@ -89,6 +89,27 @@ def test_compose_many_matches_scalar():
     for row, u in zip(xs, us):
         assert np.max(np.abs(u - compose(row))) <= 1e-14
 
+    # the closed form against the ordered product off the box, one factor
+    # at a time, at the chart's special angles and at phi lattice points
+    base = np.array([0.3, 0.7, 1.9, 0.4, 2.6, 1.1, 0.8, 4.2])
+    edges = []
+    for slot, t in itertools.product((1, 3, 5), (0.0, math.pi / 2)):
+        row = base.copy()
+        row[slot] = t
+        edges.append(row)
+    for k in range(-2, 5):
+        row = base.copy()
+        row[7] = k * SQRT3 * math.pi
+        edges.append(row)
+    xs = np.concatenate([
+        np.random.default_rng(8).uniform(-8.0, 8.0, (1000, 8)),
+        np.diag([0.9, -1.3, 2.2, 0.6, -2.7, 1.4, 3.5, 5.1]),
+        edges,
+    ])
+    us = compose_many(xs)
+    for row, u in zip(xs, us):
+        assert np.max(np.abs(u - compose(row))) <= 1e-13
+
 
 @pytest.mark.parametrize("slot", range(8))
 def test_single_angle_homomorphism(slot):

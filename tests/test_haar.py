@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from su3geom import verify
 from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many
 from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
                           character, character_many, density,
                           density_from_coframe, group_volume, integrate_mc,
-                          integrate_quadrature, mc_moments, sample_angles,
-                          volume_report)
+                          integrate_quadrature, mc_moments, quadrature_mean,
+                          sample_angles, volume_report)
 
 from conftest import qr_haar_su3
 
@@ -229,6 +230,34 @@ def test_quadrature_characters_five_nodes():
 
     r = integrate_quadrature(f1, 4, vectorized=True)
     assert abs(r.estimate) <= 1e-6
+
+
+@pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
+def test_quadrature_mean_columns_match_single_integrands(ranges):
+    def schur(xs):
+        return verify.schur_integrands(compose_many(xs))
+
+    means, n_nodes = quadrature_mean(schur, 3, ranges)
+    assert means.shape == (4,)
+    for k in range(4):
+        r = integrate_quadrature(lambda xs: schur(xs)[:, k], 3, ranges=ranges,
+                                 vectorized=True)
+        assert r.n == n_nodes
+        assert r.estimate == means[k]
+
+
+def test_character_quadrature_composes_each_node_once(monkeypatch):
+    rows = []
+    original = verify.compose_many
+
+    def counting(xs):
+        rows.append(len(xs))
+        return original(xs)
+
+    monkeypatch.setattr(verify, "compose_many", counting)
+    verify.character_integrals_quadrature(3)
+    # 3 nodes on seven axes; the phi axis steps off 3 to 4 nodes
+    assert sum(rows) == 3 ** 7 * 4
 
 
 def test_quadrature_node_cap():
