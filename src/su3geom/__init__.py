@@ -19,8 +19,7 @@ from .haar import (AngleRanges, IntegrationResult, RANGES_COVER, RANGES_QUAD,
                    mc_moments, quadrature_mean, sample_angles,
                    volume_report)
 from .invariant_forms import (CoFrameMatrix, left_coframe, left_coframe_closed,
-                              maurer_cartan_matrix, right_coframe,
-                              right_coframe_closed)
+                              right_coframe, right_coframe_closed)
 from .tangent_frames import (ChartSingularityError, FrameMatrix,
                              MaurerCartanCoefficients, adjoint_matrix,
                              left_field_frame, left_field_frame_closed,

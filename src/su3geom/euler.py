@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gellmann import SQRT3, gell_mann_matrix
+from .gellmann import LAMBDA, SQRT3
 
 #: Full period of the R8(phi) factor.
 PHI_PERIOD = 2.0 * SQRT3 * math.pi
@@ -115,6 +115,18 @@ def _as_angle_array(x):
     return x
 
 
+def _as_angle_points(x):
+    """EulerAngles, (8,) or (n, 8) finite angles as a float array."""
+    if isinstance(x, EulerAngles):
+        return x.as_array()
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 8:
+        raise ValueError(f"expected (8,) or (n, 8) angles, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("angles must be finite")
+    return x
+
+
 def factor_exponential(generator, t):
     """Closed form of exp(i lam_g t) for the factor generators g in {2,3,5,8}.
 
@@ -143,25 +155,35 @@ def factors(x):
     return [factor_exponential(g, t) for g, t in zip(GENERATOR_SLOTS, x)]
 
 
-def partial_derivatives(x):
-    """Exact dD/dx_k for all eight coordinates, stacked (8, 3, 3).
+#: Row k keeps the angles before k (prefix) or from k on (suffix).
+_PREFIX = np.tril(np.ones((8, 8)), -1)
+_SUFFIX = np.triu(np.ones((8, 8)))
 
-    The derivative of the ordered product inserts i*generator at the
-    differentiated factor; prefix/suffix products make this one pass.
+#: lam_g for the generator g of each factor, in order.
+_GENERATORS = LAMBDA[np.array(GENERATOR_SLOTS) - 1]
+
+
+def _partial_products(x, mask):
+    """Row k of ``mask`` picks the factors of product k: (..., 8) -> (..., 8, 3, 3).
+
+    A factor at angle 0 is the identity, so zeroing the other angles leaves
+    the ordered product of the picked factors, which ``compose_many`` fills
+    in closed form.
     """
-    F = factors(x)
-    pre = [np.eye(3, dtype=complex)]
-    for Fk in F:
-        pre.append(pre[-1] @ Fk)
-    suf = [np.eye(3, dtype=complex)]
-    for Fk in reversed(F):
-        suf.insert(0, Fk @ suf[0])
-    out = np.empty((8, 3, 3), dtype=complex)
-    for k in range(8):
-        # suf[k] starts with the k-th factor, which commutes with its own
-        # generator, so d/dx_k inserts i*lam in front of it.
-        out[k] = pre[k] @ (1j * gell_mann_matrix(GENERATOR_SLOTS[k])) @ suf[k]
-    return out
+    return compose_many((x[..., None, :] * mask).reshape(-1, 8)).reshape(
+        x.shape[:-1] + (8, 3, 3))
+
+
+def partial_derivatives(x):
+    """Exact dD/dx_k for all eight coordinates: (8,) -> (8, 3, 3), (n, 8) -> (n, 8, 3, 3).
+
+    The derivative of the ordered product inserts i*generator in front of
+    the differentiated factor: d_k D = P_k (i lam_{g_k}) S_k, with P_k the
+    product of the factors before k and S_k the product from factor k on.
+    """
+    x = _as_angle_points(x)
+    return (_partial_products(x, _PREFIX) @ (1j * _GENERATORS)
+            @ _partial_products(x, _SUFFIX))
 
 
 def compose(x):

@@ -94,10 +94,7 @@ def density(x):
     if isinstance(x, EulerAngles):
         x = x.as_array()
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        beta, theta, b = x[1], x[3], x[5]
-    else:
-        beta, theta, b = x[..., 1], x[..., 3], x[..., 5]
+    beta, theta, b = x[..., 1], x[..., 3], x[..., 5]
     return np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * np.sin(theta) ** 2
 
 
@@ -107,9 +104,9 @@ def density_from_coframe(x):
     Equals ``density(x) / 2`` at every interior point (the closed form is
     normalized differently by a constant factor); the constancy of the
     ratio — not its value — is the meaningful check, and the right coframe
-    gives the same constant (unimodularity).
+    gives the same constant (unimodularity).  Accepts (8,) or (n, 8).
     """
-    return float(abs(np.linalg.det(left_coframe(x).entries)))
+    return np.abs(np.linalg.det(left_coframe(x).entries))
 
 
 # ---------------------------------------------------------------------------

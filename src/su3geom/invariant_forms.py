@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import EulerAngles, _as_angle_array
+from .euler import _as_angle_array
 from .gellmann import SQRT3
 from .tangent_frames import check_interior, maurer_cartan_coefficients
 
@@ -36,38 +36,22 @@ class CoFrameMatrix:
 
     entries: np.ndarray
     chirality: str
-    point: EulerAngles
 
 
 def _constructive_coframe(x, chirality):
-    x = _as_angle_array(x)
     check_interior(x)
     mc = maurer_cartan_coefficients(x, chirality)
-    return CoFrameMatrix(entries=mc.c.T.copy(), chirality=chirality,
-                         point=EulerAngles.from_array(x))
+    return CoFrameMatrix(entries=np.swapaxes(mc.c, -1, -2), chirality=chirality)
 
 
 def left_coframe(x):
-    """Constructive left coframe, dual to the real left frame."""
+    """Constructive left coframe, dual to the real left frame; (8,) or (n, 8)."""
     return _constructive_coframe(x, "left")
 
 
 def right_coframe(x):
-    """Constructive right coframe, dual to the real right frame."""
+    """Constructive right coframe, dual to the real right frame; (8,) or (n, 8)."""
     return _constructive_coframe(x, "right")
-
-
-def maurer_cartan_matrix(x, chirality="left"):
-    """Coefficient matrix of the translated differential in the basis.
-
-    Row k holds the Gell-Mann components of (d_k D) D^-1 (left) or
-    D^-1 (d_k D) (right), divided by i; this is the transpose of the
-    corresponding coframe, and its determinant carries the invariant
-    volume density used by haar.density_from_coframe.
-    """
-    x = _as_angle_array(x)
-    check_interior(x)
-    return maurer_cartan_coefficients(x, chirality).c
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +212,10 @@ def _right_form_table(x):
 def left_coframe_closed(x):
     """Transcribed closed-form left coframe (diffed against the constructive)."""
     x = _as_angle_array(x)
-    return CoFrameMatrix(entries=_left_form_table(x), chirality="left",
-                         point=EulerAngles.from_array(x))
+    return CoFrameMatrix(entries=_left_form_table(x), chirality="left")
 
 
 def right_coframe_closed(x):
     """Transcribed closed-form right coframe (diffed against the constructive)."""
     x = _as_angle_array(x)
-    return CoFrameMatrix(entries=_right_form_table(x), chirality="right",
-                         point=EulerAngles.from_array(x))
+    return CoFrameMatrix(entries=_right_form_table(x), chirality="right")

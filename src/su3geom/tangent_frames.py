@@ -2,16 +2,23 @@
 
 Two independent routes to the same objects:
 
-* A constructive route: exact partial derivatives of the factored product
-  (a generator inserted at the differentiated factor, no finite
-  differences), expanded in the Gell-Mann basis to give the Maurer-Cartan
-  coefficient matrix c, inverted to the frame a = i c^{-1}.  The frame rows
+* A constructive route from the partial products of the factor chain.
+  With P_k the product of the factors before k, S_k the product from
+  factor k on (so D = P_k S_k) and g_k the generator of factor k,
+
+      (d_k D) D^-1 = i P_k lam_{g_k} P_k^dag,
+      D^-1 (d_k D) = i S_k^dag lam_{g_k} S_k,
+
+  so the Maurer-Cartan coefficient matrix c is read off without an
+  inverse of D and inverted to the frame a = i c^{-1}.  The frame rows
   satisfy the defining relations
 
       sum_k a_ik  dD/dx_k = -lam_i D      (left chirality)
       sum_k ar_ik dD/dx_k = -D lam_i      (right chirality)
 
   to machine precision at interior points; this is the ground truth.
+  Every constructive object accepts one point, (8,), or a batch, (n, 8),
+  and returns a leading batch axis for the latter.
 
 * A transcription route: the hand-derived closed-form coefficient tables
   for the same frames, entered literally term by term.  These long
@@ -32,14 +39,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import EulerAngles, compose, partial_derivatives, _as_angle_array
+# partial_derivatives lives in euler and is re-exported under this module
+from .euler import (_GENERATORS, _PREFIX, _SUFFIX, _as_angle_array,
+                    _as_angle_points, _partial_products, partial_derivatives)
 from .gellmann import LAMBDA, SQRT3
 
-#: Default threshold on the singular chart factors.
+#: Threshold on the singular chart factors.
 SINGULAR_THRESHOLD = 1e-8
 
 #: Condition-number bound on the Maurer-Cartan coefficient inversion.
 CONDITION_LIMIT = 1e12
+
+#: The frame denominators sin(scale * x[index]), in the order
+#: ``check_interior`` tests them.
+_CHART_FACTORS = ("sin(2*beta)", "sin(2*b)", "sin(2*theta)", "sin(theta)")
+_CHART_INDEX = np.array([1, 5, 3, 3])
+_CHART_SCALE = np.array([2.0, 2.0, 2.0, 1.0])
 
 
 class ChartSingularityError(ValueError):
@@ -54,18 +69,19 @@ class ChartSingularityError(ValueError):
         )
 
 
-def check_interior(x, threshold=SINGULAR_THRESHOLD):
-    """Raise ChartSingularityError unless all frame denominators are safe."""
-    x = _as_angle_array(x)
-    beta, theta, b = x[1], x[3], x[5]
-    for name, value in (
-        ("sin(2*beta)", math.sin(2 * beta)),
-        ("sin(2*b)", math.sin(2 * b)),
-        ("sin(2*theta)", math.sin(2 * theta)),
-        ("sin(theta)", math.sin(theta)),
-    ):
-        if abs(value) < threshold:
-            raise ChartSingularityError(name, value)
+def check_interior(x):
+    """Raise ChartSingularityError unless all frame denominators are safe.
+
+    For a batch, the error names the first singular factor of the first
+    singular point.
+    """
+    x = _as_angle_points(x)
+    values = np.sin(x[..., _CHART_INDEX] * _CHART_SCALE).reshape(-1, 4)
+    singular = np.abs(values) < SINGULAR_THRESHOLD
+    if singular.any():
+        point = np.flatnonzero(singular.any(axis=1))[0]
+        k = np.argmax(singular[point])
+        raise ChartSingularityError(_CHART_FACTORS[k], values[point, k])
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,6 @@ class FrameMatrix:
 
     entries: np.ndarray
     chirality: str
-    point: EulerAngles
 
     def real_frame(self):
         """The real coefficient matrix of X_i = -i Lambda_i."""
@@ -94,22 +109,24 @@ class FrameMatrix:
 def maurer_cartan_coefficients(x, chirality="left"):
     """Expand the translated derivatives in the Gell-Mann basis.
 
-    c_kj = -(i/2) tr((d_k D) D^-1 lam_j)   for the left chirality,
-    c_kj = -(i/2) tr(D^-1 (d_k D) lam_j)   for the right.
+    c_kj = tr(P_k lam_{g_k} P_k^dag lam_j) / 2    for the left chirality,
+    c_kj = tr(S_k^dag lam_{g_k} S_k lam_j) / 2    for the right,
 
-    Both are real to machine precision because the translated derivative is
-    anti-hermitian and traceless.
+    which equal -(i/2) tr((d_k D) D^-1 lam_j) and -(i/2) tr(D^-1 (d_k D) lam_j).
+    Both are real to machine precision because they are traces of products
+    of two hermitian matrices; ``max_imag`` is the largest imaginary part
+    over all points.
     """
     if chirality not in ("left", "right"):
         raise ValueError(f"chirality must be 'left' or 'right', got {chirality!r}")
-    x = _as_angle_array(x)
-    dD = partial_derivatives(x)
-    Ui = compose(x).conj().T
+    x = _as_angle_points(x)
     if chirality == "left":
-        A = np.einsum("kab,bc->kac", dD, Ui)
+        P = _partial_products(x, _PREFIX)
+        A = P @ _GENERATORS @ np.conj(np.swapaxes(P, -1, -2))
     else:
-        A = np.einsum("ab,kbc->kac", Ui, dD)
-    raw = np.einsum("kab,jba->kj", A, LAMBDA) / 2j
+        S = _partial_products(x, _SUFFIX)
+        A = np.conj(np.swapaxes(S, -1, -2)) @ _GENERATORS @ S
+    raw = np.einsum("...kab,jba->...kj", A, LAMBDA) / 2
     max_imag = float(np.max(np.abs(raw.imag)))
     return MaurerCartanCoefficients(c=raw.real, chirality=chirality, max_imag=max_imag)
 
@@ -117,12 +134,13 @@ def maurer_cartan_coefficients(x, chirality="left"):
 def _constructive_frame(x, chirality):
     check_interior(x)
     mc = maurer_cartan_coefficients(x, chirality)
-    cond = np.linalg.cond(mc.c)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise ChartSingularityError("cond(maurer_cartan_coefficients)", 1.0 / cond)
-    a = 1j * np.linalg.inv(mc.c)
-    return FrameMatrix(entries=a, chirality=chirality,
-                       point=EulerAngles.from_array(_as_angle_array(x)))
+    cond = np.linalg.cond(mc.c).reshape(-1)
+    # not (cond <= limit) also catches an infinite or NaN condition number
+    ill = ~(cond <= CONDITION_LIMIT)
+    if ill.any():
+        raise ChartSingularityError("cond(maurer_cartan_coefficients)",
+                                    1.0 / cond[ill][0])
+    return FrameMatrix(entries=1j * np.linalg.inv(mc.c), chirality=chirality)
 
 
 def left_field_frame(x):
@@ -303,16 +321,14 @@ def left_field_frame_closed(x):
     """Transcribed closed-form left frame (see verify.py for the diff report)."""
     x = _as_angle_array(x)
     check_interior(x)
-    return FrameMatrix(entries=_left_table(x), chirality="left",
-                       point=EulerAngles.from_array(x))
+    return FrameMatrix(entries=_left_table(x), chirality="left")
 
 
 def right_field_frame_closed(x):
     """Transcribed closed-form right frame (see verify.py for the diff report)."""
     x = _as_angle_array(x)
     check_interior(x)
-    return FrameMatrix(entries=_right_table(x), chirality="right",
-                       point=EulerAngles.from_array(x))
+    return FrameMatrix(entries=_right_table(x), chirality="right")
 
 
 def adjoint_matrix(U, tol=1e-10):

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from su3geom import haar
 from su3geom.euler import compose
 from su3geom.gellmann import SQRT3
 from su3geom.haar import density, density_from_coframe, sample_angles
 from su3geom.invariant_forms import (left_coframe, left_coframe_closed,
-                                     maurer_cartan_matrix, right_coframe,
-                                     right_coframe_closed)
-from su3geom.tangent_frames import (ChartSingularityError, left_field_frame,
-                                    right_field_frame)
-from su3geom.verify import (compare_table, duality_residual,
-                            _translation_pullback_residual,
+                                     right_coframe, right_coframe_closed)
+from su3geom.tangent_frames import (ChartSingularityError,
+                                    maurer_cartan_coefficients)
+from su3geom.verify import (compare_table, divergence_residual,
+                            duality_residual, _translation_pullback_residual,
                             haar_interior_points)
 
 
@@ -98,21 +98,21 @@ def test_left_closed_evaluates_omega8():
     assert abs(closed[7, 7] - (1.0 - 1.5 * st2)) <= 1e-14
 
 
-def test_maurer_cartan_matrix_determinant(interior_points):
+def test_maurer_cartan_coefficients_determinant(interior_points):
     ratios = []
     for x in interior_points[:20]:
-        c = maurer_cartan_matrix(x, "left")
+        c = maurer_cartan_coefficients(x, "left").c
         ratios.append(abs(np.linalg.det(c)) / density(x))
     ratios = np.array(ratios)
     assert np.ptp(ratios) / ratios.mean() <= 1e-10
-    c_r = maurer_cartan_matrix(interior_points[0], "right")
+    c_r = maurer_cartan_coefficients(interior_points[0], "right").c
     assert abs(abs(np.linalg.det(c_r)) / density(interior_points[0])
                - ratios.mean()) <= 1e-10
 
 
-def test_maurer_cartan_matrix_near_identity():
+def test_maurer_cartan_coefficients_near_identity():
     x = np.full(8, 1e-3)
-    c = maurer_cartan_matrix(x, "right")
+    c = maurer_cartan_coefficients(x, "right").c
     slots = (3, 2, 3, 5, 3, 2, 3, 8)
     for k, g in enumerate(slots):
         row = np.abs(c[k])
@@ -121,14 +121,29 @@ def test_maurer_cartan_matrix_near_identity():
         assert np.max(others) < 0.01
 
 
-def test_maurer_cartan_matrix_singular_guard():
+def test_coframe_singular_guard():
     with pytest.raises(ChartSingularityError):
-        maurer_cartan_matrix(np.zeros(8))
+        left_coframe(np.zeros(8))
+    with pytest.raises(ChartSingularityError):
+        right_coframe(np.zeros(8))
 
 
 def test_density_ratio_half(interior_points):
     for x in interior_points[:20]:
         assert abs(density_from_coframe(x) / density(x) - 0.5) <= 1e-10
+
+
+def test_divergence_free_fields(interior_points):
+    for chirality in ("left", "right"):
+        assert divergence_residual(interior_points[:20], chirality) <= 1e-8
+
+
+def test_divergence_check_rejects_a_wrong_density(interior_points, monkeypatch):
+    # a density off by a non-constant factor is not preserved by the fields
+    monkeypatch.setattr(haar, "density",
+                        lambda x: density(x) * (1 + 0.1 * np.cos(x[..., 3])))
+    for chirality in ("left", "right"):
+        assert divergence_residual(interior_points[:20], chirality) > 1e-8
 
 
 def test_pullback_invariance_right_translation():

@@ -6,6 +6,7 @@ import pytest
 from su3geom.euler import compose, compose_many, factor_exponential
 from su3geom.gellmann import LAMBDA, SQRT3, gell_mann_matrix
 from su3geom.haar import sample_angles
+from su3geom.invariant_forms import left_coframe, right_coframe
 from su3geom.tangent_frames import (ChartSingularityError, adjoint_matrix,
                                     check_interior, left_field_frame,
                                     left_field_frame_closed,
@@ -170,6 +171,44 @@ def test_singular_chart_error_names_factor():
         right_field_frame(x)
     with pytest.raises(ChartSingularityError):
         check_interior(np.array([0.3, 0.4, 0.2, 0.6, 0.1, 0.0, 0.2, 0.3]))
+
+
+def test_check_interior_names_first_singular_point():
+    xs = np.tile([0.3, 0.4, 0.2, 0.6, 0.1, 0.5, 0.2, 0.3], (6, 1))
+    xs[3, 5] = 0.0   # b = 0 at row 3
+    xs[4, 1] = 0.0   # beta = 0 at a later row, first in factor order
+    with pytest.raises(ChartSingularityError, match=r"sin\(2\*b\)"):
+        check_interior(xs)
+    with pytest.raises(ChartSingularityError, match=r"sin\(2\*b\)"):
+        left_field_frame(xs)
+
+
+BATCHED = {
+    "partial_derivatives": partial_derivatives,
+    "maurer_cartan_left": lambda x: maurer_cartan_coefficients(x, "left").c,
+    "maurer_cartan_right": lambda x: maurer_cartan_coefficients(x, "right").c,
+    "left_field_frame": lambda x: left_field_frame(x).entries,
+    "right_field_frame": lambda x: right_field_frame(x).entries,
+    "left_coframe": lambda x: left_coframe(x).entries,
+    "right_coframe": lambda x: right_coframe(x).entries,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_batch_equals_points_one_at_a_time(name):
+    fn = BATCHED[name]
+    xs = haar_interior_points(200, seed=77)
+    batch = fn(xs)
+    assert batch.shape[0] == len(xs)
+    assert np.all(batch == np.array([fn(x) for x in xs]))
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_batched_objects_reject_other_shapes(name):
+    with pytest.raises(ValueError):
+        BATCHED[name](np.zeros((3, 7)))
+    with pytest.raises(ValueError):
+        BATCHED[name](np.zeros((2, 3, 8)))
 
 
 def test_adjoint_identity():

@@ -374,3 +374,6 @@ def test_density_from_coframe_agrees(interior_points):
     for x in interior_points[:5]:
         assert density_from_coframe(x) == pytest.approx(float(density(x)) / 2,
                                                         rel=1e-10)
+    batch = interior_points[:5]
+    assert density_from_coframe(batch) == pytest.approx(density(batch) / 2,
+                                                        rel=1e-10)
