@@ -106,24 +106,21 @@ class DecompositionReport:
     polished: bool
 
 
-def _as_angle_array(x):
-    if isinstance(x, EulerAngles):
-        return x.as_array()
-    x = np.asarray(x, dtype=float)
-    if x.shape != (8,):
-        raise ValueError(f"expected 8 angles, got shape {x.shape}")
-    return x
-
-
 def _as_angle_points(x):
     """EulerAngles, (8,) or (n, 8) finite angles as a float array."""
-    if isinstance(x, EulerAngles):
-        return x.as_array()
-    x = np.asarray(x, dtype=float)
+    x = x.as_array() if isinstance(x, EulerAngles) else np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 8:
         raise ValueError(f"expected (8,) or (n, 8) angles, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("angles must be finite")
+    return x
+
+
+def _as_angle_array(x):
+    """EulerAngles or (8,) finite angles of one point as a float array."""
+    x = _as_angle_points(x)
+    if x.shape != (8,):
+        raise ValueError(f"expected 8 angles, got shape {x.shape}")
     return x
 
 
@@ -448,8 +445,6 @@ def canonicalize(x, tol=1e-12):
     which changes the element by at most the decompose residual.
     """
     arr = _as_angle_array(x)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("angles must be finite")
     folded = _fold_into_box(arr)
     cand = EulerAngles.from_array(folded)
     if cand.is_canonical() and np.linalg.norm(compose(folded) - compose(arr)) <= tol:

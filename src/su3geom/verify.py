@@ -246,6 +246,11 @@ def compare_table(points, chirality, table, tol=1e-9):
     return report
 
 
+def _central_steps(h):
+    """Rows +h e_m, then -h e_m, m = 0..7: a central-difference stencil."""
+    return np.concatenate([h * np.eye(8), -h * np.eye(8)])
+
+
 def frame_bracket_residuals(x, h=1e-5):
     """Finite-difference frame commutators against the structure constants.
 
@@ -257,7 +262,7 @@ def frame_bracket_residuals(x, h=1e-5):
     C = structure_constants().C
     x = np.asarray(x, dtype=float)
     # rows: x, then x + h e_m and x - h e_m for m = 0..7
-    stencil = x + np.concatenate([np.zeros((1, 8)), h * np.eye(8), -h * np.eye(8)])
+    stencil = x + np.concatenate([np.zeros((1, 8)), _central_steps(h)])
     dD = partial_derivatives(stencil)
     aL_all = left_field_frame(stencil).entries
     aR_all = right_field_frame(stencil).entries
@@ -390,7 +395,7 @@ def duality_residual(x, chirality):
     return float(np.max(np.abs(pairing - np.eye(8))))
 
 
-def divergence_residual(points, chirality, h=1e-5):
+def divergence_residual(points, chirality):
     """max |sum_k d_k(rho X_i^k)| over the points and i, rho = haar.density.
 
     The invariant fields preserve the Haar volume, so rho X_i is
@@ -398,9 +403,9 @@ def divergence_residual(points, chirality, h=1e-5):
     non-constant factor fails this.  Central differences of step h, with
     the frames of the whole (n * 16, 8) stencil evaluated in one call.
     """
+    h = 1e-5
     points = np.asarray(points, dtype=float)
-    steps = np.concatenate([h * np.eye(8), -h * np.eye(8)])
-    stencil = (points[:, None, :] + steps).reshape(-1, 8)
+    stencil = (points[:, None, :] + _central_steps(h)).reshape(-1, 8)
     frame = left_field_frame if chirality == "left" else right_field_frame
     rho_x = (haar.density(stencil)[:, None, None]
              * frame(stencil).real_frame()).reshape(len(points), 2, 8, 8, 8)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from su3geom.euler import compose, compose_many, factor_exponential
+from su3geom.euler import (EulerAngles, canonicalize, compose, compose_many,
+                           factor_exponential)
 from su3geom.gellmann import LAMBDA, SQRT3, gell_mann_matrix
 from su3geom.haar import sample_angles
-from su3geom.invariant_forms import left_coframe, right_coframe
+from su3geom.invariant_forms import (left_coframe, left_coframe_closed,
+                                     right_coframe, right_coframe_closed)
 from su3geom.tangent_frames import (ChartSingularityError, adjoint_matrix,
                                     check_interior, left_field_frame,
                                     left_field_frame_closed,
@@ -209,6 +211,21 @@ def test_batched_objects_reject_other_shapes(name):
         BATCHED[name](np.zeros((3, 7)))
     with pytest.raises(ValueError):
         BATCHED[name](np.zeros((2, 3, 8)))
+
+
+@pytest.mark.parametrize("fn", [compose, canonicalize, left_field_frame_closed,
+                                right_field_frame_closed, left_coframe_closed,
+                                right_coframe_closed])
+def test_single_point_functions_reject_batches_and_nonfinite(fn):
+    x = haar_interior_points(2, seed=5)
+    with pytest.raises(ValueError, match="expected 8 angles"):
+        fn(x)
+    bad = x[0].copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fn(bad)
+    with pytest.raises(ValueError, match="finite"):
+        fn(EulerAngles.from_array(bad))
 
 
 def test_adjoint_identity():
