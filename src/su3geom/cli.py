@@ -13,12 +13,11 @@ import sys
 import numpy as np
 
 from . import haar, verify
-from .euler import DecompositionError, compose_many, decompose
-from .gellmann import SQRT3
+from .euler import COORD_NAMES, DecompositionError, compose_many, decompose
 from .invariant_forms import (left_coframe, left_coframe_closed, right_coframe,
                               right_coframe_closed)
-from .serialize import (angles_from_json, angles_to_json, dumps,
-                        matrix_from_json, matrix_to_json, sample_csv_lines)
+from .serialize import (angles_to_json, dumps, matrix_from_json,
+                        matrix_to_json, sample_csv_lines)
 from .tangent_frames import (ChartSingularityError, left_field_frame,
                              left_field_frame_closed, right_field_frame,
                              right_field_frame_closed)
@@ -133,8 +132,7 @@ def cmd_frames(args):
     except ChartSingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    basis = [("d" + n) if args.forms else n
-             for n in ("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi")]
+    basis = [("d" + n) if args.forms else n for n in COORD_NAMES]
     print(dumps({
         "matrix": matrix_to_json(result.entries),
         "chirality": result.chirality,
@@ -170,11 +168,11 @@ def _parse_entrypoly(spec):
 
 def _integrand(args):
     if args.function == "tr":
-        return lambda us: np.einsum("nii->n", us)
+        return lambda us: haar.character_many(us, "fundamental")
     if args.function == "abstr2":
         return lambda us: (np.abs(np.einsum("nii->n", us)) ** 2).astype(complex)
     if args.function == "adjchar":
-        return lambda us: (np.abs(np.einsum("nii->n", us)) ** 2 - 1.0).astype(complex)
+        return lambda us: haar.character_many(us, "adjoint")
     terms = _parse_entrypoly(args.entrypoly)
 
     def fn(us):
@@ -205,8 +203,7 @@ def cmd_integrate(args):
         else:
             def fn_angles(xs):
                 return fn_mat(compose_many(xs))
-            result = haar.integrate_quadrature(fn_angles, args.nodes,
-                                               vectorized=True)
+            result = haar.integrate_quadrature(fn_angles, args.nodes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

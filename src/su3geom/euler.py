@@ -365,12 +365,12 @@ def _gauss_newton_polish(x, U):
     return x, r0, False
 
 
-def decompose(U, tol=1e-9, full_output=False):
+def decompose(U, full_output=False):
     """Invert ``compose``: canonical angles with compose(angles) ~ U.
 
     The analytic extraction is exact away from chart boundaries; a damped
     Gauss-Newton polish absorbs floating-point drift near them.  A residual
-    above ``tol`` raises DecompositionError rather than returning silently.
+    above 1e-9 raises DecompositionError rather than returning silently.
 
     With ``full_output=True`` returns a :class:`DecompositionReport`, which
     flags representatives that need gamma >= pi or phi >= 2 pi (half of the
@@ -384,10 +384,9 @@ def decompose(U, tol=1e-9, full_output=False):
         x, residual, polished = _gauss_newton_polish(x, U)
         x = _fold_into_box(x)
         residual = float(np.linalg.norm(compose(x) - U))
-    if residual > tol:
+    if residual > 1e-9:
         raise DecompositionError(
-            f"factorization residual {residual:.3e} exceeds {tol:.1e}"
-        )
+            f"factorization residual {residual:.3e} exceeds 1e-9")
     angles = EulerAngles.from_array(x)
     if not full_output:
         return angles
@@ -436,7 +435,7 @@ def _fold_into_box(x):
     return x
 
 
-def canonicalize(x, tol=1e-12):
+def canonicalize(x):
     """Canonical-box representative with the same group element.
 
     Exact lattice moves (2 pi periodicity, paired half-turns, the c/phi
@@ -447,6 +446,7 @@ def canonicalize(x, tol=1e-12):
     arr = _as_angle_array(x)
     folded = _fold_into_box(arr)
     cand = EulerAngles.from_array(folded)
-    if cand.is_canonical() and np.linalg.norm(compose(folded) - compose(arr)) <= tol:
+    if (cand.is_canonical()
+            and np.linalg.norm(compose(folded) - compose(arr)) <= 1e-12):
         return cand
     return decompose(compose(arr))

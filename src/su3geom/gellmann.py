@@ -49,27 +49,26 @@ def commutator(A, B):
     return A @ B - B @ A
 
 
-def expand_in_basis(M, tol=1e-12):
+def expand_in_basis(M):
     """Expand a traceless 3x3 matrix in the Gell-Mann basis.
 
     Returns the complex coefficient vector c with M = sum_j c_j lam_j,
     c_j = tr(M lam_j) / 2.  The coefficients are exact for any traceless M
     (the basis spans the traceless matrices over C).
 
-    Raises ValueError if M has a non-negligible trace, since such matrices
-    are outside the span and the expansion would silently drop the
-    trace part.
+    Raises ValueError if |tr M| exceeds 1e-12 * max(||M||, 1), since such
+    matrices are outside the span and the expansion would silently drop
+    the trace part.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
-    scale = np.linalg.norm(M)
+    bound = 1e-12 * max(np.linalg.norm(M), 1.0)
     tr = np.trace(M)
-    if abs(tr) > tol * max(scale, 1.0):
+    if abs(tr) > bound:
         raise ValueError(
             f"matrix is not traceless: |tr M| = {abs(tr):.3e} "
-            f"exceeds {tol:.1e} * max(||M||, 1) = {tol * max(scale, 1.0):.3e}"
-        )
+            f"exceeds 1e-12 * max(||M||, 1) = {bound:.3e}")
     return np.einsum("ab,jba->j", M, LAMBDA) / 2.0
 
 
@@ -110,11 +109,12 @@ class CartanReport:
     sector_leakage: dict
 
 
-def verify_cartan_split(tol=1e-12):
+def verify_cartan_split():
     """Check [k,k] in k, [p,p] in k and [k,p] in p componentwise.
 
     For every basis pair the commutator is expanded in the basis and the
-    coefficient mass outside the target subspace is reported.
+    coefficient mass outside the target subspace is reported; ``ok`` when
+    the largest is at most 1e-12.
     """
     k_set = set(K_INDICES)
     leakage = {"[k,k] -> k": 0.0, "[p,p] -> k": 0.0, "[k,p] -> p": 0.0}
@@ -132,4 +132,5 @@ def verify_cartan_split(tol=1e-12):
             leak = max(abs(coeffs[b - 1]) for b in bad)
             leakage[sector] = max(leakage[sector], leak)
     worst = max(leakage.values())
-    return CartanReport(ok=worst <= tol, max_leakage=worst, sector_leakage=leakage)
+    return CartanReport(ok=worst <= 1e-12, max_leakage=worst,
+                        sector_leakage=leakage)

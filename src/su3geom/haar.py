@@ -306,20 +306,13 @@ def quadrature_mean(f, nodes_per_dim, ranges=None, node_cap=NODE_CAP):
     return acc / W.sum(), total_nodes
 
 
-def integrate_quadrature(f, nodes_per_dim, ranges=None, vectorized=False,
-                         node_cap=NODE_CAP):
-    """Haar average of a complex f by ``quadrature_mean``.
+def integrate_quadrature(f, nodes_per_dim):
+    """Haar average of a complex f by ``quadrature_mean`` over ``RANGES_QUAD``.
 
-    ``f`` maps EulerAngles to a complex number; with ``vectorized=True`` it
-    receives an (m, 8) block of angle rows and returns (m,) values.
+    ``f`` maps an (m, 8) block of angle rows to (m,) values.
     """
-    def values(xs):
-        if vectorized:
-            return np.asarray(f(xs), dtype=complex)
-        return np.array([f(EulerAngles.from_array(row)) for row in xs],
-                        dtype=complex)
-
-    mean, n_nodes = quadrature_mean(values, nodes_per_dim, ranges, node_cap)
+    mean, n_nodes = quadrature_mean(
+        lambda xs: np.asarray(f(xs), dtype=complex), nodes_per_dim)
     return IntegrationResult(estimate=complex(mean), std_error=None,
                              n=n_nodes, method="quadrature")
 
@@ -338,33 +331,33 @@ def _axis_volume(dim, lo, hi):
     return hi - lo
 
 
-def _quadrature_volume(ranges, nodes=48):
-    """The density integral by a Gauss-Legendre rule on each axis.
+def _quadrature_volume(ranges):
+    """The density integral by a 48-node Gauss-Legendre rule on each axis.
 
     The density is separable, so the eight-dimensional product rule is the
     product of the eight one-dimensional sums.
     """
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
+    glx, glw = np.polynomial.legendre.leggauss(48)
     vol = 1.0
     for dim, (lo, hi) in enumerate(ranges.as_tuples()):
         vol *= float(np.sum(_gauss_legendre_axis(dim, lo, hi, glx, glw)[1]))
     return vol
 
 
-def group_volume(ranges=None, quadrature_nodes=48, rtol=1e-10):
+def group_volume(ranges=None):
     """Unnormalized integral of the density over the given ranges.
 
     Computed as the product of eight exact one-dimensional integrals and
-    cross-checked against ``_quadrature_volume``; raises if the two
-    disagree beyond ``rtol``.  Default ranges are the stated ones, for
-    which the value is pi^5.
+    cross-checked against ``_quadrature_volume``; raises ArithmeticError if
+    the two disagree by more than 1e-10 relative.  Default ranges are the
+    stated ones, for which the value is pi^5.
     """
     if ranges is None:
         ranges = RANGES_STATED
     analytic = math.prod(_axis_volume(dim, lo, hi)
                          for dim, (lo, hi) in enumerate(ranges.as_tuples()))
-    quad = _quadrature_volume(ranges, quadrature_nodes)
-    if analytic != 0.0 and abs(quad - analytic) > rtol * abs(analytic):
+    quad = _quadrature_volume(ranges)
+    if analytic != 0.0 and abs(quad - analytic) > 1e-10 * abs(analytic):
         raise ArithmeticError(
             f"separable quadrature volume {quad!r} disagrees with the "
             f"analytic value {analytic!r}")

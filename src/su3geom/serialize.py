@@ -15,13 +15,14 @@ def matrix_to_json(M):
     return {"re": M.real.tolist(), "im": M.imag.tolist()}
 
 
-def matrix_from_json(obj, shape=(3, 3)):
+def matrix_from_json(obj):
+    """The 3x3 complex matrix written by ``matrix_to_json``."""
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError('expected an object with "re" and "im" matrices')
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
-    if re.shape != shape or im.shape != shape:
-        raise ValueError(f"expected {shape} matrices, got {re.shape} / {im.shape}")
+    if re.shape != (3, 3) or im.shape != (3, 3):
+        raise ValueError(f"expected (3, 3) matrices, got {re.shape} / {im.shape}")
     return re + 1j * im
 
 

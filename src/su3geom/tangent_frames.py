@@ -41,7 +41,8 @@ import numpy as np
 
 # partial_derivatives lives in euler and is re-exported under this module
 from .euler import (_GENERATORS, _PREFIX, _SUFFIX, _as_angle_array,
-                    _as_angle_points, _partial_products, partial_derivatives)
+                    _as_angle_points, _partial_products, ensure_group_element,
+                    partial_derivatives)
 from .gellmann import LAMBDA, SQRT3
 
 #: Threshold on the singular chart factors.
@@ -331,7 +332,11 @@ def right_field_frame_closed(x):
     return FrameMatrix(entries=_right_table(x), chirality="right")
 
 
-def adjoint_matrix(U, tol=1e-10):
+#: Unitarity and orthogonality tolerance of ``adjoint_matrix``.
+_ADJOINT_TOL = 1e-10
+
+
+def adjoint_matrix(U):
     """Adjoint representation R(U)_ij = tr(lam_i U lam_j U^dag) / 2.
 
     R is the matrix of X -> U X U^dag in the Gell-Mann basis: real,
@@ -340,13 +345,11 @@ def adjoint_matrix(U, tol=1e-10):
     U = compose(x) (transpose because the frames realize translations, not
     conjugation; the sign is +1).
     """
-    from .euler import ensure_group_element
-
-    U = ensure_group_element(U, tol=1e-10)
+    U = ensure_group_element(U, tol=_ADJOINT_TOL)
     raw = np.einsum("iab,bc,jcd,da->ij", LAMBDA, U, LAMBDA, U.conj().T) / 2.0
     if np.max(np.abs(raw.imag)) > 1e-12:
         raise ValueError("adjoint matrix has non-real entries; input not unitary?")
     R = raw.real
-    if np.linalg.norm(R @ R.T - np.eye(8)) > tol:
+    if np.linalg.norm(R @ R.T - np.eye(8)) > _ADJOINT_TOL:
         raise ValueError("adjoint matrix failed the orthogonality check")
     return R

@@ -9,6 +9,7 @@ import pytest
 
 import su3geom
 from su3geom.serialize import dumps, matrix_from_json, matrix_to_json
+from su3geom.verify import CheckResult
 
 #: The directory holding the su3geom package under test; the CLI
 #: subprocesses import from it too.
@@ -40,6 +41,25 @@ def test_verify_json_output():
     assert "algebra.commutator_table" in names
     # canonical emission: parse -> re-emit is byte-identical
     assert dumps(json.loads(proc.stdout)) == proc.stdout.strip()
+
+
+def test_verify_measure_json_output():
+    # the Monte Carlo checks compute numpy residuals; passed is still a bool
+    proc = run_cli("verify", "--suite", "measure", "--json")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["passed"] is True
+    assert all(c["passed"] is True for c in payload["measure"])
+
+
+def test_check_result_passed_is_residual_within_threshold():
+    nan = CheckResult(name="nan", residual=float("nan"), threshold=1.0)
+    assert nan.passed is False
+    assert nan.as_dict()["passed"] is False
+    edge = CheckResult(name="edge", residual=np.float64(1.0), threshold=1.0)
+    assert edge.passed is True
+    assert json.loads(dumps(edge.as_dict()))["passed"] is True
+    assert CheckResult(name="over", residual=1.5, threshold=1.0).passed is False
 
 
 def test_verify_unknown_suite_usage_error():
@@ -139,8 +159,9 @@ def test_frames_duality_through_cli():
     pt = ["0.4", "0.6", "1.1", "0.7", "0.9", "0.5", "0.3", "2.0"]
     frame = json.loads(run_cli("frames", "--point", *pt).stdout)
     forms = json.loads(run_cli("frames", "--point", *pt, "--forms").stdout)
-    a = matrix_from_json(frame["matrix"], shape=(8, 8))
-    b = matrix_from_json(forms["matrix"], shape=(8, 8))
+    a = np.array(frame["matrix"]["re"]) + 1j * np.array(frame["matrix"]["im"])
+    b = np.array(forms["matrix"]["re"]) + 1j * np.array(forms["matrix"]["im"])
+    assert a.shape == b.shape == (8, 8)
     pairing = b.real @ np.real(-1j * a).T
     assert np.max(np.abs(pairing - np.eye(8))) <= 1e-9
     assert frame["basis_order"][0] == "alpha"

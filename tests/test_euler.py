@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su3geom.euler import (DecompositionError, EulerAngles, PHI_PERIOD,
-                           canonicalize, compose, compose_many, decompose,
-                           factor_exponential, su2_subelement,
-                           unitarity_defect)
+from su3geom.euler import (EulerAngles, PHI_PERIOD, canonicalize, compose,
+                           compose_many, decompose, factor_exponential,
+                           su2_subelement, unitarity_defect)
 from su3geom.gellmann import SQRT3, gell_mann_matrix
 from su3geom.haar import sample_angles
 

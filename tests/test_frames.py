@@ -5,7 +5,7 @@ import pytest
 
 from su3geom.euler import (EulerAngles, canonicalize, compose, compose_many,
                            factor_exponential)
-from su3geom.gellmann import LAMBDA, SQRT3, gell_mann_matrix
+from su3geom.gellmann import SQRT3, gell_mann_matrix
 from su3geom.haar import sample_angles
 from su3geom.invariant_forms import (left_coframe, left_coframe_closed,
                                      right_coframe, right_coframe_closed)
@@ -262,8 +262,7 @@ def test_adjoint_of_hypercharge_phase_fixes_block():
 
 def test_frame_brackets():
     pts = haar_interior_points(2, 303, margin=0.2)
-    for x in pts:
-        res_l, res_r, res_c = frame_bracket_residuals(x)
-        assert res_l <= 1e-6
-        assert res_r <= 1e-6
-        assert res_c <= 1e-6
+    res_l, res_r, res_c = frame_bracket_residuals(pts)
+    assert res_l <= 1e-6
+    assert res_r <= 1e-6
+    assert res_c <= 1e-6

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from su3geom import verify
-from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many
+from su3geom import haar, verify
+from su3geom.euler import EulerAngles, compose_many
 from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
                           character, character_many, density,
                           density_from_coframe, group_volume, integrate_mc,
@@ -213,7 +213,7 @@ def test_mc_needs_two_samples():
 
 
 def test_quadrature_constant_is_exact():
-    r = integrate_quadrature(lambda x: 1.0 + 0.0j, 3)
+    r = integrate_quadrature(lambda xs: np.ones(len(xs)), 3)
     assert r.estimate == pytest.approx(1.0, abs=1e-14)
     assert r.std_error is None and r.method == "quadrature"
 
@@ -222,13 +222,13 @@ def test_quadrature_characters_five_nodes():
     def f2(xs):
         return (np.abs(np.einsum("nii->n", compose_many(xs))) ** 2).astype(complex)
 
-    r = integrate_quadrature(f2, 5, vectorized=True)
+    r = integrate_quadrature(f2, 5)
     assert abs(r.estimate - 1.0) <= 1e-3
 
     def f1(xs):
         return np.einsum("nii->n", compose_many(xs))
 
-    r = integrate_quadrature(f1, 4, vectorized=True)
+    r = integrate_quadrature(f1, 4)
     assert abs(r.estimate) <= 1e-6
 
 
@@ -240,10 +240,9 @@ def test_quadrature_mean_columns_match_single_integrands(ranges):
     means, n_nodes = quadrature_mean(schur, 3, ranges)
     assert means.shape == (4,)
     for k in range(4):
-        r = integrate_quadrature(lambda xs: schur(xs)[:, k], 3, ranges=ranges,
-                                 vectorized=True)
-        assert r.n == n_nodes
-        assert r.estimate == means[k]
+        mean, n = quadrature_mean(lambda xs: schur(xs)[:, k], 3, ranges)
+        assert n == n_nodes
+        assert mean == means[k]
 
 
 def test_character_quadrature_composes_each_node_once(monkeypatch):
@@ -262,18 +261,18 @@ def test_character_quadrature_composes_each_node_once(monkeypatch):
 
 def test_quadrature_node_cap():
     with pytest.raises(ValueError, match="cap"):
-        integrate_quadrature(lambda x: 1.0, 7)
+        integrate_quadrature(lambda xs: np.ones(len(xs)), 7)
 
 
 def test_quadrature_warns_above_eight():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(ValueError):
-            integrate_quadrature(lambda x: 1.0, 9)
+            integrate_quadrature(lambda xs: np.ones(len(xs)), 9)
 
 
 def test_quadrature_minimum_nodes():
     with pytest.raises(ValueError):
-        integrate_quadrature(lambda x: 1.0, 1)
+        integrate_quadrature(lambda xs: np.ones(len(xs)), 1)
 
 
 def test_quadrature_over_stated_ranges_is_biased():
@@ -282,8 +281,8 @@ def test_quadrature_over_stated_ranges_is_biased():
     def f1(xs):
         return np.einsum("nii->n", compose_many(xs))
 
-    r = integrate_quadrature(f1, 6, ranges=RANGES_STATED, vectorized=True)
-    assert abs(r.estimate) > 0.05
+    mean, _ = quadrature_mean(f1, 6, RANGES_STATED)
+    assert abs(mean) > 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +333,20 @@ def test_volume_report_quadrature_is_independent(ranges):
                                               rel=1e-15, abs=0)
     assert rep["ratio"] == rep["quadrature"] / rep["analytic"]
     assert rep["analytic"] == group_volume(ranges)
+
+
+@pytest.mark.parametrize("ranges", [RANGES_STATED, RANGES_COVER])
+def test_group_volume_cross_check_runs(monkeypatch, ranges):
+    # the 48-node cross-check passes within 1e-10 relative and raises beyond
+    expected = group_volume(ranges)
+    exact = haar._quadrature_volume
+    monkeypatch.setattr(haar, "_quadrature_volume",
+                        lambda r: exact(r) * (1 + 1e-11))
+    assert group_volume(ranges) == expected
+    monkeypatch.setattr(haar, "_quadrature_volume",
+                        lambda r: exact(r) * (1 + 1e-9))
+    with pytest.raises(ArithmeticError, match="disagrees"):
+        group_volume(ranges)
 
 
 def test_volume_report_fields():
