@@ -567,45 +567,60 @@ def character_integrals_quadrature(nodes, node_cap=haar.NODE_CAP):
             for nm, m, tg in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
 
 
-_INVARIANCE_FUNCTIONS = (
-    ("Re tr U", lambda tr, tr2: tr.real),
-    ("|tr U|^2", lambda tr, tr2: np.abs(tr) ** 2),
-    ("Re tr U^2", lambda tr, tr2: tr2.real),
-    ("adjoint char", lambda tr, tr2: np.abs(tr) ** 2 - 1.0),
-)
+_N_TRANSLATIONS = 5
 
 
 def invariance_deviations(n, seed):
     """Translated vs untranslated sample averages, in units of 4 sigma.
 
-    For five fixed group elements g, compares MC[f(gU)] and MC[f(Ug)] with
-    MC[f] for the four standard test functions; returns the worst deviation
-    / (4 * combined standard error) over all (g, side, f).
+    For five fixed group elements g, compares MC[f(gU)] with MC[f] for
+    the class functions Re tr M, |tr M|^2 and Re tr M^2, and MC[f(gU)] and
+    MC[f(Ug)] with MC[f] for the entry functions |M_11|^2 and Re M_12
+    (Haar means 1/3 and 0).  A class function takes the same value on gU
+    and Ug = g^-1 (gU) g, so only the entry functions test right
+    invariance.  Returns the worst deviation / (4 * combined standard
+    error) over all (g, side, f).
     """
-    gs = compose_many(haar.sample_angles(5, seed + 17))
-
-    def translates(us):
-        # one stack at a time: U, then gU and Ug for each g
-        yield us
-        for g in gs:
-            yield np.einsum("ab,nbc->nac", g, us)
-            yield np.einsum("nab,bc->nac", us, g)
+    gs = compose_many(haar.sample_angles(_N_TRANSLATIONS, seed + 17))
+    # columns: 3 class functions of U, g_1 U, ..., g_5 U, then 2 entry
+    # functions of U, g_1 U, ..., g_5 U, U g_1, ..., U g_5
+    n_class = 3 * (1 + _N_TRANSLATIONS)
+    n_entry = 2 * (1 + 2 * _N_TRANSLATIONS)
 
     def values(us):
-        out = np.empty((len(us), 1 + 2 * len(gs),
-                        len(_INVARIANCE_FUNCTIONS)))
-        for row, vs in enumerate(translates(us)):
-            tr = np.einsum("nii->n", vs)
-            tr2 = np.einsum("nii->n", vs @ vs)
-            for fi, (_, fn) in enumerate(_INVARIANCE_FUNCTIONS):
-                out[:, row, fi] = fn(tr, tr2)
+        out = np.empty((len(us), n_class + n_entry))
+
+        def put_entries(t, row):
+            c = n_class + 2 * t
+            out[:, c] = np.abs(row[:, 0]) ** 2
+            out[:, c + 1] = row[:, 1].real
+
+        def put_left(t, m):
+            # m = U or gU; called with a temporary, so at most one
+            # translated stack is alive at a time
+            tr = np.einsum("nii->n", m)
+            out[:, 3 * t] = tr.real
+            out[:, 3 * t + 1] = np.abs(tr) ** 2
+            out[:, 3 * t + 2] = np.einsum("nab,nba->n", m, m).real
+            put_entries(t, m[:, 0, :2])
+
+        put_left(0, us)
+        for k, g in enumerate(gs, start=1):
+            put_left(k, np.einsum("ab,nbc->nac", g, us))
+            # first row of Ug, without forming Ug
+            put_entries(_N_TRANSLATIONS + k, us[:, 0, :] @ g[:, :2])
         return out
 
     means, ses = haar.mc_moments(values, n, seed)
-    dev = np.abs(means[1:] - means[0])
-    combined = 4.0 * np.hypot(ses[1:], ses[0])
-    ratio = np.divide(dev, combined, out=np.zeros_like(dev), where=combined > 0)
-    return float(ratio.max())
+    worst = 0.0
+    for cols, width in ((slice(0, n_class), 3), (slice(n_class, None), 2)):
+        m, s = means[cols].reshape(-1, width), ses[cols].reshape(-1, width)
+        dev = np.abs(m[1:] - m[0])
+        combined = 4.0 * np.hypot(s[1:], s[0])
+        ratio = np.divide(dev, combined, out=np.zeros_like(dev),
+                          where=combined > 0)
+        worst = max(worst, float(ratio.max()))
+    return worst
 
 
 def suite_measure(n_mc, seed):
@@ -695,8 +710,9 @@ def suite_measure(n_mc, seed):
     worst = invariance_deviations(min(n_mc, 200_000), seed + 5)
     checks.append(CheckResult(
         name="measure.translation_invariance", residual=worst, threshold=1.0,
-        detail="left/right translated averages vs untranslated, "
-               "in units of 4 sigma"))
+        detail="averages over gU of Re tr, |tr|^2 and Re tr M^2, and over "
+               "gU and Ug of |M_11|^2 and Re M_12, vs untranslated, for 5 "
+               "elements g, in units of 4 sigma"))
 
     worst = 0.0
     for n_round in range(3):

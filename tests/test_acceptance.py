@@ -69,17 +69,19 @@ def test_criterion_03_closed_tables(points100):
     t0 = time.perf_counter()
     ok = True
     n_flagged = 0
-    clean_worst = 0.0
+    unexplained = 0.0
     for chirality in ("left", "right"):
         for table in ("field", "form"):
             diff = compare_table(points100, chirality, table)
             n_flagged += len(diff.entries)
-            ok = ok and (diff.clean or diff.stable)
+            unexplained = max(unexplained, diff.unexplained_residual)
+            ok = ok and diff.stable
             if diff.entries:
                 print(f"  typo report [{chirality} {table}]: {diff.describe()}")
-    print(f"  {n_flagged} stable typo entries; zero unexplained mismatches")
+    print(f"  {n_flagged} flagged typo entries; largest unexplained "
+          f"mismatch {unexplained:.3e}")
     report(3, "closed tables vs constructive (agreement or stable typo report)",
-           ok, clean_worst, 1e-9, t0, budget=10.0)
+           ok, unexplained, 1e-9, t0, budget=10.0)
 
 
 def test_criterion_04_duality(points100):
@@ -156,8 +158,9 @@ def test_criterion_07_characters():
 def test_criterion_08_invariance():
     t0 = time.perf_counter()
     worst = invariance_deviations(N_MC, SEED_MC + 8)
-    report(8, "translation invariance (5 translations x 2 sides x 4 "
-              "functions, units of 4 sigma)", worst <= 1.0, worst, 1.0, t0)
+    report(8, "translation invariance (5 translations; 3 class functions "
+              "on the left, 2 entry functions on both sides; units of "
+              "4 sigma)", worst <= 1.0, worst, 1.0, t0)
 
 
 def test_criterion_09_volume():

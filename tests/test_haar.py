@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from su3geom import haar, verify
-from su3geom.euler import EulerAngles, compose_many
+from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many
 from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
                           character, character_many, density,
                           density_from_coframe, group_volume, integrate_mc,
@@ -390,3 +391,89 @@ def test_density_from_coframe_agrees(interior_points):
     batch = interior_points[:5]
     assert density_from_coframe(batch) == pytest.approx(density(batch) / 2,
                                                         rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# translation invariance
+# ---------------------------------------------------------------------------
+
+
+def _trace(vs):
+    return np.trace(vs, axis1=1, axis2=2)
+
+
+_CLASS_REFERENCE = (lambda v: _trace(v).real,
+                    lambda v: np.abs(_trace(v)) ** 2,
+                    lambda v: _trace(v @ v).real)
+_ENTRY_REFERENCE = (lambda v: np.abs(v[:, 0, 0]) ** 2,
+                    lambda v: v[:, 0, 1].real)
+
+
+def _invariance_reference(n, seed):
+    """{(kind, side, function index): worst ratio} from explicit gU and Ug
+    stacks, over the same sample stream as ``invariance_deviations``."""
+    gs = compose_many(sample_angles(5, seed + 17))
+    blocks = [("class", ("gU",), k, f) for k, f in enumerate(_CLASS_REFERENCE)]
+    blocks += [("entry", ("gU", "Ug"), k, f)
+               for k, f in enumerate(_ENTRY_REFERENCE)]
+
+    def values(us):
+        stacks = {"gU": [g @ us for g in gs], "Ug": [us @ g for g in gs]}
+        cols = []
+        for _, sides, _, f in blocks:
+            cols.append(f(us))
+            cols += [f(v) for side in sides for v in stacks[side]]
+        return np.stack(cols, axis=1)
+
+    means, ses = mc_moments(values, n, seed)
+    ratios, base = {}, 0
+    for kind, sides, k, _ in blocks:
+        for j, side in enumerate(sides):
+            cols = slice(base + 1 + 5 * j, base + 6 + 5 * j)
+            ratios[(kind, side, k)] = float(np.max(
+                np.abs(means[cols] - means[base])
+                / (4 * np.hypot(ses[cols], ses[base]))))
+        base += 1 + 5 * len(sides)
+    return ratios
+
+
+def test_invariance_deviations_match_explicit_translates():
+    # at these seeds the worst ratio falls, in turn, on each of the three
+    # class functions of gU and on each entry function of gU and of Ug
+    worst_at = set()
+    for seed in (3, 4, 13, 12, 10, 1, 6):
+        ratios = _invariance_reference(4000, seed)
+        key = max(ratios, key=ratios.get)
+        worst_at.add(key)
+        assert verify.invariance_deviations(4000, seed) == pytest.approx(
+            ratios[key], rel=1e-12, abs=0)
+    assert worst_at == ({("class", "gU", k) for k in range(3)}
+                        | {("entry", side, k) for side in ("gU", "Ug")
+                           for k in range(2)})
+
+
+def test_invariance_deviations_reject_the_stated_box(monkeypatch):
+    # sampling the stated box (gamma over [0, pi), phi over [0, 2 pi)) is
+    # not Haar, and the check must see it
+    haar_angles = haar._angles_from_uniform
+
+    def stated_box(u):
+        x = haar_angles(u)
+        x[:, 2] /= 2
+        x[:, 7] *= 2 * PI / PHI_PERIOD
+        return x
+
+    monkeypatch.setattr(haar, "_angles_from_uniform", stated_box)
+    assert verify.invariance_deviations(50_000, 12) > 1.0
+
+
+def test_invariance_deviations_memory_peak():
+    # one translated stack at a time and one (m, 40) real block: about
+    # 71 MB; the bound keeps haar_mc's peak RSS from growing
+    tracemalloc.start()
+    try:
+        verify.invariance_deviations(100_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
