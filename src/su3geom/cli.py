@@ -168,11 +168,11 @@ def _parse_entrypoly(spec):
 
 def _integrand(args):
     if args.function == "tr":
-        return lambda us: haar.character_many(us, "fundamental")
+        return lambda us: haar.character(us, "fundamental")
     if args.function == "abstr2":
         return lambda us: (np.abs(np.einsum("nii->n", us)) ** 2).astype(complex)
     if args.function == "adjchar":
-        return lambda us: haar.character_many(us, "adjoint")
+        return lambda us: haar.character(us, "adjoint")
     terms = _parse_entrypoly(args.entrypoly)
 
     def fn(us):

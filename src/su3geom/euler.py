@@ -25,11 +25,13 @@ Restricting gamma to [0, pi) or phi to [0, 2 pi) — the ranges one might
 naively read off the SU(2) analogy — provably leaves half, respectively an
 irrational fraction, of the group unreachable; see haar.py for the measure
 consequences.  ``decompose`` flags results that land in the extended parts
-of the gamma and phi ranges.
+of the gamma and phi ranges; within about 1e-12 of a gimbal lock (beta, b or
+theta at 0 or pi/2) its residual can reach a few 1e-12.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -103,7 +105,6 @@ class DecompositionReport:
     residual: float
     gamma_extended: bool  # gamma landed in [pi, 2 pi)
     phi_extended: bool    # phi landed in [2 pi, 2 sqrt(3) pi)
-    polished: bool
 
 
 def _as_angle_points(x):
@@ -245,20 +246,30 @@ def su2_subelement(alpha, beta, gamma):
     )
 
 
-def unitarity_defect(U):
-    """Frobenius norms of (U+U - I, det U - 1) as a pair."""
+def _as_group_elements(U):
+    """(3, 3) or (n, 3, 3) matrices as a complex array."""
     U = np.asarray(U, dtype=complex)
-    return (
-        float(np.linalg.norm(U.conj().T @ U - np.eye(3))),
-        float(abs(np.linalg.det(U) - 1.0)),
-    )
+    if U.ndim not in (2, 3) or U.shape[-2:] != (3, 3):
+        raise ValueError(f"expected (3, 3) or (n, 3, 3) matrices, got shape {U.shape}")
+    return U
+
+
+def unitarity_defect(U):
+    """Frobenius norms of (U+U - I, det U - 1), the largest over a stack, as a pair."""
+    U = np.asarray(U, dtype=complex)
+    du = np.linalg.norm(np.swapaxes(U.conj(), -1, -2) @ U - np.eye(3), axis=(-2, -1))
+    dd = np.abs(np.linalg.det(U) - 1.0)
+    return float(du.max(initial=0.0)), float(dd.max(initial=0.0))
 
 
 def ensure_group_element(U, tol=1e-12):
-    """Validate that U is special unitary to within ``tol``; return it as ndarray."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {U.shape}")
+    """Validate that U is finite and special unitary to within ``tol``.
+
+    U is one (3, 3) element or an (n, 3, 3) stack; returns it as an ndarray.
+    """
+    U = _as_group_elements(U)
+    if not np.isfinite(U).all():
+        raise ValueError("matrix entries must be finite")
     du, dd = unitarity_defect(U)
     if du > tol:
         raise ValueError(f"matrix is not unitary: ||U+U - I|| = {du:.3e} > {tol:.1e}")
@@ -292,16 +303,16 @@ def _su2_angles_free_gamma(x, y):
     """
     beta = math.atan2(abs(y), abs(x))
     if abs(y) < _GIMBAL:
-        p = np.angle(x) % (2 * math.pi)
+        p = cmath.phase(x) % (2 * math.pi)
         alpha = p % math.pi
         gamma = (p - alpha) % (2 * math.pi)  # 0 or pi
         return alpha, beta, gamma
     if abs(x) < _GIMBAL:
-        q = float(np.angle(y))
+        q = cmath.phase(y)
         alpha = q % math.pi
         gamma = (alpha - q) % (2 * math.pi)  # 0 or pi
         return alpha, beta, gamma
-    p, q = float(np.angle(x)), float(np.angle(y))
+    p, q = cmath.phase(x), cmath.phase(y)
     araw, graw = (p + q) / 2.0, (p - q) / 2.0
     alpha = araw % math.pi
     r = round((araw - alpha) / math.pi)
@@ -318,72 +329,58 @@ def _analytic_decompose(U):
     The result can sit outside the canonical box by exact symmetries
     (alpha or a at pi, c in [pi, 2 pi)); ``_fold_into_box`` moves it in.
     """
-    u33 = U[2, 2]
+    (u11, u12, u13), _, (u31, u32, u33) = U.tolist()
     ct = min(abs(u33), 1.0)
     # |U31|^2 + |U32|^2 = sin^2(theta) exactly (row unitarity), which keeps
     # theta accurate where cos(theta) saturates at 1.
-    st = math.hypot(abs(U[2, 0]), abs(U[2, 1]))
+    st = math.hypot(abs(u31), abs(u32))
     theta = math.atan2(st, ct)
-    psi = float(np.angle(u33))
+    psi = cmath.phase(u33)
     # u33 = cos(theta) e^{-2 i phi / sqrt(3)} fixes phi modulo sqrt(3) pi.
     # Take the lower lift and let c run over [0, 2 pi); _fold_into_box then
     # trades a half-turn of c for the upper lift, an exact symmetry of the
     # product, so no phase has to be rounded to pick the lift.
     phi = (-SQRT3 / 2.0 * psi) % (SQRT3 * math.pi)
+    e8bar = cmath.exp(-1j * phi / SQRT3)
 
     if st < _THETA_FOLD:
         # R5 factor is the identity: the SU(2) factors merge.  Fold a=b=c=0
         # and take the principal phi; gamma absorbs the leftover half-turn.
-        V = U[:2, :2] * np.exp(-1j * phi / SQRT3)
-        al, be, ga = _su2_angles_free_gamma(V[0, 0], V[0, 1])
+        al, be, ga = _su2_angles_free_gamma(u11 * e8bar, u12 * e8bar)
         return np.array([al, be, ga, theta, 0.0, 0.0, 0.0, phi])
-    e8bar = np.exp(-1j * phi / SQRT3)
-    a, b, c = _su2_angles_free_gamma(-U[2, 0] * e8bar / st, -U[2, 1] * e8bar / st)
-    K2 = su2_subelement(a, b, c)
-    E8 = factor_exponential(8, phi)
-    E5 = factor_exponential(5, theta)
-    K1 = U @ E8.conj().T @ K2.conj().T @ E5.conj().T
-    al, be, ga = _su2_angles_free_gamma(K1[0, 0], K1[0, 1])
+    a, b, c = _su2_angles_free_gamma(-u31 * e8bar / st, -u32 * e8bar / st)
+    # First row of K1 = U R8(phi)^dag K2^dag R5(theta)^dag, with (x2, y2) the
+    # first row of K2 and r the first row of U R8(phi)^dag.
+    x2 = math.cos(b) * cmath.exp(1j * (a + c))
+    y2 = math.sin(b) * cmath.exp(1j * (a - c))
+    e8 = e8bar.conjugate()
+    r0, r1, r2 = u11 * e8bar, u12 * e8bar, u13 * e8 * e8
+    k0 = ((r0 * x2.conjugate() + r1 * y2.conjugate()) * math.cos(theta)
+          + r2 * math.sin(theta))
+    k1 = r1 * x2 - r0 * y2
+    al, be, ga = _su2_angles_free_gamma(k0, k1)
     return np.array([al, be, ga, theta, a, b, c, phi])
-
-
-def _gauss_newton_polish(x, U):
-    """One damped Gauss-Newton step on || compose(x) - U ||_F^2."""
-    r = compose(x) - U
-    r0 = np.linalg.norm(r)
-    if r0 == 0.0:
-        return x, 0.0, False
-    J = partial_derivatives(x).reshape(8, 9).T  # d(entries)/d(angles)
-    Jr = np.concatenate([J.real, J.imag])
-    rr = np.concatenate([r.reshape(9).real, r.reshape(9).imag])
-    step, *_ = np.linalg.lstsq(Jr, -rr, rcond=1e-12)
-    for damp in (1.0, 0.5, 0.25):
-        cand = x + damp * step
-        rc = np.linalg.norm(compose(cand) - U)
-        if rc < r0:
-            return cand, rc, True
-    return x, r0, False
 
 
 def decompose(U, full_output=False):
     """Invert ``compose``: canonical angles with compose(angles) ~ U.
 
-    The analytic extraction is exact away from chart boundaries; a damped
-    Gauss-Newton polish absorbs floating-point drift near them.  A residual
-    above 1e-9 raises DecompositionError rather than returning silently.
+    The angles are read off U in closed form and folded into the canonical
+    box.  Away from chart boundaries the residual ||compose(angles) - U||_F
+    is at roundoff level; within about 1e-12 of a gimbal lock (beta, b or
+    theta at 0 or pi/2) it can reach a few 1e-12.  A residual above 1e-9
+    raises DecompositionError rather than returning silently.  U is one
+    (3, 3) element; a stack raises ValueError.
 
     With ``full_output=True`` returns a :class:`DecompositionReport`, which
     flags representatives that need gamma >= pi or phi >= 2 pi (half of the
     group needs the former; the flat phi fraction needs the latter).
     """
     U = ensure_group_element(U)
+    if U.shape != (3, 3):
+        raise ValueError(f"decompose takes one (3, 3) element, got shape {U.shape}")
     x = _fold_into_box(_analytic_decompose(U))
     residual = float(np.linalg.norm(compose(x) - U))
-    polished = False
-    if residual > 1e-12:
-        x, residual, polished = _gauss_newton_polish(x, U)
-        x = _fold_into_box(x)
-        residual = float(np.linalg.norm(compose(x) - U))
     if residual > 1e-9:
         raise DecompositionError(
             f"factorization residual {residual:.3e} exceeds 1e-9")
@@ -395,7 +392,6 @@ def decompose(U, full_output=False):
         residual=residual,
         gamma_extended=bool(angles.gamma >= math.pi),
         phi_extended=bool(angles.phi >= 2 * math.pi),
-        polished=polished,
     )
 
 
@@ -403,9 +399,7 @@ def _fold_into_box(x):
     """Fold angles into the canonical box by exact product symmetries only.
 
     Applied to every extraction, which leaves c in [0, 2 pi) and, where a
-    phase sits exactly on a branch cut, alpha or a at pi or gamma at 2 pi;
-    the unconstrained Gauss-Newton step can also leave the box by an exact
-    symmetry amount.
+    phase sits exactly on a branch cut, alpha or a at pi or gamma at 2 pi.
     Angles that are outside by less than 1e-9 (boundary roundoff) are
     clamped.
     """

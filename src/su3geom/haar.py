@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .euler import EulerAngles, PHI_PERIOD, compose_many
+from .euler import EulerAngles, PHI_PERIOD, _as_group_elements, compose_many
 from .invariant_forms import left_coframe
 
 _PI = math.pi
@@ -404,13 +404,11 @@ _REPS = ("fundamental", "antifundamental", "adjoint")
 
 
 def character(U, rep="fundamental"):
-    """Character of U in the fundamental, antifundamental or adjoint rep."""
-    return complex(character_many(np.asarray(U)[None], rep)[0])
+    """Character in the fundamental, antifundamental or adjoint rep.
 
-
-def character_many(us, rep="fundamental"):
-    """Vectorized ``character`` over an (n, 3, 3) stack."""
-    tr = np.einsum("nii->n", np.asarray(us, dtype=complex))
+    (3, 3) -> complex and (n, 3, 3) -> (n,) complex.
+    """
+    tr = np.einsum("...ii->...", _as_group_elements(U))
     if rep == "fundamental":
         return tr
     if rep == "antifundamental":

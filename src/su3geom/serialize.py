@@ -23,6 +23,8 @@ def matrix_from_json(obj):
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (3, 3) or im.shape != (3, 3):
         raise ValueError(f"expected (3, 3) matrices, got {re.shape} / {im.shape}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite")
     return re + 1j * im
 
 

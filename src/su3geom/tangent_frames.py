@@ -335,21 +335,29 @@ def right_field_frame_closed(x):
 #: Unitarity and orthogonality tolerance of ``adjoint_matrix``.
 _ADJOINT_TOL = 1e-10
 
+#: Row j is the row-major vec(lam_j), so tr(lam_i M) = conj(row i) . vec(M).
+_LAMBDA_VEC = LAMBDA.reshape(8, 9)
+
 
 def adjoint_matrix(U):
     """Adjoint representation R(U)_ij = tr(lam_i U lam_j U^dag) / 2.
 
-    R is the matrix of X -> U X U^dag in the Gell-Mann basis: real,
-    orthogonal with det +1, and a homomorphism R(UV) = R(U) R(V).  The two
-    constructive frames are linked row-wise by  right = R(U)^T @ left  at
-    U = compose(x) (transpose because the frames realize translations, not
-    conjugation; the sign is +1).
+    (3, 3) -> (8, 8) and (n, 3, 3) -> (n, 8, 8).  R is the matrix of
+    X -> U X U^dag in the Gell-Mann basis: real, orthogonal with det +1, and
+    a homomorphism R(UV) = R(U) R(V).  As vec(U X U^dag) = (U kron conj U)
+    vec(X), R = Re(Lam^H (U kron conj U) Lam) / 2 with Lam = _LAMBDA_VEC^T.
+    The two constructive frames are linked row-wise by  right = R(U)^T @ left
+    at U = compose(x) (transpose because the frames realize translations,
+    not conjugation; the sign is +1).
     """
     U = ensure_group_element(U, tol=_ADJOINT_TOL)
-    raw = np.einsum("iab,bc,jcd,da->ij", LAMBDA, U, LAMBDA, U.conj().T) / 2.0
-    if np.max(np.abs(raw.imag)) > 1e-12:
+    kron = (U[..., :, None, :, None] * U.conj()[..., None, :, None, :]).reshape(
+        U.shape[:-2] + (9, 9))
+    raw = _LAMBDA_VEC.conj() @ kron @ _LAMBDA_VEC.T / 2.0
+    if np.max(np.abs(raw.imag), initial=0.0) > 1e-12:
         raise ValueError("adjoint matrix has non-real entries; input not unitary?")
     R = raw.real
-    if np.linalg.norm(R @ R.T - np.eye(8)) > _ADJOINT_TOL:
+    orth = np.linalg.norm(R @ np.swapaxes(R, -1, -2) - np.eye(8), axis=(-2, -1))
+    if np.max(orth, initial=0.0) > _ADJOINT_TOL:
         raise ValueError("adjoint matrix failed the orthogonality check")
     return R

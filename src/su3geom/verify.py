@@ -17,7 +17,8 @@ import numpy as np
 
 from . import haar
 from .euler import (COORD_NAMES, EulerAngles, compose, compose_many, decompose,
-                    su2_subelement, canonicalize, factor_exponential)
+                    su2_subelement, canonicalize, factor_exponential,
+                    unitarity_defect)
 from .gellmann import (LAMBDA, SQRT3, commutator, gell_mann_matrix,
                        structure_constants, verify_cartan_split)
 from .invariant_forms import (left_coframe, left_coframe_closed, right_coframe,
@@ -345,17 +346,16 @@ def suite_frames(n_points, seed):
 
     # adjoint representation
     rng = np.random.default_rng(seed + 1)
-    worst_orth = worst_hom = 0.0
-    for _ in range(20):
-        x = haar.sample_angles(2, int(rng.integers(1 << 31)))
-        U, V = compose_many(x)
-        R_u, R_v = adjoint_matrix(U), adjoint_matrix(V)
-        worst_orth = max(worst_orth,
-                         float(np.linalg.norm(R_u @ R_u.T - np.eye(8))),
-                         float(abs(np.linalg.det(R_u) - 1.0)))
-        worst_hom = max(worst_hom, float(np.linalg.norm(
-            adjoint_matrix(U @ V) - R_u @ R_v)))
-    R = np.array([adjoint_matrix(U) for U in compose_many(sub)])
+    pairs = compose_many(np.concatenate(
+        [haar.sample_angles(2, int(rng.integers(1 << 31))) for _ in range(20)]))
+    U, V = pairs[0::2], pairs[1::2]
+    R_u, R_v = adjoint_matrix(U), adjoint_matrix(V)
+    worst_orth = float(max(
+        np.linalg.norm(R_u @ np.swapaxes(R_u, 1, 2) - np.eye(8), axis=(1, 2)).max(),
+        np.abs(np.linalg.det(R_u) - 1.0).max()))
+    worst_hom = float(np.linalg.norm(adjoint_matrix(U @ V) - R_u @ R_v,
+                                     axis=(1, 2)).max())
+    R = adjoint_matrix(compose_many(sub))
     worst_link = float(np.max(np.abs(right_field_frame(sub).entries
                                      - np.swapaxes(R, 1, 2) @ left_field_frame(sub).entries)))
     checks.append(CheckResult(
@@ -647,8 +647,7 @@ def suite_measure(n_mc, seed):
         compose(folded.as_array()) - compose(shifted)))))
     if not folded.is_canonical():
         worst = max(worst, 1.0)
-    for U in compose_many(haar.sample_angles(3, seed)):
-        worst = max(worst, float(np.linalg.norm(U.conj().T @ U - np.eye(3))))
+    worst = max(worst, unitarity_defect(compose_many(haar.sample_angles(3, seed)))[0])
     worst = max(worst, abs(haar.character(np.eye(3), "fundamental") - 3.0),
                 abs(haar.character(np.eye(3), "adjoint") - 8.0))
     checks.append(CheckResult(
@@ -657,7 +656,7 @@ def suite_measure(n_mc, seed):
                "materialization, character values"))
 
     mc = haar.integrate_mc(
-        lambda us: haar.character_many(us, "fundamental"),
+        lambda us: haar.character(us, "fundamental"),
         max(n_mc // 4, 10_000), seed + 21, vectorized=True)
     dev = abs(mc.estimate) / (4 * mc.std_error)
     checks.append(CheckResult(
@@ -727,24 +726,28 @@ def suite_measure(n_mc, seed):
     return checks
 
 
-#: Each suite, called as (points, seed), with its default sample count
-#: (Monte Carlo samples for measure).
+#: Each suite, called as (points, seed), with its default and its smallest
+#: sample count (Monte Carlo samples for measure; a standard error needs two).
 SUITES = {
-    "algebra": (lambda points, seed: suite_algebra(), 0),
-    "frames": (suite_frames, 100),
-    "forms": (suite_forms, 100),
-    "measure": (suite_measure, 200_000),
+    "algebra": (lambda points, seed: suite_algebra(), 0, 0),
+    "frames": (suite_frames, 100, 1),
+    "forms": (suite_forms, 100, 1),
+    "measure": (suite_measure, 200_000, 2),
 }
 
 
 def run_suites(which="all", points=None, seed=7):
     """Run one suite or all of them; returns an ordered {suite: [CheckResult]}."""
     names = list(SUITES) if which == "all" else [which]
-    out = {}
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; expected one of "
                              f"{['all'] + list(SUITES)}")
-        suite, default = SUITES[name]
+        if points is not None and points < SUITES[name][2]:
+            raise ValueError(f"the {name} suite needs points >= "
+                             f"{SUITES[name][2]}, got {points}")
+    out = {}
+    for name in names:
+        suite, default, _ = SUITES[name]
         out[name] = suite(default if points is None else points, seed)
     return out

@@ -108,17 +108,13 @@ def test_criterion_05_density_ratio(points100):
 def test_criterion_06_adjoint(points100):
     t0 = time.perf_counter()
     us = compose_many(haar.sample_angles(100, SEED_MC + 6))
-    worst_prop = 0.0
-    for i in range(100):
-        R = adjoint_matrix(us[i])
-        worst_prop = max(worst_prop,
-                         float(np.linalg.norm(R @ R.T - np.eye(8))),
-                         float(abs(np.linalg.det(R) - 1.0)))
-    for i in range(0, 100, 2):
-        worst_prop = max(worst_prop, float(np.linalg.norm(
-            adjoint_matrix(us[i] @ us[i + 1])
-            - adjoint_matrix(us[i]) @ adjoint_matrix(us[i + 1]))))
-    R = np.array([adjoint_matrix(U) for U in compose_many(points100)])
+    R = adjoint_matrix(us)
+    worst_prop = float(max(
+        np.linalg.norm(R @ np.swapaxes(R, 1, 2) - np.eye(8), axis=(1, 2)).max(),
+        np.abs(np.linalg.det(R) - 1.0).max(),
+        np.linalg.norm(adjoint_matrix(us[0::2] @ us[1::2]) - R[0::2] @ R[1::2],
+                       axis=(1, 2)).max()))
+    R = adjoint_matrix(compose_many(points100))
     worst_link = float(np.max(np.abs(
         right_field_frame(points100).entries
         - np.swapaxes(R, 1, 2) @ left_field_frame(points100).entries)))

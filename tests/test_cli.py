@@ -149,6 +149,22 @@ def test_decompose_garbage_usage_error():
     assert proc.returncode == 2
 
 
+def test_decompose_nonfinite_usage_error():
+    obj = matrix_to_json(np.eye(3, dtype=complex))
+    obj["re"][1][1] = math.nan
+    proc = run_cli("decompose", stdin=json.dumps(obj))
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("suite,points", [("measure", 1), ("frames", 0),
+                                          ("forms", 0), ("all", 1)])
+def test_verify_too_few_points_usage_error(suite, points):
+    proc = run_cli("verify", "--suite", suite, "--points", str(points))
+    assert proc.returncode == 2
+    assert f"got {points}" in proc.stderr
+
+
 def test_frames_singular_point():
     proc = run_cli("frames", "--point", "0", "0", "0", "0", "0", "0", "0", "0")
     assert proc.returncode == 3

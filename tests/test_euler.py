@@ -256,6 +256,36 @@ def test_decompose_rejects_non_unitary():
         decompose(bad_det)
 
 
+def test_decompose_rejects_nonfinite_and_stacks():
+    with pytest.raises(ValueError, match="finite"):
+        decompose(np.full((3, 3), np.nan))
+    bad = np.eye(3, dtype=complex)
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        decompose(bad)
+    with pytest.raises(ValueError, match="shape"):
+        decompose(compose_many(sample_angles(2, 5)))
+
+
+def test_decompose_near_gimbal_lock():
+    # beta, b or theta moved to within 1e-6 .. 1e-17 of 0 or pi/2, on
+    # either side: the band where the closed-form extraction loses most
+    rng = np.random.default_rng(31)
+    xs = sample_angles(3000, 31)
+    rows = np.arange(len(xs))
+    slots = rng.choice([1, 3, 5], size=len(xs))
+    edges = rng.choice([0.0, math.pi / 2], size=len(xs))
+    signs = rng.choice([-1.0, 1.0], size=len(xs))
+    xs[rows, slots] = edges + signs * 10.0 ** -rng.uniform(6, 17, len(xs))
+    worst = 0.0
+    for U in compose_many(xs):
+        rep = decompose(U, full_output=True)
+        assert rep.residual <= 1e-9
+        assert rep.angles.is_canonical(tol=1e-12)
+        worst = max(worst, rep.residual)
+    assert worst <= 1e-11
+
+
 def test_decompose_flags_extended_phi():
     x = np.zeros(8)
     x[7] = 2 * math.pi + 0.1  # no gamma sheet involved; phi folds mod sqrt3 pi

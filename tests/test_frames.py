@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from su3geom.euler import (EulerAngles, canonicalize, compose, compose_many,
                            factor_exponential)
 from su3geom.gellmann import SQRT3, gell_mann_matrix
-from su3geom.haar import sample_angles
+from su3geom.haar import character, sample_angles
 from su3geom.invariant_forms import (left_coframe, left_coframe_closed,
                                      right_coframe, right_coframe_closed)
 from su3geom.tangent_frames import (ChartSingularityError, adjoint_matrix,
@@ -211,6 +212,40 @@ def test_batched_objects_reject_other_shapes(name):
         BATCHED[name](np.zeros((3, 7)))
     with pytest.raises(ValueError):
         BATCHED[name](np.zeros((2, 3, 8)))
+
+
+#: Group-element functions taking (3, 3) or (n, 3, 3), by name.
+ELEMENTWISE = {
+    "adjoint_matrix": adjoint_matrix,
+    "character_fundamental": partial(character, rep="fundamental"),
+    "character_antifundamental": partial(character, rep="antifundamental"),
+    "character_adjoint": partial(character, rep="adjoint"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTWISE))
+def test_element_batch_equals_elements_one_at_a_time(name):
+    fn = ELEMENTWISE[name]
+    us = compose_many(haar_interior_points(200, seed=77))
+    batch = fn(us)
+    assert batch.shape[0] == len(us)
+    assert np.all(batch == np.array([fn(u) for u in us]))
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTWISE))
+@pytest.mark.parametrize("shape", [(3,), (9,), (3, 4), (2, 3, 4), (2, 2, 3, 3)])
+def test_elementwise_functions_reject_other_shapes(name, shape):
+    with pytest.raises(ValueError, match="shape"):
+        ELEMENTWISE[name](np.zeros(shape, dtype=complex))
+
+
+def test_adjoint_rejects_nonfinite():
+    with pytest.raises(ValueError, match="finite"):
+        adjoint_matrix(np.full((3, 3), np.nan))
+    us = compose_many(sample_angles(4, 9))
+    us[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        adjoint_matrix(us)
 
 
 @pytest.mark.parametrize("fn", [compose, canonicalize, left_field_frame_closed,

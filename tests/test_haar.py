@@ -7,7 +7,7 @@ import pytest
 from su3geom import haar, verify
 from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many
 from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
-                          character, character_many, density,
+                          character, density,
                           density_from_coframe, group_volume, integrate_mc,
                           integrate_quadrature, mc_moments, quadrature_mean,
                           sample_angles, volume_report)
@@ -373,7 +373,7 @@ def test_character_values():
 
 def test_character_adjoint_real():
     us = compose_many(sample_angles(20, 33))
-    vals = character_many(us, "adjoint")
+    vals = character(us, "adjoint")
     assert np.max(np.abs(vals.imag)) == 0.0
     for u in us[:5]:
         assert character(u, "adjoint").imag == 0.0
