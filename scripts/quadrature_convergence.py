@@ -38,7 +38,7 @@ def show(rows, label):
 def main():
     print("== shipped rule over the full-period cover box ==")
     for nodes in (3, 4, 5, 6, 7):
-        rows = character_integrals_quadrature(nodes, node_cap=8 ** 8)
+        rows = character_integrals_quadrature(nodes)
         show(rows, f"nodes_per_dim = {nodes}")
 
     print("\n== stated-ranges box (does not tile the group) ==")

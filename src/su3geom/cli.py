@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,7 +61,11 @@ def cmd_sample(args):
     if args.format == "csv" and args.emit != "angles":
         print("error: csv output only supports --emit angles", file=sys.stderr)
         return EXIT_USAGE
-    xs = haar.sample_angles(args.n, args.seed)
+    try:
+        xs = haar.sample_angles(args.n, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     weights = haar.density(xs)
     if args.format == "csv":
         for line in sample_csv_lines(xs, weights):
@@ -132,6 +137,9 @@ def cmd_frames(args):
     except ChartSingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     basis = [("d" + n) if args.forms else n for n in COORD_NAMES]
     print(dumps({
         "matrix": matrix_to_json(result.entries),
@@ -220,8 +228,8 @@ def cmd_integrate(args):
 def cmd_volume(args):
     ranges = haar.RANGES_STATED
     if args.phi_range is not None:
-        if args.phi_range <= 0:
-            print("error: --phi-range must be positive", file=sys.stderr)
+        if not (math.isfinite(args.phi_range) and args.phi_range > 0):
+            print("error: --phi-range must be positive and finite", file=sys.stderr)
             return EXIT_USAGE
         ranges = haar.AngleRanges(phi=(0.0, args.phi_range))
     rep = haar.volume_report(ranges)

@@ -29,7 +29,8 @@ available.  Three range boxes matter:
     normalized integrals) and makes every flat coordinate a full circle,
     so periodic quadrature nodes are spectrally accurate.  Default box for
     ``quadrature_mean``, the one product-rule grid loop, and its wrapper
-    ``integrate_quadrature``.
+    ``integrate_quadrature``.  The grid streams through one chunk at a
+    time, so memory stays flat; ``NODE_CAP`` bounds the run time.
 
 All randomness comes from one counter-based (Philox) stream keyed by the
 seed: results are a deterministic function of (seed, n), and a shorter run
@@ -39,7 +40,6 @@ draws a prefix of a longer one.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,6 +116,8 @@ def density_from_coframe(x):
 
 def _stream(seed):
     """The one Philox stream behind every draw made with this seed."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -220,9 +222,9 @@ def integrate_mc(f, n, seed, *, vectorized=False):
                              n=n, method="mc")
 
 
-#: Default cap on the total quadrature grid size; sized for desk-scale runs
-#: and leaves room for the phi-axis node bump at the six-node setting.
-NODE_CAP = 2 * 6 ** 8
+#: Cap on the total quadrature grid size, set by run time: 8 nodes per axis
+#: take about 12 s on two cores.  Memory does not grow with the grid.
+NODE_CAP = 8 ** 8
 
 
 def _gauss_legendre_axis(dim, lo, hi, glx, glw):
@@ -263,47 +265,41 @@ def _quad_axis(dim, lo, hi, nodes, glx, glw):
     return _gauss_legendre_axis(dim, lo, hi, glx, glw)
 
 
-def quadrature_mean(f, nodes_per_dim, ranges=None, node_cap=NODE_CAP):
+def quadrature_mean(f, nodes_per_dim, ranges=None):
     """Haar average of f by a separable product rule with the density weight.
 
     ``f`` maps an (m, 8) block of angle rows to values of shape (m,) or
     (m, ...); every trailing entry is averaged with the same weights, so
-    several integrands share one pass over the grid.  The sum is normalized
-    by the same rule applied to f == 1, so any constant covering
-    multiplicity of the range box cancels.  Default box is ``RANGES_QUAD``.
-    Returns ``(mean, n_nodes)``.
+    several integrands share one pass over the grid.  The grid is walked in
+    C order, ``_CHUNK`` nodes at a time, each block decoded from the
+    per-axis node tables.  The sum is normalized by the same rule applied
+    to f == 1, so any constant covering multiplicity of the range box
+    cancels.  Default box is ``RANGES_QUAD``.  Returns ``(mean, n_nodes)``.
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per dimension, got {nodes_per_dim}")
-    if nodes_per_dim > 8:
-        warnings.warn(
-            f"{nodes_per_dim}^8 grid points: the product grid grows fast",
-            RuntimeWarning, stacklevel=2)
     if ranges is None:
         ranges = RANGES_QUAD
     glx, glw = np.polynomial.legendre.leggauss(nodes_per_dim)
-    axes = [
-        _quad_axis(dim, lo, hi, nodes_per_dim, glx, glw)
-        for dim, (lo, hi) in enumerate(ranges.as_tuples())
-    ]
-    total_nodes = int(np.prod([len(x) for x, _ in axes]))
-    if total_nodes > node_cap:
-        raise ValueError(
-            f"grid of {total_nodes} nodes exceeds the cap {node_cap}; "
-            f"raise node_cap to insist")
-    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*[w for _, w in axes], indexing="ij")
-    W = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    acc = 0.0
+    xs, ws = zip(*(_quad_axis(dim, lo, hi, nodes_per_dim, glx, glw)
+                   for dim, (lo, hi) in enumerate(ranges.as_tuples())))
+    shape = tuple(len(x) for x in xs)
+    total_nodes = math.prod(shape)
+    if total_nodes > NODE_CAP:
+        raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
+    acc = w_sum = 0.0
     for start in range(0, total_nodes, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, total_nodes))
-        vals = np.asarray(f(X[sl]))
+        stop = min(start + _CHUNK, total_nodes)
+        idx = np.unravel_index(np.arange(start, stop), shape)
+        X = np.stack([x[i] for x, i in zip(xs, idx)], axis=1)
+        W = np.prod(np.stack([w[i] for w, i in zip(ws, idx)], axis=1), axis=1)
+        vals = np.asarray(f(X))
         # C order makes each entry's terms contiguous, so numpy sums them
         # pairwise exactly as it sums that entry's (m,) values alone
-        terms = np.multiply(W[sl], np.moveaxis(vals, 0, -1), order="C")
+        terms = np.multiply(W, np.moveaxis(vals, 0, -1), order="C")
         acc = acc + terms.sum(axis=-1)
-    return acc / W.sum(), total_nodes
+        w_sum += W.sum()
+    return acc / w_sum, total_nodes
 
 
 def integrate_quadrature(f, nodes_per_dim):

@@ -34,13 +34,6 @@ def angles_to_json(x):
     return {name: float(v) for name, v in zip(COORD_NAMES, x)}
 
 
-def angles_from_json(obj):
-    missing = [n for n in COORD_NAMES if n not in obj]
-    if missing:
-        raise ValueError(f"angle object is missing keys: {missing}")
-    return EulerAngles(**{n: float(obj[n]) for n in COORD_NAMES})
-
-
 def dumps(obj):
     """Canonical JSON emission: sorted keys, full-precision floats."""
     return json.dumps(obj, sort_keys=True, allow_nan=False)

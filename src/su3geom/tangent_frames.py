@@ -58,6 +58,11 @@ _CHART_INDEX = np.array([1, 5, 3, 3])
 _CHART_SCALE = np.array([2.0, 2.0, 2.0, 1.0])
 
 
+def chart_denominators(xs):
+    """The four frame denominators at (n, 8) angle rows, as (n, 4)."""
+    return np.sin(xs[..., _CHART_INDEX] * _CHART_SCALE).reshape(-1, 4)
+
+
 class ChartSingularityError(ValueError):
     """Coordinate chart degenerates at this point (gimbal-lock analogue)."""
 
@@ -77,7 +82,7 @@ def check_interior(x):
     singular point.
     """
     x = _as_angle_points(x)
-    values = np.sin(x[..., _CHART_INDEX] * _CHART_SCALE).reshape(-1, 4)
+    values = chart_denominators(x)
     singular = np.abs(values) < SINGULAR_THRESHOLD
     if singular.any():
         point = np.flatnonzero(singular.any(axis=1))[0]

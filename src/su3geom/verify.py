@@ -23,10 +23,10 @@ from .gellmann import (LAMBDA, SQRT3, commutator, gell_mann_matrix,
                        structure_constants, verify_cartan_split)
 from .invariant_forms import (left_coframe, left_coframe_closed, right_coframe,
                               right_coframe_closed)
-from .tangent_frames import (adjoint_matrix, left_field_frame,
-                             left_field_frame_closed, maurer_cartan_coefficients,
-                             partial_derivatives, right_field_frame,
-                             right_field_frame_closed)
+from .tangent_frames import (adjoint_matrix, chart_denominators,
+                             left_field_frame, left_field_frame_closed,
+                             maurer_cartan_coefficients, partial_derivatives,
+                             right_field_frame, right_field_frame_closed)
 
 #: The full commutator table, unordered pairs i <= j: [lam_i, lam_j] as a
 #: sparse {k: coefficient} map.  This is independent input data, not derived
@@ -127,13 +127,7 @@ def haar_interior_points(n, seed, margin=0.05):
     while len(out) < n:
         xs = haar.sample_angles(batch, seed + stream)
         stream += 1
-        ok = (
-            (np.abs(np.sin(2 * xs[:, 1])) >= margin)
-            & (np.abs(np.sin(2 * xs[:, 5])) >= margin)
-            & (np.abs(np.sin(2 * xs[:, 3])) >= margin)
-            & (np.abs(np.sin(xs[:, 3])) >= margin)
-        )
-        out.extend(xs[ok])
+        out.extend(xs[(np.abs(chart_denominators(xs)) >= margin).all(axis=1)])
     return np.array(out[:n])
 
 
@@ -558,11 +552,10 @@ def character_integrals_mc(n, seed):
     return list(zip(SCHUR_NAMES, means, ses, SCHUR_TARGETS))
 
 
-def character_integrals_quadrature(nodes, node_cap=haar.NODE_CAP):
+def character_integrals_quadrature(nodes):
     """Same four integrals by the separable product rule, in one grid pass."""
     means, _ = haar.quadrature_mean(
-        lambda xs: schur_integrands(compose_many(xs)), nodes,
-        node_cap=node_cap)
+        lambda xs: schur_integrands(compose_many(xs)), nodes)
     return [(nm, complex(m), None, tg)
             for nm, m, tg in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
 

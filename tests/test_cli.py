@@ -165,6 +165,23 @@ def test_verify_too_few_points_usage_error(suite, points):
     assert f"got {points}" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("sample", "--n", "2", "--seed", "-1"),
+    ("sample", "--n", "2", "--seed", str(2 ** 64)),
+    ("integrate", "--function", "tr", "--seed", "-1"),
+    ("integrate", "--function", "tr", "--seed", str(2 ** 64)),
+    ("verify", "--seed", "-1"),
+    ("verify", "--seed", str(2 ** 64)),
+    ("volume", "--phi-range", "nan"),
+    ("volume", "--phi-range", "inf"),
+    ("frames", "--point", "0.4", "0.6", "1.1", "nan", "0.9", "0.5", "0.3", "2.0"),
+])
+def test_bad_input_usage_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+
+
 def test_frames_singular_point():
     proc = run_cli("frames", "--point", "0", "0", "0", "0", "0", "0", "0", "0")
     assert proc.returncode == 3

@@ -260,15 +260,55 @@ def test_character_quadrature_composes_each_node_once(monkeypatch):
     assert sum(rows) == 3 ** 7 * 4
 
 
+def whole_grid_mean(f, nodes, ranges):
+    """The product rule with the whole meshgrid built at once."""
+    glx, glw = np.polynomial.legendre.leggauss(nodes)
+    axes = [haar._quad_axis(dim, lo, hi, nodes, glx, glw)
+            for dim, (lo, hi) in enumerate(ranges.as_tuples())]
+    X = np.stack([g.ravel() for g in
+                  np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
+    W = np.prod([g.ravel() for g in
+                 np.meshgrid(*[w for _, w in axes], indexing="ij")], axis=0)
+    return np.array([np.sum(W * v) for v in f(X).T]) / W.sum()
+
+
+@pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
+@pytest.mark.parametrize("nodes", [3, 4])
+def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
+    # 1000-node chunks: several of them, the last one partial
+    monkeypatch.setattr(haar, "_CHUNK", 1000)
+
+    def schur(xs):
+        return verify.schur_integrands(compose_many(xs))
+
+    means, n_nodes = quadrature_mean(schur, nodes, ranges)
+    assert n_nodes % 1000 != 0 and n_nodes > 5000
+    assert np.max(np.abs(means - whole_grid_mean(schur, nodes, ranges))) <= 1e-15
+
+
+def test_character_quadrature_memory_peak():
+    # the whole 5-node grid took 137 MB; one chunk at a time takes about 77
+    tracemalloc.start()
+    try:
+        verify.character_integrals_quadrature(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
 def test_quadrature_node_cap():
+    # 9 nodes per axis exceed NODE_CAP = 8^8 before f sees a single node
+    calls = []
+
+    def f(xs):
+        calls.append(len(xs))
+        return np.ones(len(xs))
+
+    assert haar.NODE_CAP == 8 ** 8
     with pytest.raises(ValueError, match="cap"):
-        integrate_quadrature(lambda xs: np.ones(len(xs)), 7)
-
-
-def test_quadrature_warns_above_eight():
-    with pytest.warns(RuntimeWarning):
-        with pytest.raises(ValueError):
-            integrate_quadrature(lambda xs: np.ones(len(xs)), 9)
+        integrate_quadrature(f, 9)
+    assert calls == []
 
 
 def test_quadrature_minimum_nodes():
