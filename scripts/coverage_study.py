@@ -18,6 +18,7 @@ import numpy as np
 from su3geom import (RANGES_COVER, RANGES_STATED, compose_many, decompose,
                      group_volume, sample_angles)
 from su3geom.euler import PHI_PERIOD
+from su3geom.haar import sub_seed
 
 
 def qr_haar_su3(n, seed):
@@ -65,15 +66,15 @@ def main():
     n = args.n
 
     print("== sampler moments vs independent QR reference ==")
-    moments(compose_many(stated_box_sample(n, args.seed + 1)),
+    moments(compose_many(stated_box_sample(n, sub_seed(args.seed, 1))),
             "stated box (gamma < pi, phi < 2 pi)  [biased]")
-    moments(compose_many(sample_angles(n, args.seed + 2)),
+    moments(compose_many(sample_angles(n, sub_seed(args.seed, 2))),
             "cover box (gamma < 2 pi, phi < 2 sqrt(3) pi)")
-    moments(qr_haar_su3(n, args.seed + 3), "QR reference")
+    moments(qr_haar_su3(n, sub_seed(args.seed, 3)), "QR reference")
 
     print("\n== decomposition of QR-sampled elements ==")
     m = min(n, 20_000)
-    us = qr_haar_su3(m, args.seed + 4)
+    us = qr_haar_su3(m, sub_seed(args.seed, 4))
     worst = 0.0
     gammas = np.empty(m)
     phis = np.empty(m)

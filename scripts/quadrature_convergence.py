@@ -16,14 +16,13 @@ a pure Gauss-Legendre rule and the stated-ranges box.  Shows why:
 Run:  python scripts/quadrature_convergence.py
 """
 
-from su3geom import RANGES_STATED, compose_many, quadrature_mean
+from su3geom import RANGES_STATED, quadrature_mean
 from su3geom.verify import (SCHUR_NAMES, SCHUR_TARGETS,
                             character_integrals_quadrature, schur_integrands)
 
 
 def stated_box_characters(nodes):
-    means, _ = quadrature_mean(lambda xs: schur_integrands(compose_many(xs)),
-                               nodes, ranges=RANGES_STATED)
+    means, _ = quadrature_mean(schur_integrands, nodes, ranges=RANGES_STATED)
     return [(name, complex(m), None, target)
             for name, m, target in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
 

@@ -8,8 +8,7 @@ integration, plus a verification suite covering every identity involved.
 """
 
 from .euler import (DecompositionError, EulerAngles, PHI_PERIOD, canonicalize,
-                    compose, compose_many, decompose, factor_exponential,
-                    su2_subelement)
+                    compose, compose_many, decompose, factor_exponential)
 from .gellmann import (LAMBDA, SQRT3, commutator, expand_in_basis,
                        gell_mann_matrix, structure_constants,
                        verify_cartan_split)

@@ -200,18 +200,15 @@ def cmd_integrate(args):
         print("error: --function entrypoly needs a spec argument", file=sys.stderr)
         return EXIT_USAGE
     try:
-        fn_mat = _integrand(args)
+        fn = _integrand(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.method == "mc":
-            result = haar.integrate_mc(fn_mat, args.n, args.seed,
-                                       vectorized=True)
+            result = haar.integrate_mc(fn, args.n, args.seed)
         else:
-            def fn_angles(xs):
-                return fn_mat(compose_many(xs))
-            result = haar.integrate_quadrature(fn_angles, args.nodes)
+            result = haar.integrate_quadrature(fn, args.nodes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -66,11 +66,6 @@ class EulerAngles:
     c: float
     phi: float
 
-    @property
-    def eta(self):
-        """Derived hypercharge angle eta = phi / sqrt(3)."""
-        return self.phi / SQRT3
-
     def as_array(self):
         return np.array(
             [self.alpha, self.beta, self.gamma, self.theta,
@@ -231,19 +226,6 @@ def compose_many(xs):
     U[:, 2, 1] = -st * y2 * e
     U[:, 2, 2] = ct * e2
     return U
-
-
-def su2_subelement(alpha, beta, gamma):
-    """R3(alpha) R2(beta) R3(gamma): an SU(2) element in the upper-left block.
-
-    With x = cos(beta) e^{i(alpha+gamma)} and y = sin(beta) e^{i(alpha-gamma)}
-    the block is [[x, y], [-conj(y), conj(x)]].
-    """
-    x = np.cos(beta) * np.exp(1j * (alpha + gamma))
-    y = np.sin(beta) * np.exp(1j * (alpha - gamma))
-    return np.array(
-        [[x, y, 0.0], [-np.conj(y), np.conj(x), 0.0], [0.0, 0.0, 1.0]], dtype=complex
-    )
 
 
 def _as_group_elements(U):

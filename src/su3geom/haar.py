@@ -32,9 +32,12 @@ available.  Three range boxes matter:
     ``integrate_quadrature``.  The grid streams through one chunk at a
     time, so memory stays flat; ``NODE_CAP`` bounds the run time.
 
+Both integrators average functions on the group, not on the chart: the
+integrand maps an (m, 3, 3) stack of sampled or composed elements to (m,).
+
 All randomness comes from one counter-based (Philox) stream keyed by the
 seed: results are a deterministic function of (seed, n), and a shorter run
-draws a prefix of a longer one.
+draws a prefix of a longer one.  Derived streams take ``sub_seed(seed, k)``.
 """
 
 from __future__ import annotations
@@ -116,9 +119,14 @@ def density_from_coframe(x):
 
 def _stream(seed):
     """The one Philox stream behind every draw made with this seed."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(sub_seed(seed, 0))))
+
+
+def sub_seed(seed, k):
+    """The k-th stream seed derived from a valid seed, wrapped into [0, 2^64)."""
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return (seed + k) % 2 ** 64
 
 
 def _angles_from_uniform(u):
@@ -184,40 +192,28 @@ def mc_moments(f, n, seed):
     return mean, np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
 
 
-def integrate_mc(f, n, seed, *, vectorized=False):
+def _complex_values(vals, m):
+    """An integrand's values for m elements as a complex (m,) array."""
+    vals = np.asarray(vals, dtype=complex)
+    if vals.shape != (m,):
+        raise ValueError(f"integrand returned shape {vals.shape}, expected ({m},)")
+    return vals
+
+
+def integrate_mc(f, n, seed, *, vectorized=True):
     """Haar average of f over n sampled group elements.
 
-    ``f`` maps a 3x3 group element to a complex number; with
-    ``vectorized=True`` it receives an (m, 3, 3) stack and returns (m,)
-    values.  Samples already follow the Haar density, so the plain mean is
-    the normalized integral.  ``std_error`` is the sample standard
-    deviation of f over sqrt(n).  Exceptions from f propagate with the
-    index of the offending sample.
+    ``f`` maps an (m, 3, 3) stack of elements to (m,) values.  Samples
+    already follow the Haar density, so the plain mean over the stream of
+    ``mc_moments`` is the normalized integral; ``std_error`` is the sample
+    standard deviation of f over sqrt(n).
     """
+    # vectorized stays only because benchmark/workloads.py passes it
+    if not vectorized:
+        raise ValueError("vectorized=False is not supported: f takes (m, 3, 3) stacks")
     if n < 2:
         raise ValueError(f"need n >= 2 for an error estimate, got {n}")
-    done = 0
-
-    def values(us):
-        nonlocal done
-        if vectorized:
-            vals = np.asarray(f(us), dtype=complex)
-            if vals.shape != (len(us),):
-                raise ValueError(
-                    f"vectorized integrand returned shape {vals.shape}, "
-                    f"expected ({len(us)},)")
-            return vals
-        vals = np.empty(len(us), dtype=complex)
-        for i, u in enumerate(us):
-            try:
-                vals[i] = f(u)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"integrand raised at sample {done + i}: {exc}") from exc
-        done += len(us)
-        return vals
-
-    mean, se = mc_moments(values, n, seed)
+    mean, se = mc_moments(lambda us: _complex_values(f(us), len(us)), n, seed)
     return IntegrationResult(estimate=complex(mean), std_error=float(se),
                              n=n, method="mc")
 
@@ -268,13 +264,14 @@ def _quad_axis(dim, lo, hi, nodes, glx, glw):
 def quadrature_mean(f, nodes_per_dim, ranges=None):
     """Haar average of f by a separable product rule with the density weight.
 
-    ``f`` maps an (m, 8) block of angle rows to values of shape (m,) or
-    (m, ...); every trailing entry is averaged with the same weights, so
-    several integrands share one pass over the grid.  The grid is walked in
-    C order, ``_CHUNK`` nodes at a time, each block decoded from the
-    per-axis node tables.  The sum is normalized by the same rule applied
-    to f == 1, so any constant covering multiplicity of the range box
-    cancels.  Default box is ``RANGES_QUAD``.  Returns ``(mean, n_nodes)``.
+    ``f`` maps an (m, 3, 3) stack of group elements to values of shape
+    (m,) or (m, ...); every trailing entry is averaged with the same
+    weights, so several integrands share one pass over the grid.  The grid
+    is walked in C order, ``_CHUNK`` nodes at a time, each block decoded
+    from the per-axis node tables and composed once by ``compose_many``.
+    The sum is normalized by the same rule applied to f == 1, so any
+    constant covering multiplicity of the range box cancels.  Default box
+    is ``RANGES_QUAD``.  Returns ``(mean, n_nodes)``.
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per dimension, got {nodes_per_dim}")
@@ -293,7 +290,7 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
         idx = np.unravel_index(np.arange(start, stop), shape)
         X = np.stack([x[i] for x, i in zip(xs, idx)], axis=1)
         W = np.prod(np.stack([w[i] for w, i in zip(ws, idx)], axis=1), axis=1)
-        vals = np.asarray(f(X))
+        vals = np.asarray(f(compose_many(X)))
         # C order makes each entry's terms contiguous, so numpy sums them
         # pairwise exactly as it sums that entry's (m,) values alone
         terms = np.multiply(W, np.moveaxis(vals, 0, -1), order="C")
@@ -305,10 +302,10 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
 def integrate_quadrature(f, nodes_per_dim):
     """Haar average of a complex f by ``quadrature_mean`` over ``RANGES_QUAD``.
 
-    ``f`` maps an (m, 8) block of angle rows to (m,) values.
+    ``f`` maps an (m, 3, 3) stack of group elements to (m,) values.
     """
     mean, n_nodes = quadrature_mean(
-        lambda xs: np.asarray(f(xs), dtype=complex), nodes_per_dim)
+        lambda us: _complex_values(f(us), len(us)), nodes_per_dim)
     return IntegrationResult(estimate=complex(mean), std_error=None,
                              n=n_nodes, method="quadrature")
 

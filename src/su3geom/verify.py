@@ -17,8 +17,7 @@ import numpy as np
 
 from . import haar
 from .euler import (COORD_NAMES, EulerAngles, compose, compose_many, decompose,
-                    su2_subelement, canonicalize, factor_exponential,
-                    unitarity_defect)
+                    canonicalize, factor_exponential, unitarity_defect)
 from .gellmann import (LAMBDA, SQRT3, commutator, gell_mann_matrix,
                        structure_constants, verify_cartan_split)
 from .invariant_forms import (left_coframe, left_coframe_closed, right_coframe,
@@ -125,7 +124,7 @@ def haar_interior_points(n, seed, margin=0.05):
     batch = max(4 * n, 64)
     stream = 0
     while len(out) < n:
-        xs = haar.sample_angles(batch, seed + stream)
+        xs = haar.sample_angles(batch, haar.sub_seed(seed, stream))
         stream += 1
         out.extend(xs[(np.abs(chart_denominators(xs)) >= margin).all(axis=1)])
     return np.array(out[:n])
@@ -339,7 +338,7 @@ def suite_frames(n_points, seed):
         detail="alpha/beta rows (left) and c/phi rows (right) in closed form"))
 
     # adjoint representation
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(haar.sub_seed(seed, 1))
     pairs = compose_many(np.concatenate(
         [haar.sample_angles(2, int(rng.integers(1 << 31))) for _ in range(20)]))
     U, V = pairs[0::2], pairs[1::2]
@@ -363,7 +362,7 @@ def suite_frames(n_points, seed):
         threshold=1e-9,
         detail="right frame = R(U)^T @ left frame (global sign +1)"))
 
-    bpts = haar_interior_points(4, seed + 2, margin=0.2)
+    bpts = haar_interior_points(4, haar.sub_seed(seed, 2), margin=0.2)
     wl, wr, wc = frame_bracket_residuals(bpts)
     checks.append(CheckResult(
         name="frames.brackets_left", residual=wl, threshold=1e-6,
@@ -500,13 +499,13 @@ def suite_forms(n_points, seed):
         detail="left and right determinants give the same constant"))
 
     # invariance under translation: the defining property, via pullback
-    rng = np.random.default_rng(seed + 3)
+    rng = np.random.default_rng(haar.sub_seed(seed, 3))
     worst_inv = worst_cov = 0.0
     tried = 0
     done = 0
     while done < 10 and tried < 200:
         tried += 1
-        x = haar_interior_points(1, seed + 100 + tried, margin=0.15)[0]
+        x = haar_interior_points(1, haar.sub_seed(seed, 100 + tried), margin=0.15)[0]
         g = compose(haar.sample_angles(1, int(rng.integers(1 << 31)))[0])
         r_inv = _translation_pullback_residual(x, g, "right")
         r_cov = _translation_pullback_residual(x, g, "left")
@@ -554,8 +553,7 @@ def character_integrals_mc(n, seed):
 
 def character_integrals_quadrature(nodes):
     """Same four integrals by the separable product rule, in one grid pass."""
-    means, _ = haar.quadrature_mean(
-        lambda xs: schur_integrands(compose_many(xs)), nodes)
+    means, _ = haar.quadrature_mean(schur_integrands, nodes)
     return [(nm, complex(m), None, tg)
             for nm, m, tg in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
 
@@ -574,7 +572,7 @@ def invariance_deviations(n, seed):
     invariance.  Returns the worst deviation / (4 * combined standard
     error) over all (g, side, f).
     """
-    gs = compose_many(haar.sample_angles(_N_TRANSLATIONS, seed + 17))
+    gs = compose_many(haar.sample_angles(_N_TRANSLATIONS, haar.sub_seed(seed, 17)))
     # columns: 3 class functions of U, g_1 U, ..., g_5 U, then 2 entry
     # functions of U, g_1 U, ..., g_5 U, U g_1, ..., U g_5
     n_class = 3 * (1 + _N_TRANSLATIONS)
@@ -631,7 +629,7 @@ def suite_measure(n_mc, seed):
         factor_exponential(5, math.pi / 2)
         - np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]], dtype=complex))))
     worst = max(worst, float(np.max(np.abs(
-        su2_subelement(0.0, math.pi / 2, 0.0)
+        compose([0.0, math.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         - np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=complex)))))
     shifted = np.zeros(8)
     shifted[0] = math.pi + 0.25
@@ -650,7 +648,7 @@ def suite_measure(n_mc, seed):
 
     mc = haar.integrate_mc(
         lambda us: haar.character(us, "fundamental"),
-        max(n_mc // 4, 10_000), seed + 21, vectorized=True)
+        max(n_mc // 4, 10_000), haar.sub_seed(seed, 21))
     dev = abs(mc.estimate) / (4 * mc.std_error)
     checks.append(CheckResult(
         name="measure.mc_integrator", residual=dev, threshold=1.0,
@@ -699,7 +697,7 @@ def suite_measure(n_mc, seed):
         name="measure.characters_quadrature", residual=worst, threshold=0.02,
         detail="5 nodes/dim: " + "; ".join(detail)))
 
-    worst = invariance_deviations(min(n_mc, 200_000), seed + 5)
+    worst = invariance_deviations(min(n_mc, 200_000), haar.sub_seed(seed, 5))
     checks.append(CheckResult(
         name="measure.translation_invariance", residual=worst, threshold=1.0,
         detail="averages over gU of Re tr, |tr|^2 and Re tr M^2, and over "
@@ -708,7 +706,7 @@ def suite_measure(n_mc, seed):
 
     worst = 0.0
     for n_round in range(3):
-        U = compose_many(haar.sample_angles(50, seed + 11 + n_round))
+        U = compose_many(haar.sample_angles(50, haar.sub_seed(seed, 11 + n_round)))
         for u in U:
             rep = decompose(u, full_output=True)
             worst = max(worst, rep.residual)

@@ -182,6 +182,12 @@ def test_bad_input_usage_error(args):
     assert proc.stderr.startswith("error: ")
 
 
+def test_verify_largest_seed_runs():
+    # every stream verify derives from the seed wraps into [0, 2^64)
+    proc = run_cli("verify", "--seed", str(2 ** 64 - 1), "--points", "2000")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_frames_singular_point():
     proc = run_cli("frames", "--point", "0", "0", "0", "0", "0", "0", "0", "0")
     assert proc.returncode == 3

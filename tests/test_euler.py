@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su3geom.euler import (EulerAngles, PHI_PERIOD, canonicalize, compose,
-                           compose_many, decompose, factor_exponential,
-                           su2_subelement, unitarity_defect)
+from su3geom.euler import (PHI_PERIOD, canonicalize, compose, compose_many,
+                           decompose, factor_exponential, unitarity_defect)
 from su3geom.gellmann import SQRT3, gell_mann_matrix
 from su3geom.haar import sample_angles
 
@@ -29,6 +28,8 @@ def test_factor_lambda5_quarter_turn():
 def test_factor_lambda8_sqrt3_pi():
     got = factor_exponential(8, SQRT3 * math.pi)
     assert np.allclose(got, np.diag([-1.0, -1.0, 1.0]), atol=1e-12)
+    # phi's full period is twice that
+    assert PHI_PERIOD == pytest.approx(2 * SQRT3 * math.pi)
 
 
 @given(st.sampled_from([2, 3, 5, 8]), st.floats(-7.0, 7.0))
@@ -57,7 +58,10 @@ def test_compose_su2_block():
     x = np.zeros(8)
     x[:3] = (0.7, 0.4, 1.9)
     U = compose(x)
-    V = su2_subelement(0.7, 0.4, 1.9)
+    # [[x, y], [-conj(y), conj(x)]] with x = cos(beta) e^{i(alpha+gamma)},
+    # y = sin(beta) e^{i(alpha-gamma)}
+    bx, by = math.cos(0.4) * np.exp(2.6j), math.sin(0.4) * np.exp(-1.2j)
+    V = np.array([[bx, by, 0], [-np.conj(by), np.conj(bx), 0], [0, 0, 1]])
     assert np.allclose(U, V, atol=1e-15)
     assert abs(U[2, 2] - 1.0) <= 1e-15
     assert np.max(np.abs([U[0, 2], U[1, 2], U[2, 0], U[2, 1]])) <= 1e-15
@@ -119,14 +123,15 @@ def test_single_angle_homomorphism(slot):
 
 
 def test_su2_subelement_quarter_turn():
-    got = su2_subelement(0.0, math.pi / 2, 0.0)
+    # the SU(2) block element is compose with the last five angles zero
+    got = compose([0.0, math.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     expected = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=complex)
     assert np.allclose(got, expected, atol=1e-15)
 
 
 @given(st.floats(-6, 6), st.floats(-6, 6), st.floats(-6, 6))
 def test_su2_subelement_block_structure(alpha, beta, gamma):
-    U = su2_subelement(alpha, beta, gamma)
+    U = compose([alpha, beta, gamma, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert abs(abs(U[2, 2]) - 1.0) <= 1e-12
     assert np.max(np.abs([U[0, 2], U[1, 2], U[2, 0], U[2, 1]])) == 0.0
     assert unitarity_defect(U)[0] <= 1e-12
@@ -330,8 +335,3 @@ def test_canonicalize_preserves_element(vals):
     assert y.is_canonical(tol=1e-12)
     assert np.max(np.abs(compose(y.as_array()) - compose(x))) <= 1e-9
 
-
-def test_eta_is_derived():
-    x = EulerAngles(0, 0, 0, 0, 0, 0, 0, 1.5)
-    assert x.eta == 1.5 / SQRT3
-    assert PHI_PERIOD == pytest.approx(2 * SQRT3 * math.pi)

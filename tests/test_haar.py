@@ -120,15 +120,14 @@ def test_sample_rejects_zero():
 
 
 def test_mc_constant():
-    r = integrate_mc(lambda u: 1.0 + 0.0j, 1000, 4)
+    r = integrate_mc(lambda us: np.ones(len(us), dtype=complex), 1000, 4)
     assert r.estimate == pytest.approx(1.0)
     assert r.std_error == pytest.approx(0.0, abs=1e-12)
     assert r.method == "mc" and r.n == 1000
 
 
 def test_mc_fundamental_character():
-    r = integrate_mc(lambda us: np.einsum("nii->n", us), 200_000, 9,
-                     vectorized=True)
+    r = integrate_mc(lambda us: np.einsum("nii->n", us), 200_000, 9)
     assert abs(r.estimate) <= 4 * r.std_error + 1e-12
     assert 0.5e-3 < r.std_error < 5e-3
 
@@ -136,22 +135,14 @@ def test_mc_fundamental_character():
 def test_mc_fundamental_squared():
     r = integrate_mc(
         lambda us: (np.abs(np.einsum("nii->n", us)) ** 2).astype(complex),
-        200_000, 10, vectorized=True)
+        200_000, 10)
     assert abs(r.estimate - 1.0) <= 4 * r.std_error
 
 
 def test_mc_entry_moment():
     r = integrate_mc(lambda us: (np.abs(us[:, 0, 0]) ** 2).astype(complex),
-                     200_000, 14, vectorized=True)
+                     200_000, 14)
     assert abs(r.estimate - 1.0 / 3.0) <= 4 * r.std_error
-
-
-def test_mc_error_reports_sample_index():
-    def bad(u):
-        raise RuntimeError("boom")
-
-    with pytest.raises(RuntimeError, match="sample 0"):
-        integrate_mc(bad, 10, 3)
 
 
 def test_mc_is_the_plain_mean_over_the_sample_stream():
@@ -159,35 +150,38 @@ def test_mc_is_the_plain_mean_over_the_sample_stream():
     n, seed = 300_000, 5
     f = lambda us: np.einsum("nii->n", us)
     vals = f(compose_many(sample_angles(n, seed)))
-    r = integrate_mc(f, n, seed, vectorized=True)
+    r = integrate_mc(f, n, seed)
     assert r.estimate == pytest.approx(vals.mean(), rel=1e-12, abs=1e-15)
     se = np.sqrt(np.mean(np.abs(vals) ** 2) - abs(vals.mean()) ** 2) / math.sqrt(n)
     assert r.std_error == pytest.approx(se, rel=1e-10)
 
 
-def test_mc_scalar_and_vectorized_agree():
-    a = integrate_mc(lambda u: np.trace(u), 3000, 8)
-    b = integrate_mc(lambda us: np.einsum("nii->n", us), 3000, 8,
-                     vectorized=True)
-    assert a == b
-
-
-def test_mc_error_reports_sample_index_past_first_chunk():
-    calls = []
-
-    def bad(u):
-        calls.append(1)
-        if len(calls) > 131_080:
-            raise RuntimeError("boom")
-        return 0.0
-
-    with pytest.raises(RuntimeError, match="sample 131080"):
-        integrate_mc(bad, 140_000, 3)
-
-
 def test_mc_vectorized_shape_check():
     with pytest.raises(ValueError, match="shape"):
-        integrate_mc(lambda us: np.zeros(3), 10, 3, vectorized=True)
+        integrate_mc(lambda us: np.zeros(3), 10, 3)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda f: integrate_mc(f, 140_000, 3),     # two sample chunks
+    lambda f: integrate_quadrature(f, 5),      # three grid chunks
+], ids=["mc", "quadrature"])
+def test_integrand_shape_is_checked_per_block(integrate):
+    # both integrators take (m, 3, 3) -> (m,) and reject (m, 1) values at
+    # the first block, naming the shape
+    calls = []
+
+    def column(us):
+        calls.append(us.shape[1:])
+        return np.ones((len(us), 1))
+
+    with pytest.raises(ValueError, match=r"integrand returned shape \(\d+, 1\)"):
+        integrate(column)
+    assert calls == [(3, 3)]
+
+
+def test_mc_scalar_integrands_are_rejected():
+    with pytest.raises(ValueError, match="vectorized"):
+        integrate_mc(lambda us: np.ones(len(us)), 10, 3, vectorized=False)
 
 
 def test_mc_moments_keeps_trailing_shape():
@@ -205,7 +199,7 @@ def test_mc_moments_keeps_trailing_shape():
 
 def test_mc_needs_two_samples():
     with pytest.raises(ValueError):
-        integrate_mc(lambda u: 1.0, 1, 0)
+        integrate_mc(lambda us: np.ones(len(us)), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +208,20 @@ def test_mc_needs_two_samples():
 
 
 def test_quadrature_constant_is_exact():
-    r = integrate_quadrature(lambda xs: np.ones(len(xs)), 3)
+    r = integrate_quadrature(lambda us: np.ones(len(us)), 3)
     assert r.estimate == pytest.approx(1.0, abs=1e-14)
     assert r.std_error is None and r.method == "quadrature"
 
 
 def test_quadrature_characters_five_nodes():
-    def f2(xs):
-        return (np.abs(np.einsum("nii->n", compose_many(xs))) ** 2).astype(complex)
+    def f2(us):
+        return (np.abs(np.einsum("nii->n", us)) ** 2).astype(complex)
 
     r = integrate_quadrature(f2, 5)
     assert abs(r.estimate - 1.0) <= 1e-3
 
-    def f1(xs):
-        return np.einsum("nii->n", compose_many(xs))
+    def f1(us):
+        return np.einsum("nii->n", us)
 
     r = integrate_quadrature(f1, 4)
     assert abs(r.estimate) <= 1e-6
@@ -235,26 +229,24 @@ def test_quadrature_characters_five_nodes():
 
 @pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
 def test_quadrature_mean_columns_match_single_integrands(ranges):
-    def schur(xs):
-        return verify.schur_integrands(compose_many(xs))
-
+    schur = verify.schur_integrands
     means, n_nodes = quadrature_mean(schur, 3, ranges)
     assert means.shape == (4,)
     for k in range(4):
-        mean, n = quadrature_mean(lambda xs: schur(xs)[:, k], 3, ranges)
+        mean, n = quadrature_mean(lambda us: schur(us)[:, k], 3, ranges)
         assert n == n_nodes
         assert mean == means[k]
 
 
 def test_character_quadrature_composes_each_node_once(monkeypatch):
     rows = []
-    original = verify.compose_many
+    original = haar.compose_many
 
     def counting(xs):
         rows.append(len(xs))
         return original(xs)
 
-    monkeypatch.setattr(verify, "compose_many", counting)
+    monkeypatch.setattr(haar, "compose_many", counting)
     verify.character_integrals_quadrature(3)
     # 3 nodes on seven axes; the phi axis steps off 3 to 4 nodes
     assert sum(rows) == 3 ** 7 * 4
@@ -269,7 +261,7 @@ def whole_grid_mean(f, nodes, ranges):
                   np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
     W = np.prod([g.ravel() for g in
                  np.meshgrid(*[w for _, w in axes], indexing="ij")], axis=0)
-    return np.array([np.sum(W * v) for v in f(X).T]) / W.sum()
+    return np.array([np.sum(W * v) for v in f(compose_many(X)).T]) / W.sum()
 
 
 @pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
@@ -277,10 +269,7 @@ def whole_grid_mean(f, nodes, ranges):
 def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
     # 1000-node chunks: several of them, the last one partial
     monkeypatch.setattr(haar, "_CHUNK", 1000)
-
-    def schur(xs):
-        return verify.schur_integrands(compose_many(xs))
-
+    schur = verify.schur_integrands
     means, n_nodes = quadrature_mean(schur, nodes, ranges)
     assert n_nodes % 1000 != 0 and n_nodes > 5000
     assert np.max(np.abs(means - whole_grid_mean(schur, nodes, ranges))) <= 1e-15
@@ -301,9 +290,9 @@ def test_quadrature_node_cap():
     # 9 nodes per axis exceed NODE_CAP = 8^8 before f sees a single node
     calls = []
 
-    def f(xs):
-        calls.append(len(xs))
-        return np.ones(len(xs))
+    def f(us):
+        calls.append(len(us))
+        return np.ones(len(us))
 
     assert haar.NODE_CAP == 8 ** 8
     with pytest.raises(ValueError, match="cap"):
@@ -313,14 +302,14 @@ def test_quadrature_node_cap():
 
 def test_quadrature_minimum_nodes():
     with pytest.raises(ValueError):
-        integrate_quadrature(lambda xs: np.ones(len(xs)), 1)
+        integrate_quadrature(lambda us: np.ones(len(us)), 1)
 
 
 def test_quadrature_over_stated_ranges_is_biased():
     # the stated box does not tile the group: the fundamental-character
     # average over it is far from the Haar value 0
-    def f1(xs):
-        return np.einsum("nii->n", compose_many(xs))
+    def f1(us):
+        return np.einsum("nii->n", us)
 
     mean, _ = quadrature_mean(f1, 6, RANGES_STATED)
     assert abs(mean) > 0.05

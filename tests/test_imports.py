@@ -1,8 +1,10 @@
-"""Every imported name is used somewhere in its module.
+"""Every imported name is used somewhere in its module, and every derived
+seed goes through ``haar.sub_seed``.
 
 No linter ships with the project, so this parses the package modules,
 the scripts and the tests with ``ast`` and fails on any imported name
-that the module never references.
+that the module never references, and on any ``seed + k`` written by hand
+in the package or the scripts: such a sum can leave [0, 2^64).
 """
 
 import ast
@@ -45,3 +47,43 @@ def test_no_unused_imports(path):
     unused = [name for name in unused_imports(path.read_text())
               if (path.name, name) not in REEXPORTS]
     assert unused == []
+
+
+SEED_FILES = sorted(list((ROOT / "src" / "su3geom").glob("*.py"))
+                    + list((ROOT / "scripts").glob("*.py")))
+
+
+def _is_seed(node):
+    return (isinstance(node, ast.Name) and node.id == "seed"
+            or isinstance(node, ast.Attribute) and node.attr == "seed")
+
+
+def seed_additions(source):
+    """Lines of source that add to a name or attribute called seed, outside
+    the body of ``sub_seed``."""
+    tree = ast.parse(source)
+    exempt = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "sub_seed"
+              for n in ast.walk(f)}
+    found = []
+    for n in ast.walk(tree):
+        if id(n) in exempt:
+            continue
+        if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+                and (_is_seed(n.left) or _is_seed(n.right))
+                or isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add)
+                and _is_seed(n.target)):
+            found.append(n.lineno)
+    return sorted(found)
+
+
+def test_seed_additions_are_found():
+    source = ("def sub_seed(seed, k):\n    return seed + k\n"
+              "a = seed + 100 + k\nb = 2 + args.seed\nseed += 1\n"
+              "c = sub_seed(seed, 3) + seed_count\n")
+    assert seed_additions(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", SEED_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_derived_seeds_go_through_sub_seed(path):
+    assert seed_additions(path.read_text()) == []
