@@ -13,22 +13,35 @@ a pure Gauss-Legendre rule and the stated-ranges box.  Shows why:
   bump would report <adj,adj> ~ 0.54),
 * the stated-ranges box gives biased values at any resolution.
 
+Each row also prints the grid's node count and the rule's wall time, so
+the cost of a resolution shows next to its accuracy.
+
 Run:  python scripts/quadrature_convergence.py
 """
 
-from su3geom import RANGES_STATED, quadrature_mean
-from su3geom.verify import (SCHUR_NAMES, SCHUR_TARGETS,
-                            character_integrals_quadrature, schur_integrands)
+import time
+
+from su3geom import RANGES_QUAD, RANGES_STATED, quadrature_mean
+from su3geom.verify import SCHUR_NAMES, SCHUR_TARGETS, schur_integrands
+
+
+def characters(nodes, ranges=RANGES_QUAD):
+    """The four character integrals as (name, value, None, target) rows,
+    with the grid's node count and the rule's wall time in seconds."""
+    start = time.perf_counter()
+    means, n_nodes = quadrature_mean(schur_integrands, nodes, ranges=ranges)
+    rows = [(name, complex(m), None, target)
+            for name, m, target in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
+    return rows, n_nodes, time.perf_counter() - start
 
 
 def stated_box_characters(nodes):
-    means, _ = quadrature_mean(schur_integrands, nodes, ranges=RANGES_STATED)
-    return [(name, complex(m), None, target)
-            for name, m, target in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
+    return characters(nodes, RANGES_STATED)[0]
 
 
-def show(rows, label):
-    print(f"  {label}")
+def show(nodes, ranges=RANGES_QUAD):
+    rows, n_nodes, seconds = characters(nodes, ranges)
+    print(f"  nodes_per_dim = {nodes}: {n_nodes} nodes in {seconds:.3f} s")
     for name, val, _, target in rows:
         print(f"    {name:<17} = {val.real:+.6f}{val.imag:+.6f}i"
               f"   (target {target}, error {abs(val - target):.2e})")
@@ -37,12 +50,11 @@ def show(rows, label):
 def main():
     print("== shipped rule over the full-period cover box ==")
     for nodes in (3, 4, 5, 6, 7):
-        rows = character_integrals_quadrature(nodes)
-        show(rows, f"nodes_per_dim = {nodes}")
+        show(nodes)
 
     print("\n== stated-ranges box (does not tile the group) ==")
     for nodes in (5, 6):
-        show(stated_box_characters(nodes), f"nodes_per_dim = {nodes}")
+        show(nodes, RANGES_STATED)
 
 
 if __name__ == "__main__":

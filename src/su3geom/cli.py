@@ -217,6 +217,7 @@ def cmd_integrate(args):
         "estimate_im": result.estimate.imag,
         "std_error": result.std_error,
         "n": result.n,
+        "elapsed_s": result.elapsed_s,
         "method": result.method,
     }))
     return EXIT_OK

@@ -239,6 +239,12 @@ def test_integrate_quadrature_tr():
     assert payload["std_error"] is None
 
 
+def test_integrate_reports_elapsed_time():
+    for method in (("--method", "mc", "--n", "1000"), ("--method", "quad", "--nodes", "3")):
+        payload = json.loads(run_cli("integrate", "--function", "tr", *method).stdout)
+        assert math.isfinite(payload["elapsed_s"]) and payload["elapsed_s"] >= 0
+
+
 def test_integrate_bad_entrypoly():
     proc = run_cli("integrate", "--function", "entrypoly", "5,1,conj,1")
     assert proc.returncode == 2

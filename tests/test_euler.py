@@ -114,6 +114,21 @@ def test_compose_many_matches_scalar():
         assert np.max(np.abs(u - compose(row))) <= 1e-13
 
 
+def test_compose_many_splits_into_half_products():
+    # D(x) = D(alpha, beta, gamma, theta, 0, 0, 0, 0) D(0, 0, 0, 0, a, b, c, phi),
+    # the identity the product rule composes its two half-grids on; checked
+    # on Haar rows and with beta, theta, b at 0 and pi/2
+    xs = sample_angles(1000, 17)
+    edges = xs[:8].copy()
+    edges[:, [1, 3, 5]] = list(itertools.product((0.0, math.pi / 2), repeat=3))
+    xs = np.concatenate([xs, edges])
+    left, right = xs.copy(), xs.copy()
+    left[:, 4:] = 0.0
+    right[:, :4] = 0.0
+    product = compose_many(left) @ compose_many(right)
+    assert np.max(np.abs(product - compose_many(xs))) <= 1e-15
+
+
 @pytest.mark.parametrize("slot", range(8))
 def test_single_angle_homomorphism(slot):
     t, s = 0.61, -1.13

@@ -238,7 +238,7 @@ def test_quadrature_mean_columns_match_single_integrands(ranges):
         assert mean == means[k]
 
 
-def test_character_quadrature_composes_each_node_once(monkeypatch):
+def test_character_quadrature_composes_half_grids_once(monkeypatch):
     rows = []
     original = haar.compose_many
 
@@ -248,8 +248,9 @@ def test_character_quadrature_composes_each_node_once(monkeypatch):
 
     monkeypatch.setattr(haar, "compose_many", counting)
     verify.character_integrals_quadrature(3)
-    # 3 nodes on seven axes; the phi axis steps off 3 to 4 nodes
-    assert sum(rows) == 3 ** 7 * 4
+    # the left half-grid has 3 nodes on four axes, the right one 3 on three
+    # and 4 on phi (which steps off 3); no grid node is composed on its own
+    assert sum(rows) == 3 ** 4 + 3 ** 3 * 4
 
 
 def whole_grid_mean(f, nodes, ranges):
@@ -267,16 +268,23 @@ def whole_grid_mean(f, nodes, ranges):
 @pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
 @pytest.mark.parametrize("nodes", [3, 4])
 def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
-    # 1000-node chunks: several of them, the last one partial
-    monkeypatch.setattr(haar, "_CHUNK", 1000)
     schur = verify.schur_integrands
+    expected = whole_grid_mean(schur, nodes, ranges)
+    # 1000-node chunks: several blocks of whole left rows, the last one
+    # partial except at 3 nodes over RANGES_QUAD
+    monkeypatch.setattr(haar, "_CHUNK", 1000)
     means, n_nodes = quadrature_mean(schur, nodes, ranges)
     assert n_nodes % 1000 != 0 and n_nodes > 5000
-    assert np.max(np.abs(means - whole_grid_mean(schur, nodes, ranges))) <= 1e-15
+    assert np.max(np.abs(means - expected)) <= 1e-15
+    # 50-node chunks, below every right half-grid here (81 to 256 nodes):
+    # each block holds one left row
+    monkeypatch.setattr(haar, "_CHUNK", 50)
+    means, _ = quadrature_mean(schur, nodes, ranges)
+    assert np.max(np.abs(means - expected)) <= 1e-15
 
 
 def test_character_quadrature_memory_peak():
-    # the whole 5-node grid took 137 MB; one chunk at a time takes about 77
+    # the whole 5-node grid took 137 MB; one block at a time takes about 56
     tracemalloc.start()
     try:
         verify.character_integrals_quadrature(5)
