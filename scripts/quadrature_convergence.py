@@ -36,6 +36,7 @@ def characters(nodes, ranges=RANGES_QUAD):
 
 
 def stated_box_characters(nodes):
+    """The rows of ``characters`` over the stated-ranges box."""
     return characters(nodes, RANGES_STATED)[0]
 
 
