@@ -35,15 +35,26 @@ available.  Three range boxes matter:
 
 Both integrators average functions on the group, not on the chart: the
 integrand maps an (m, 3, 3) stack of sampled or composed elements to (m,).
+The Monte Carlo integrand may run on several threads at once, so it must
+not mutate shared state; every integrand in this package is pure.
 
 All randomness comes from one counter-based (Philox) stream keyed by the
 seed: results are a deterministic function of (seed, n), and a shorter run
 draws a prefix of a longer one.  Derived streams take ``sub_seed(seed, k)``.
+
+``mc_moments`` cuts the stream into chunks of ``_MC_ROWS`` rows.  A
+counter-based stream can start any chunk exactly where the one sequential
+stream would be, so chunk 0 runs on the caller's thread and the rest on a
+small thread pool, started on first use, while the chunk sums are added
+in stream order: the result is the same, bit for bit, for any number of
+threads or cores.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -119,9 +130,11 @@ def density_from_coframe(x):
 # ---------------------------------------------------------------------------
 
 
-def _stream(seed):
-    """The one Philox stream behind every draw made with this seed."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(sub_seed(seed, 0))))
+def _stream(seed, row=0):
+    """The one Philox stream behind every draw made with this seed, from
+    the given row of 8 doubles on (a Philox block holds 4 doubles)."""
+    bits = np.random.Philox(key=np.uint64(sub_seed(seed, 0)))
+    return np.random.Generator(bits.advance(2 * row))
 
 
 def sub_seed(seed, k):
@@ -172,25 +185,74 @@ class IntegrationResult:
 
 _CHUNK = 131072
 
+#: Rows of one Monte Carlo chunk: small enough that a chunk's arrays stay
+#: near the cache, and the unit of work handed to the threads.
+_MC_ROWS = 16384
+#: Threads of the pool that runs every Monte Carlo chunk after the first.
+_MC_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _mc_pool():
+    """The chunk thread pool, started on the first call that needs it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: at module import it would add ~5 ms to every import
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_MC_WORKERS, thread_name_prefix="su3geom-mc")
+    return _pool
+
+
+def _forget_pool():
+    """In a forked child: the pool object came along, its threads did not."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _chunk_moments(f, seed, start, stop):
+    """Sums of f and |f|^2 over rows [start, stop) of the seed's sample stream."""
+    xs = _angles_from_uniform(_stream(seed, start).random((stop - start, 8)))
+    vals = np.asarray(f(compose_many(xs)))
+    return vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+
 
 def mc_moments(f, n, seed):
     """Sample mean and standard error of f over n Haar-distributed elements.
 
     The elements are ``compose_many(sample_angles(n, seed))``, drawn and
-    composed ``_CHUNK`` rows at a time; ``f`` maps each (m, 3, 3) stack to
-    an array of shape (m,) or (m, ...), and both moments are summed over
-    axis 0.  The standard error is the sample standard deviation of f over
-    sqrt(n), entry by entry.
+    composed ``_MC_ROWS`` rows at a time; ``f`` maps each (m, 3, 3) stack
+    to an array of shape (m,) or (m, ...), and both moments are summed
+    over axis 0.  The standard error is the sample standard deviation of f
+    over sqrt(n), entry by entry.
+
+    Chunk 0 runs on the calling thread, so an integrand that fails does so
+    after one call; the other chunks run on up to ``_MC_WORKERS`` threads
+    at once, so ``f`` must not mutate shared state.  The chunk sums are
+    added in chunk order, so the result does not depend on the thread
+    count.  If a chunk raises, the chunks not yet started are cancelled
+    and the error is raised here.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n = {n}")
-    rng = _stream(seed)
-    total = total_sq = 0.0
-    for start in range(0, n, _CHUNK):
-        xs = _angles_from_uniform(rng.random((min(_CHUNK, n - start), 8)))
-        vals = np.asarray(f(compose_many(xs)))
-        total = total + vals.sum(axis=0)
-        total_sq = total_sq + (np.abs(vals) ** 2).sum(axis=0)
+    bounds = [(start, min(start + _MC_ROWS, n)) for start in range(0, n, _MC_ROWS)]
+    total, total_sq = _chunk_moments(f, seed, *bounds[0])
+    if len(bounds) > 1:
+        pool = _mc_pool()
+        futures = [pool.submit(_chunk_moments, f, seed, *b) for b in bounds[1:]]
+        try:
+            for future in futures:
+                s, sq = future.result()
+                total, total_sq = total + s, total_sq + sq
+        finally:
+            for future in futures:
+                future.cancel()
     mean = total / n
     return mean, np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
 
@@ -206,8 +268,9 @@ def _complex_values(vals, m):
 def integrate_mc(f, n, seed, *, vectorized=True):
     """Haar average of f over n sampled group elements.
 
-    ``f`` maps an (m, 3, 3) stack of elements to (m,) values.  Samples
-    already follow the Haar density, so the plain mean over the stream of
+    ``f`` maps an (m, 3, 3) stack of elements to (m,) values, and may run
+    on several threads at once (see ``mc_moments``).  Samples already
+    follow the Haar density, so the plain mean over the stream of
     ``mc_moments`` is the normalized integral; ``std_error`` is the sample
     standard deviation of f over sqrt(n).
     """

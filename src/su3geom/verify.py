@@ -579,7 +579,8 @@ def invariance_deviations(n, seed):
     n_entry = 2 * (1 + 2 * _N_TRANSLATIONS)
 
     def values(us):
-        out = np.empty((len(us), n_class + n_entry))
+        # column-contiguous, so each column is written in one sweep
+        out = np.empty((n_class + n_entry, len(us))).T
 
         def put_entries(t, row):
             c = n_class + 2 * t
@@ -597,9 +598,12 @@ def invariance_deviations(n, seed):
 
         put_left(0, us)
         for k, g in enumerate(gs, start=1):
-            put_left(k, np.einsum("ab,nbc->nac", g, us))
-            # first row of Ug, without forming Ug
-            put_entries(_N_TRANSLATIONS + k, us[:, 0, :] @ g[:, :2])
+            # gU and the first row of Ug (without forming Ug) as broadcast
+            # multiply-adds: BLAS and einsum products slow down when
+            # several chunks run them on threads at once
+            put_left(k, sum(g[:, b, None] * us[:, b, None, :] for b in range(3)))
+            put_entries(_N_TRANSLATIONS + k,
+                        sum(us[:, 0, b, None] * g[b, :2] for b in range(3)))
         return out
 
     means, ses = haar.mc_moments(values, n, seed)

@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import signal
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -146,7 +151,7 @@ def test_mc_entry_moment():
 
 
 def test_mc_is_the_plain_mean_over_the_sample_stream():
-    # 300000 samples span three accumulation chunks
+    # 300000 samples span 19 accumulation chunks
     n, seed = 300_000, 5
     f = lambda us: np.einsum("nii->n", us)
     vals = f(compose_many(sample_angles(n, seed)))
@@ -162,7 +167,7 @@ def test_mc_vectorized_shape_check():
 
 
 @pytest.mark.parametrize("integrate", [
-    lambda f: integrate_mc(f, 140_000, 3),     # two sample chunks
+    lambda f: integrate_mc(f, 140_000, 3),     # nine sample chunks
     lambda f: integrate_quadrature(f, 5),      # three grid chunks
 ], ids=["mc", "quadrature"])
 def test_integrand_shape_is_checked_per_block(integrate):
@@ -185,7 +190,8 @@ def test_mc_scalar_integrands_are_rejected():
 
 
 def test_mc_moments_keeps_trailing_shape():
-    n, seed = 1000, 21
+    # four chunks, the last one of 5 rows
+    n, seed = 3 * haar._MC_ROWS + 5, 21
 
     def f(us):
         return np.abs(us[:, :2, :]) ** 2  # (m, 2, 3): first two rows
@@ -200,6 +206,65 @@ def test_mc_moments_keeps_trailing_shape():
 def test_mc_needs_two_samples():
     with pytest.raises(ValueError):
         integrate_mc(lambda us: np.ones(len(us)), 1, 0)
+
+
+def test_mc_moments_is_the_same_for_any_thread_count(monkeypatch):
+    n, seed = 3 * haar._MC_ROWS + 5, 8
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(haar, "_MC_WORKERS", workers)
+        monkeypatch.setattr(haar, "_pool", None)
+        results.append(mc_moments(verify.schur_integrands, n, seed))
+        assert haar._pool._max_workers == workers
+        haar._pool.shutdown()
+    for mean, se in results[1:]:
+        assert np.array_equal(mean, results[0][0])
+        assert np.array_equal(se, results[0][1])
+
+
+class FourthCall(Exception):
+    pass
+
+
+def test_mc_error_in_a_pool_chunk_is_raised():
+    calls = itertools.count(1)  # next() is atomic, so threads share it safely
+
+    def fails_on_fourth_call(us):
+        if next(calls) == 4:
+            raise FourthCall
+        return np.ones(len(us))
+
+    with pytest.raises(FourthCall):
+        integrate_mc(fails_on_fourth_call, 8 * haar._MC_ROWS, 1)
+    # the pool still runs the next call
+    r = integrate_mc(lambda us: np.ones(len(us)), 8 * haar._MC_ROWS, 1)
+    assert r.estimate == 1.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork test runs on Linux")
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+def test_forked_child_runs_monte_carlo():
+    # the child inherits the pool object but not its threads; once every
+    # pool thread has started, the pool starts no more, so without a fresh
+    # pool the child's chunks would wait forever
+    mc_moments(verify.schur_integrands, 8 * haar._MC_ROWS, 1)
+    assert len(haar._pool._threads) == haar._MC_WORKERS
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            verify.character_integrals_mc(3 * haar._MC_ROWS, 1)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish character_integrals_mc in 60 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +337,14 @@ def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
     expected = whole_grid_mean(schur, nodes, ranges)
     # 1000-node chunks: several blocks of whole left rows, the last one
     # partial except at 3 nodes over RANGES_QUAD
+    glx, glw = np.polynomial.legendre.leggauss(nodes)
+    sizes = [len(haar._quad_axis(dim, lo, hi, nodes, glx, glw)[0])
+             for dim, (lo, hi) in enumerate(ranges.as_tuples())]
+    left, rows = math.prod(sizes[:4]), max(1, 1000 // math.prod(sizes[4:]))
+    assert left // rows > 5
+    assert (left % rows != 0) == (ranges is not RANGES_QUAD or nodes != 3)
     monkeypatch.setattr(haar, "_CHUNK", 1000)
-    means, n_nodes = quadrature_mean(schur, nodes, ranges)
-    assert n_nodes % 1000 != 0 and n_nodes > 5000
+    means, _ = quadrature_mean(schur, nodes, ranges)
     assert np.max(np.abs(means - expected)) <= 1e-15
     # 50-node chunks, below every right half-grid here (81 to 256 nodes):
     # each block holds one left row
@@ -505,8 +575,9 @@ def test_invariance_deviations_reject_the_stated_box(monkeypatch):
 
 
 def test_invariance_deviations_memory_peak():
-    # one translated stack at a time and one (m, 40) real block: about
-    # 71 MB; the bound keeps haar_mc's peak RSS from growing
+    # one translated stack at a time and one (m, 40) real block per
+    # chunk, a few chunks at once: about 28 MB; the bound keeps haar_mc's
+    # peak RSS from growing
     tracemalloc.start()
     try:
         verify.invariance_deviations(100_000, 5)
