@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -87,16 +88,14 @@ def cmd_sample(args):
 
 
 def cmd_decompose(args):
-    if args.file:
-        try:
-            text = open(args.file).read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        text = sys.stdin.read()
     try:
-        U = matrix_from_json(json.loads(text))
+        data = Path(args.file).read_bytes() if args.file else sys.stdin.buffer.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        # json.loads decodes the bytes; a bad encoding is a ValueError too
+        U = matrix_from_json(json.loads(data))
     except (json.JSONDecodeError, ValueError) as exc:
         print(f"error: cannot parse input matrix: {exc}", file=sys.stderr)
         return EXIT_USAGE

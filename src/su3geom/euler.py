@@ -13,8 +13,8 @@ The product collapses to K1 R5(theta) K2 R8(phi): two SU(2) blocks
 [[x, y], [-conj(y), conj(x)]] with x = cos(beta) e^{i(alpha+gamma)} and
 y = sin(beta) e^{i(alpha-gamma)} (and the same in a, b, c), one real
 rotation and one diagonal phase, so each of the nine entries has a short
-closed form; ``compose_many`` evaluates it, and ``compose`` keeps the
-ordered product of ``factors`` as the reference.
+closed form; ``compose`` and ``compose_many`` both evaluate it, and the
+ordered product of ``factors`` is the reference the tests check it against.
 
 The parameterization covers the group exactly once on the box
 
@@ -179,13 +179,33 @@ def partial_derivatives(x):
             @ _partial_products(x, _SUFFIX))
 
 
+def _closed_form(x):
+    """The closed form of ``compose_many`` on any leading shape: (..., 8) -> (..., 3, 3)."""
+    alpha, beta, gamma, theta, a, b, c, phi = np.moveaxis(x, -1, 0)
+    x1 = np.cos(beta) * np.exp(1j * (alpha + gamma))
+    y1 = np.sin(beta) * np.exp(1j * (alpha - gamma))
+    x2 = np.cos(b) * np.exp(1j * (a + c))
+    y2 = np.sin(b) * np.exp(1j * (a - c))
+    ct, st = np.cos(theta), np.sin(theta)
+    e = np.exp(1j * phi / SQRT3)
+    e2 = e ** -2
+    x1c, y1c = np.conj(x1), np.conj(y1)
+    U = np.empty(x.shape[:-1] + (3, 3), dtype=complex)
+    U[..., 0, 0] = (x1 * ct * x2 - y1 * np.conj(y2)) * e
+    U[..., 0, 1] = (x1 * ct * y2 + y1 * np.conj(x2)) * e
+    U[..., 0, 2] = x1 * st * e2
+    U[..., 1, 0] = -(y1c * ct * x2 + x1c * np.conj(y2)) * e
+    U[..., 1, 1] = (x1c * np.conj(x2) - y1c * ct * y2) * e
+    U[..., 1, 2] = -y1c * st * e2
+    U[..., 2, 0] = -st * x2 * e
+    U[..., 2, 1] = -st * y2 * e
+    U[..., 2, 2] = ct * e2
+    return U
+
+
 def compose(x):
     """Group element for the given angles (total over all finite angles)."""
-    F = factors(x)
-    U = F[0]
-    for Fk in F[1:]:
-        U = U @ Fk
-    return U
+    return _closed_form(_as_angle_array(x))
 
 
 def compose_many(xs):
@@ -201,31 +221,13 @@ def compose_many(xs):
         [-(y1* ct x2 + x1* y2*) e,   (x1* x2* - y1* ct y2) e,    -y1* st e^-2]
         [-st x2 e,                   -st y2 e,                   ct e^-2]
 
-    (z* is the complex conjugate).  ``compose`` is the reference product.
+    (z* is the complex conjugate).  ``compose`` evaluates it on numpy scalars,
+    which may round the last bit differently; ``factors`` is the reference.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != 8:
         raise ValueError(f"expected (n, 8) angles, got shape {xs.shape}")
-    alpha, beta, gamma, theta, a, b, c, phi = xs.T
-    x1 = np.cos(beta) * np.exp(1j * (alpha + gamma))
-    y1 = np.sin(beta) * np.exp(1j * (alpha - gamma))
-    x2 = np.cos(b) * np.exp(1j * (a + c))
-    y2 = np.sin(b) * np.exp(1j * (a - c))
-    ct, st = np.cos(theta), np.sin(theta)
-    e = np.exp(1j * phi / SQRT3)
-    e2 = e ** -2
-    x1c, y1c = np.conj(x1), np.conj(y1)
-    U = np.empty((len(xs), 3, 3), dtype=complex)
-    U[:, 0, 0] = (x1 * ct * x2 - y1 * np.conj(y2)) * e
-    U[:, 0, 1] = (x1 * ct * y2 + y1 * np.conj(x2)) * e
-    U[:, 0, 2] = x1 * st * e2
-    U[:, 1, 0] = -(y1c * ct * x2 + x1c * np.conj(y2)) * e
-    U[:, 1, 1] = (x1c * np.conj(x2) - y1c * ct * y2) * e
-    U[:, 1, 2] = -y1c * st * e2
-    U[:, 2, 0] = -st * x2 * e
-    U[:, 2, 1] = -st * y2 * e
-    U[:, 2, 2] = ct * e2
-    return U
+    return _closed_form(xs)
 
 
 def _as_group_elements(U):

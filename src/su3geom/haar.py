@@ -45,16 +45,15 @@ draws a prefix of a longer one.  Derived streams take ``sub_seed(seed, k)``.
 ``mc_moments`` cuts the stream into chunks of ``_MC_ROWS`` rows.  A
 counter-based stream can start any chunk exactly where the one sequential
 stream would be, so chunk 0 runs on the caller's thread and the rest on a
-small thread pool, started on first use, while the chunk sums are added
-in stream order: the result is the same, bit for bit, for any number of
-threads or cores.
+few threads that the call starts and joins before it returns, while the
+chunk sums are added in stream order: the result is the same, bit for
+bit, for any number of threads or cores.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -188,32 +187,9 @@ _CHUNK = 131072
 #: Rows of one Monte Carlo chunk: small enough that a chunk's arrays stay
 #: near the cache, and the unit of work handed to the threads.
 _MC_ROWS = 16384
-#: Threads of the pool that runs every Monte Carlo chunk after the first.
+#: Threads that run a Monte Carlo call's chunks after the first.
 _MC_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _mc_pool():
-    """The chunk thread pool, started on the first call that needs it."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: at module import it would add ~5 ms to every import
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_MC_WORKERS, thread_name_prefix="su3geom-mc")
-    return _pool
-
-
-def _forget_pool():
-    """In a forked child: the pool object came along, its threads did not."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _chunk_moments(f, seed, start, stop):
@@ -234,25 +210,26 @@ def mc_moments(f, n, seed):
 
     Chunk 0 runs on the calling thread, so an integrand that fails does so
     after one call; the other chunks run on up to ``_MC_WORKERS`` threads
-    at once, so ``f`` must not mutate shared state.  The chunk sums are
-    added in chunk order, so the result does not depend on the thread
-    count.  If a chunk raises, the chunks not yet started are cancelled
-    and the error is raised here.
+    at once, so ``f`` must not mutate shared state.  The threads start and
+    are joined within the call.  The chunk sums are added in chunk order,
+    so the result does not depend on the thread count.  If a chunk raises,
+    the chunks not yet started are cancelled and the error is raised here.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n = {n}")
     bounds = [(start, min(start + _MC_ROWS, n)) for start in range(0, n, _MC_ROWS)]
     total, total_sq = _chunk_moments(f, seed, *bounds[0])
     if len(bounds) > 1:
-        pool = _mc_pool()
-        futures = [pool.submit(_chunk_moments, f, seed, *b) for b in bounds[1:]]
+        # imported here: at module import it would add ~5 ms to every import
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(_MC_WORKERS, thread_name_prefix="su3geom-mc")
         try:
+            futures = [pool.submit(_chunk_moments, f, seed, *b) for b in bounds[1:]]
             for future in futures:
                 s, sq = future.result()
                 total, total_sq = total + s, total_sq + sq
         finally:
-            for future in futures:
-                future.cancel()
+            pool.shutdown(cancel_futures=True)
     mean = total / n
     return mean, np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
 

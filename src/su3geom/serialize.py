@@ -19,8 +19,9 @@ def matrix_from_json(obj):
     """The 3x3 complex matrix written by ``matrix_to_json``."""
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError('expected an object with "re" and "im" matrices')
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
+    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+        raise ValueError("matrix entries must be numbers")
     if re.shape != (3, 3) or im.shape != (3, 3):
         raise ValueError(f"expected (3, 3) matrices, got {re.shape} / {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

@@ -157,6 +157,22 @@ def test_decompose_nonfinite_usage_error():
     assert "finite" in proc.stderr
 
 
+def test_decompose_non_numeric_entry_usage_error():
+    obj = matrix_to_json(np.eye(3, dtype=complex))
+    obj["re"][2][2] = {}
+    proc = run_cli("decompose", stdin=json.dumps(obj))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+
+
+def test_decompose_file_not_utf8_usage_error(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_bytes(b'{"re": \xff}')
+    proc = run_cli("decompose", "--file", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("suite,points", [("measure", 1), ("frames", 0),
                                           ("forms", 0), ("all", 1)])
 def test_verify_too_few_points_usage_error(suite, points):

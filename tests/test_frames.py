@@ -255,12 +255,15 @@ def test_single_point_functions_reject_batches_and_nonfinite(fn):
     x = haar_interior_points(2, seed=5)
     with pytest.raises(ValueError, match="expected 8 angles"):
         fn(x)
-    bad = x[0].copy()
-    bad[3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        fn(bad)
-    with pytest.raises(ValueError, match="finite"):
-        fn(EulerAngles.from_array(bad))
+    with pytest.raises(ValueError, match=r"got shape \(7,\)"):
+        fn(x[0, :7])
+    for t in (np.nan, np.inf):
+        bad = x[0].copy()
+        bad[3] = t
+        with pytest.raises(ValueError, match="finite"):
+            fn(bad)
+        with pytest.raises(ValueError, match="finite"):
+            fn(EulerAngles.from_array(bad))
 
 
 def test_adjoint_identity():

@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -213,10 +214,7 @@ def test_mc_moments_is_the_same_for_any_thread_count(monkeypatch):
     results = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(haar, "_MC_WORKERS", workers)
-        monkeypatch.setattr(haar, "_pool", None)
         results.append(mc_moments(verify.schur_integrands, n, seed))
-        assert haar._pool._max_workers == workers
-        haar._pool.shutdown()
     for mean, se in results[1:]:
         assert np.array_equal(mean, results[0][0])
         assert np.array_equal(se, results[0][1])
@@ -224,6 +222,10 @@ def test_mc_moments_is_the_same_for_any_thread_count(monkeypatch):
 
 class FourthCall(Exception):
     pass
+
+
+def mc_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("su3geom-mc")]
 
 
 def test_mc_error_in_a_pool_chunk_is_raised():
@@ -236,19 +238,19 @@ def test_mc_error_in_a_pool_chunk_is_raised():
 
     with pytest.raises(FourthCall):
         integrate_mc(fails_on_fourth_call, 8 * haar._MC_ROWS, 1)
-    # the pool still runs the next call
+    # each call joins its threads, whether it raises or returns
+    assert mc_threads() == []
     r = integrate_mc(lambda us: np.ones(len(us)), 8 * haar._MC_ROWS, 1)
     assert r.estimate == 1.0
+    assert mc_threads() == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork test runs on Linux")
 @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
 def test_forked_child_runs_monte_carlo():
-    # the child inherits the pool object but not its threads; once every
-    # pool thread has started, the pool starts no more, so without a fresh
-    # pool the child's chunks would wait forever
+    # a child forked after Monte Carlo calls inherits no threads, and its
+    # own calls must still run every chunk
     mc_moments(verify.schur_integrands, 8 * haar._MC_ROWS, 1)
-    assert len(haar._pool._threads) == haar._MC_WORKERS
     pid = os.fork()
     if pid == 0:
         code = 1

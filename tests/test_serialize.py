@@ -22,6 +22,10 @@ def test_matrix_rejects_malformed():
         matrix_from_json({"re": [[1, 2], [3, 4]], "im": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError):
         matrix_from_json([1, 2, 3])
+    for entry in ({}, "1", None):
+        re = [[1, 0, 0], [0, 1, 0], [0, 0, entry]]
+        with pytest.raises(ValueError, match="numbers"):
+            matrix_from_json({"re": re, "im": [[0] * 3] * 3})
 
 
 def test_angles_roundtrip():
