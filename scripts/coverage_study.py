@@ -32,18 +32,10 @@ def qr_haar_su3(n, seed):
 
 
 def stated_box_sample(n, seed):
-    """Sampler restricted to the stated ranges (gamma < pi, phi < 2 pi)."""
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, 8))
-    x = np.empty_like(u)
-    x[:, 0] = math.pi * u[:, 0]
-    x[:, 1] = np.arcsin(np.sqrt(u[:, 1]))
-    x[:, 2] = math.pi * u[:, 2]
-    x[:, 3] = np.arcsin(u[:, 3] ** 0.25)
-    x[:, 4] = math.pi * u[:, 4]
-    x[:, 5] = np.arcsin(np.sqrt(u[:, 5]))
-    x[:, 6] = math.pi * u[:, 6]
-    x[:, 7] = 2 * math.pi * u[:, 7]
+    """The sampler's inverse CDFs over the stated ranges (gamma < pi, phi < 2 pi)."""
+    x = sample_angles(n, seed)
+    x[:, 2] /= 2
+    x[:, 7] *= 2 * math.pi / PHI_PERIOD
     return x
 
 

@@ -28,26 +28,20 @@ available.  Three range boxes matter:
     Covers the group uniformly eight times (the constant cancels in
     normalized integrals) and makes every flat coordinate a full circle,
     so periodic quadrature nodes are spectrally accurate.  Default box for
-    ``quadrature_mean``, the one product-rule grid loop, and its wrapper
-    ``integrate_quadrature``.  Each half-grid is composed once and a node
-    costs one 3x3 product; blocks stream, so memory stays flat, and
-    ``NODE_CAP`` bounds the run time.
+    ``quadrature_mean``, which composes each half-grid once; a node costs
+    one 3x3 product, memory stays flat, and ``NODE_CAP`` bounds the run time.
 
 Both integrators average functions on the group, not on the chart: the
 integrand maps an (m, 3, 3) stack of sampled or composed elements to (m,).
-The Monte Carlo integrand may run on several threads at once, so it must
-not mutate shared state; every integrand in this package is pure.
+Both run it on blocks of elements, several threads at once, and add the
+block sums in block order (``_ordered_sums``): the result is the same, bit
+for bit, for any number of threads or cores, and an integrand must not
+mutate shared state.  Every integrand in this package is pure.
 
 All randomness comes from one counter-based (Philox) stream keyed by the
-seed: results are a deterministic function of (seed, n), and a shorter run
-draws a prefix of a longer one.  Derived streams take ``sub_seed(seed, k)``.
-
-``mc_moments`` cuts the stream into chunks of ``_MC_ROWS`` rows.  A
-counter-based stream can start any chunk exactly where the one sequential
-stream would be, so chunk 0 runs on the caller's thread and the rest on a
-few threads that the call starts and joins before it returns, while the
-chunk sums are added in stream order: the result is the same, bit for
-bit, for any number of threads or cores.
+seed: results are a deterministic function of (seed, n), a shorter run
+draws a prefix of a longer one, and any block of rows can be drawn on its
+own.  Derived streams take ``sub_seed(seed, k)``.
 """
 
 from __future__ import annotations
@@ -129,13 +123,6 @@ def density_from_coframe(x):
 # ---------------------------------------------------------------------------
 
 
-def _stream(seed, row=0):
-    """The one Philox stream behind every draw made with this seed, from
-    the given row of 8 doubles on (a Philox block holds 4 doubles)."""
-    bits = np.random.Philox(key=np.uint64(sub_seed(seed, 0)))
-    return np.random.Generator(bits.advance(2 * row))
-
-
 def sub_seed(seed, k):
     """The k-th stream seed derived from a valid seed, wrapped into [0, 2^64)."""
     if not 0 <= seed < 2 ** 64:
@@ -157,6 +144,12 @@ def _angles_from_uniform(u):
     return x
 
 
+def _sample_rows(seed, start, stop):
+    """Haar angles for rows [start, stop) of the seed's Philox stream (2 counters a row)."""
+    bits = np.random.Philox(key=np.uint64(sub_seed(seed, 0))).advance(2 * start)
+    return _angles_from_uniform(np.random.Generator(bits).random((stop - start, 8)))
+
+
 def sample_angles(n, seed):
     """(n, 8) i.i.d. Haar angles; deterministic in (seed, n).
 
@@ -165,7 +158,7 @@ def sample_angles(n, seed):
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n = {n}")
-    return _angles_from_uniform(_stream(seed).random((n, 8)))
+    return _sample_rows(seed, 0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -182,54 +175,53 @@ class IntegrationResult:
     elapsed_s: float
 
 
-_CHUNK = 131072
-
-#: Rows of one Monte Carlo chunk: small enough that a chunk's arrays stay
-#: near the cache, and the unit of work handed to the threads.
-_MC_ROWS = 16384
-#: Threads that run a Monte Carlo call's chunks after the first.
-_MC_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
+#: Rows or quadrature nodes in one block of an ordered sum: the unit of work
+#: handed to the threads, small enough that a block's arrays stay near the cache.
+_BLOCK_ROWS = 16384
+#: Threads that run an ordered sum's blocks after the first.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
-def _chunk_moments(f, seed, start, stop):
-    """Sums of f and |f|^2 over rows [start, stop) of the seed's sample stream."""
-    xs = _angles_from_uniform(_stream(seed, start).random((stop - start, 8)))
-    vals = np.asarray(f(compose_many(xs)))
-    return vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+def _ordered_sums(fn, blocks):
+    """The tuples ``fn(block)`` summed over ``blocks``, added in block order.
+
+    Block 0 runs on the calling thread, so an integrand that fails does so
+    after one call; the others run on up to ``_WORKERS`` threads that start
+    and are joined within the call, so ``fn`` and its integrand may run on
+    several threads at once and must not mutate shared state.  If a block
+    raises, the blocks not yet started are cancelled and the error is raised.
+    """
+    totals = fn(blocks[0])
+    if len(blocks) > 1:
+        # imported here: at module import it would add ~5 ms to every import
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="su3geom-mc")
+        try:
+            for future in [pool.submit(fn, block) for block in blocks[1:]]:
+                totals = tuple(t + s for t, s in zip(totals, future.result()))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return totals
 
 
 def mc_moments(f, n, seed):
     """Sample mean and standard error of f over n Haar-distributed elements.
 
-    The elements are ``compose_many(sample_angles(n, seed))``, drawn and
-    composed ``_MC_ROWS`` rows at a time; ``f`` maps each (m, 3, 3) stack
-    to an array of shape (m,) or (m, ...), and both moments are summed
-    over axis 0.  The standard error is the sample standard deviation of f
-    over sqrt(n), entry by entry.
-
-    Chunk 0 runs on the calling thread, so an integrand that fails does so
-    after one call; the other chunks run on up to ``_MC_WORKERS`` threads
-    at once, so ``f`` must not mutate shared state.  The threads start and
-    are joined within the call.  The chunk sums are added in chunk order,
-    so the result does not depend on the thread count.  If a chunk raises,
-    the chunks not yet started are cancelled and the error is raised here.
+    The elements are ``compose_many(sample_angles(n, seed))`` in blocks of
+    ``_BLOCK_ROWS`` rows; ``f`` maps each (m, 3, 3) stack to shape (m,) or
+    (m, ...), and both moments are summed over axis 0.  The standard error
+    is the sample standard deviation of f over sqrt(n), entry by entry.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n = {n}")
-    bounds = [(start, min(start + _MC_ROWS, n)) for start in range(0, n, _MC_ROWS)]
-    total, total_sq = _chunk_moments(f, seed, *bounds[0])
-    if len(bounds) > 1:
-        # imported here: at module import it would add ~5 ms to every import
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(_MC_WORKERS, thread_name_prefix="su3geom-mc")
-        try:
-            futures = [pool.submit(_chunk_moments, f, seed, *b) for b in bounds[1:]]
-            for future in futures:
-                s, sq = future.result()
-                total, total_sq = total + s, total_sq + sq
-        finally:
-            pool.shutdown(cancel_futures=True)
+
+    def chunk_moments(start):
+        xs = _sample_rows(seed, start, min(start + _BLOCK_ROWS, n))
+        vals = np.asarray(f(compose_many(xs)))
+        return vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+
+    total, total_sq = _ordered_sums(chunk_moments, range(0, n, _BLOCK_ROWS))
     mean = total / n
     return mean, np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
 
@@ -245,9 +237,8 @@ def _complex_values(vals, m):
 def integrate_mc(f, n, seed, *, vectorized=True):
     """Haar average of f over n sampled group elements.
 
-    ``f`` maps an (m, 3, 3) stack of elements to (m,) values, and may run
-    on several threads at once (see ``mc_moments``).  Samples already
-    follow the Haar density, so the plain mean over the stream of
+    ``f`` maps an (m, 3, 3) stack of elements to (m,) values.  Samples
+    already follow the Haar density, so the plain mean over the stream of
     ``mc_moments`` is the normalized integral; ``std_error`` is the sample
     standard deviation of f over sqrt(n).
     """
@@ -263,7 +254,7 @@ def integrate_mc(f, n, seed, *, vectorized=True):
 
 
 #: Cap on the total quadrature grid size, set by run time: 8 nodes per axis
-#: take about 3 s on two cores.  Memory does not grow with the grid.
+#: take about 2 s on two cores.  Memory does not grow with the grid.
 NODE_CAP = 8 ** 8
 
 
@@ -319,11 +310,12 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
     (m,) or (m, ...); every trailing entry is averaged with the same
     weights, so several integrands share one pass over the grid.  A node's
     element is a left half-grid element (axes 0-3) times a right one (axes
-    4-7): ``compose_many`` runs once per half-grid, and each node costs one
-    3x3 product, in blocks of whole left rows (about ``_CHUNK`` nodes) in C
-    order.  The sum is normalized by the same rule applied to f == 1, so
-    any constant covering multiplicity of the range box cancels.  Default
-    box is ``RANGES_QUAD``.  Returns ``(mean, n_nodes)``.
+    4-7): ``compose_many`` runs once per half-grid, and ``_ordered_sums``
+    forms the nodes by one 3x3 product each, in blocks of whole left rows
+    (about ``_BLOCK_ROWS`` nodes in C order) on several threads at once.
+    The sum is normalized by f == 1 under the same rule, so any constant
+    covering multiplicity of the range box cancels.  Default box is
+    ``RANGES_QUAD``.  Returns ``(mean, n_nodes)``.
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per dimension, got {nodes_per_dim}")
@@ -337,9 +329,9 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
         raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
     (left, w_left), (right, w_right) = (_half_grid(xs, ws, slice(h, h + 4)) for h in (0, 4))
     right_cols = right.transpose(1, 0, 2).reshape(3, -1)
-    rows = max(1, _CHUNK // len(right))
-    acc = w_sum = 0.0
-    for start in range(0, len(left), rows):
+    rows = max(1, _BLOCK_ROWS // len(right))
+
+    def block_sums(start):
         block = left[start:start + rows]
         # nodes in C order; rebinding frees the product before f runs
         nodes = (block.reshape(-1, 3) @ right_cols).reshape(len(block), 3, len(right), 3)
@@ -349,8 +341,9 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
         # C order makes each entry's terms contiguous, so numpy sums them
         # pairwise exactly as it sums that entry's (m,) values alone
         terms = np.multiply(W, np.moveaxis(vals, 0, -1), order="C")
-        acc = acc + terms.sum(axis=-1)
-        w_sum += W.sum()
+        return terms.sum(axis=-1), W.sum()
+
+    acc, w_sum = _ordered_sums(block_sums, range(0, len(left), rows))
     return acc / w_sum, total_nodes
 
 

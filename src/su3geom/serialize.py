@@ -20,7 +20,9 @@ def matrix_from_json(obj):
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError('expected an object with "re" and "im" matrices')
     re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
-    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+    entries = np.asarray([obj["re"], obj["im"]], dtype=object).ravel()
+    if (re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf"
+            or any(isinstance(v, bool) for v in entries)):
         raise ValueError("matrix entries must be numbers")
     if re.shape != (3, 3) or im.shape != (3, 3):
         raise ValueError(f"expected (3, 3) matrices, got {re.shape} / {im.shape}")

@@ -158,11 +158,13 @@ def test_decompose_nonfinite_usage_error():
 
 
 def test_decompose_non_numeric_entry_usage_error():
-    obj = matrix_to_json(np.eye(3, dtype=complex))
-    obj["re"][2][2] = {}
-    proc = run_cli("decompose", stdin=json.dumps(obj))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
+    # numpy alone would read a JSON true among numbers as 1
+    for entry in ({}, True):
+        obj = matrix_to_json(np.eye(3, dtype=complex))
+        obj["re"][2][2] = entry
+        proc = run_cli("decompose", stdin=json.dumps(obj))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
 
 
 def test_decompose_file_not_utf8_usage_error(tmp_path):

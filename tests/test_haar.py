@@ -192,7 +192,7 @@ def test_mc_scalar_integrands_are_rejected():
 
 def test_mc_moments_keeps_trailing_shape():
     # four chunks, the last one of 5 rows
-    n, seed = 3 * haar._MC_ROWS + 5, 21
+    n, seed = 3 * haar._BLOCK_ROWS + 5, 21
 
     def f(us):
         return np.abs(us[:, :2, :]) ** 2  # (m, 2, 3): first two rows
@@ -210,14 +210,15 @@ def test_mc_needs_two_samples():
 
 
 def test_mc_moments_is_the_same_for_any_thread_count(monkeypatch):
-    n, seed = 3 * haar._MC_ROWS + 5, 8
+    n, seed = 3 * haar._BLOCK_ROWS + 5, 8
     results = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(haar, "_MC_WORKERS", workers)
-        results.append(mc_moments(verify.schur_integrands, n, seed))
-    for mean, se in results[1:]:
-        assert np.array_equal(mean, results[0][0])
-        assert np.array_equal(se, results[0][1])
+        monkeypatch.setattr(haar, "_WORKERS", workers)
+        results.append((*mc_moments(verify.schur_integrands, n, seed),
+                        quadrature_mean(verify.schur_integrands, 4)[0]))
+    for result in results[1:]:
+        for got, expected in zip(result, results[0]):
+            assert np.array_equal(got, expected)
 
 
 class FourthCall(Exception):
@@ -228,7 +229,11 @@ def mc_threads():
     return [t for t in threading.enumerate() if t.name.startswith("su3geom-mc")]
 
 
-def test_mc_error_in_a_pool_chunk_is_raised():
+@pytest.mark.parametrize("integrate", [
+    lambda f: integrate_mc(f, 8 * haar._BLOCK_ROWS, 1),
+    lambda f: integrate_quadrature(f, 5),  # 25 blocks of 26 left rows or fewer
+], ids=["integrate_mc", "integrate_quadrature"])
+def test_mc_error_in_a_pool_chunk_is_raised(integrate):
     calls = itertools.count(1)  # next() is atomic, so threads share it safely
 
     def fails_on_fourth_call(us):
@@ -237,10 +242,10 @@ def test_mc_error_in_a_pool_chunk_is_raised():
         return np.ones(len(us))
 
     with pytest.raises(FourthCall):
-        integrate_mc(fails_on_fourth_call, 8 * haar._MC_ROWS, 1)
+        integrate(fails_on_fourth_call)
     # each call joins its threads, whether it raises or returns
     assert mc_threads() == []
-    r = integrate_mc(lambda us: np.ones(len(us)), 8 * haar._MC_ROWS, 1)
+    r = integrate(lambda us: np.ones(len(us)))
     assert r.estimate == 1.0
     assert mc_threads() == []
 
@@ -250,12 +255,12 @@ def test_mc_error_in_a_pool_chunk_is_raised():
 def test_forked_child_runs_monte_carlo():
     # a child forked after Monte Carlo calls inherits no threads, and its
     # own calls must still run every chunk
-    mc_moments(verify.schur_integrands, 8 * haar._MC_ROWS, 1)
+    mc_moments(verify.schur_integrands, 8 * haar._BLOCK_ROWS, 1)
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            verify.character_integrals_mc(3 * haar._MC_ROWS, 1)
+            verify.character_integrals_mc(3 * haar._BLOCK_ROWS, 1)
             code = 0
         finally:
             os._exit(code)
@@ -337,7 +342,7 @@ def whole_grid_mean(f, nodes, ranges):
 def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
     schur = verify.schur_integrands
     expected = whole_grid_mean(schur, nodes, ranges)
-    # 1000-node chunks: several blocks of whole left rows, the last one
+    # 1000-node blocks: several blocks of whole left rows, the last one
     # partial except at 3 nodes over RANGES_QUAD
     glx, glw = np.polynomial.legendre.leggauss(nodes)
     sizes = [len(haar._quad_axis(dim, lo, hi, nodes, glx, glw)[0])
@@ -345,25 +350,26 @@ def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
     left, rows = math.prod(sizes[:4]), max(1, 1000 // math.prod(sizes[4:]))
     assert left // rows > 5
     assert (left % rows != 0) == (ranges is not RANGES_QUAD or nodes != 3)
-    monkeypatch.setattr(haar, "_CHUNK", 1000)
+    monkeypatch.setattr(haar, "_BLOCK_ROWS", 1000)
     means, _ = quadrature_mean(schur, nodes, ranges)
     assert np.max(np.abs(means - expected)) <= 1e-15
-    # 50-node chunks, below every right half-grid here (81 to 256 nodes):
+    # 50-node blocks, below every right half-grid here (81 to 256 nodes):
     # each block holds one left row
-    monkeypatch.setattr(haar, "_CHUNK", 50)
+    monkeypatch.setattr(haar, "_BLOCK_ROWS", 50)
     means, _ = quadrature_mean(schur, nodes, ranges)
     assert np.max(np.abs(means - expected)) <= 1e-15
 
 
 def test_character_quadrature_memory_peak():
-    # the whole 5-node grid took 137 MB; one block at a time takes about 56
+    # the whole 5-node grid took 137 MB, 131 072-node blocks one at a time
+    # about 56; 16 384-node blocks, a few at once, take about 11
     tracemalloc.start()
     try:
         verify.character_integrals_quadrature(5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 90e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    assert peak <= 30e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_quadrature_node_cap():

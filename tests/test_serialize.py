@@ -22,10 +22,13 @@ def test_matrix_rejects_malformed():
         matrix_from_json({"re": [[1, 2], [3, 4]], "im": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError):
         matrix_from_json([1, 2, 3])
-    for entry in ({}, "1", None):
+    # a JSON true or false among numbers is not read as 1 or 0
+    for entry in ({}, "1", None, True, False):
         re = [[1, 0, 0], [0, 1, 0], [0, 0, entry]]
         with pytest.raises(ValueError, match="numbers"):
             matrix_from_json({"re": re, "im": [[0] * 3] * 3})
+        with pytest.raises(ValueError, match="numbers"):
+            matrix_from_json({"re": [[0] * 3] * 3, "im": re})
 
 
 def test_angles_roundtrip():
