@@ -14,14 +14,17 @@ available.  Three range boxes matter:
     analogy and a sphere-volume argument.  Integrating the density over
     them gives pi^5 — but the box does NOT tile the group: the phi factor
     has period 2 sqrt(3) pi, and the (alpha, gamma) pair only reaches half
-    of its SU(2) subgroup.  Sampling it is measurably non-uniform
-    (E[tr U] comes out ~0.068 instead of 0).
+    of its SU(2) subgroup.  Averaging over it is measurably biased
+    (``test_quadrature_over_stated_ranges_is_biased``: |E[tr U]| comes
+    out 0.069 at 6 nodes instead of 0).
 
 ``RANGES_COVER``
-    Same but gamma in [0, 2 pi) and phi in [0, 2 sqrt(3) pi).  Covers the
-    group exactly once (verified against QR-decomposition Haar sampling);
-    density integral 2 sqrt(3) pi^5.  The sampler and all normalized
-    integrals use this box.
+    Same but gamma in [0, 2 pi) and phi in [0, 2 sqrt(3) pi); density
+    integral 2 sqrt(3) pi^5.  Covers the group exactly once, up to a null
+    set: ``decompose`` puts every element in it, and its coframe volume
+    sqrt(3) pi^5 is the Riemannian volume of SU(3) (Macdonald, Invent.
+    Math. 56 (1980) 93); ``verify`` checks both.  The sampler and all
+    normalized integrals use this box.
 
 ``RANGES_QUAD``
     All four flat SU(2) phases widened to [0, 2 pi), phi the full period.
@@ -110,10 +113,12 @@ def density(x):
 def density_from_coframe(x):
     """|det| of the left coframe: the volume density measured intrinsically.
 
-    Equals ``density(x) / 2`` at every interior point (the closed form is
-    normalized differently by a constant factor); the constancy of the
-    ratio — not its value — is the meaningful check, and the right coframe
-    gives the same constant (unimodularity).  Accepts (8,) or (n, 8).
+    Equals ``density(x) / 2`` at every interior point, and the right
+    coframe gives the same constant (unimodularity).  The value 1/2 is the
+    Riemannian normalization: the coframe is dual to the i lam_k, which are
+    orthonormal under tr(X^+ Y)/2, so ``verify``'s ``measure.cover_volume``
+    compares half the density integral with the volume of SU(3).  Accepts
+    (8,) or (n, 8).
     """
     return np.abs(np.linalg.det(left_coframe(x).entries))
 

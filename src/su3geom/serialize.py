@@ -19,7 +19,10 @@ def matrix_from_json(obj):
     """The 3x3 complex matrix written by ``matrix_to_json``."""
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError('expected an object with "re" and "im" matrices')
-    re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
+    try:
+        re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
+    except ValueError:  # rows of different lengths or depths have no shape
+        raise ValueError("expected (3, 3) matrices, got ragged rows") from None
     entries = np.asarray([obj["re"], obj["im"]], dtype=object).ravel()
     if (re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf"
             or any(isinstance(v, bool) for v in entries)):

@@ -338,9 +338,7 @@ def suite_frames(n_points, seed):
         detail="alpha/beta rows (left) and c/phi rows (right) in closed form"))
 
     # adjoint representation
-    rng = np.random.default_rng(haar.sub_seed(seed, 1))
-    pairs = compose_many(np.concatenate(
-        [haar.sample_angles(2, int(rng.integers(1 << 31))) for _ in range(20)]))
+    pairs = compose_many(haar.sample_angles(40, haar.sub_seed(seed, 1)))
     U, V = pairs[0::2], pairs[1::2]
     R_u, R_v = adjoint_matrix(U), adjoint_matrix(V)
     worst_orth = float(max(
@@ -498,15 +496,14 @@ def suite_forms(n_points, seed):
         name="forms.density_ratio_left_right", residual=same, threshold=1e-8,
         detail="left and right determinants give the same constant"))
 
-    # invariance under translation: the defining property, via pullback
-    rng = np.random.default_rng(haar.sub_seed(seed, 3))
+    # invariance under translation: the defining property, via pullback,
+    # at the first 10 of 200 (point, element) pairs whose stencils stay
+    # inside the canonical box
+    xs = haar_interior_points(200, haar.sub_seed(seed, 100), margin=0.15)
+    gs = compose_many(haar.sample_angles(200, haar.sub_seed(seed, 3)))
     worst_inv = worst_cov = 0.0
-    tried = 0
     done = 0
-    while done < 10 and tried < 200:
-        tried += 1
-        x = haar_interior_points(1, haar.sub_seed(seed, 100 + tried), margin=0.15)[0]
-        g = compose(haar.sample_angles(1, int(rng.integers(1 << 31)))[0])
+    for x, g in zip(xs, gs):
         r_inv = _translation_pullback_residual(x, g, "right")
         r_cov = _translation_pullback_residual(x, g, "left")
         if r_inv is None or r_cov is None:
@@ -514,6 +511,8 @@ def suite_forms(n_points, seed):
         worst_inv = max(worst_inv, r_inv)
         worst_cov = max(worst_cov, r_cov)
         done += 1
+        if done == 10:
+            break
     checks.append(CheckResult(
         name="forms.invariance_right_translation", residual=worst_inv,
         threshold=1e-6,
@@ -660,6 +659,24 @@ def suite_measure(n_mc, seed):
                f"{mc.estimate.real:+.5f}{mc.estimate.imag:+.5f}i "
                f"(se {mc.std_error:.1e})"))
 
+    # decompose puts every element in the cover box (decompose_roundtrip);
+    # if the box's coframe volume is vol SU(3), the mean number of preimages
+    # is 1.  Macdonald (Invent. Math. 56 (1980) 93) gives vol SU(n) for the
+    # metric tr(X^+ Y); the coframe is dual to the i lam_k, orthonormal
+    # under tr(X^+ Y)/2, which scales the volume by 2^(-dim/2).
+    n = 3
+    macdonald = (math.sqrt(n) * (2 * math.pi) ** ((n * n + n - 2) // 2)
+                 / math.prod(math.factorial(k) for k in range(1, n)))
+    riemannian = macdonald * 2.0 ** (-(n * n - 1) / 2)
+    pts = haar_interior_points(20, haar.sub_seed(seed, 30))
+    ratio = float(np.mean(haar.density_from_coframe(pts) / haar.density(pts)))
+    vol = ratio * haar.group_volume(haar.RANGES_COVER)
+    checks.append(CheckResult(
+        name="measure.cover_volume", residual=abs(vol - riemannian) / riemannian,
+        threshold=1e-12,
+        detail=f"coframe volume of the cover box {vol:.10f} vs Macdonald's "
+               f"vol SU(3) = sqrt(3) pi^5 = {riemannian:.10f}"))
+
     vol = haar.group_volume()
     err = abs(vol - math.pi ** 5) / math.pi ** 5
     checks.append(CheckResult(
@@ -714,9 +731,12 @@ def suite_measure(n_mc, seed):
         for u in U:
             rep = decompose(u, full_output=True)
             worst = max(worst, rep.residual)
+            if not rep.angles.is_canonical():
+                worst = max(worst, 1.0)
     checks.append(CheckResult(
         name="measure.decompose_roundtrip", residual=worst, threshold=1e-9,
-        detail="||compose(decompose(U)) - U||_F on 150 sampled elements"))
+        detail="||compose(decompose(U)) - U||_F on 150 sampled elements, "
+               "each inside the cover box"))
 
     return checks
 

@@ -50,6 +50,7 @@ def test_verify_measure_json_output():
     payload = json.loads(proc.stdout)
     assert payload["passed"] is True
     assert all(c["passed"] is True for c in payload["measure"])
+    assert "measure.cover_volume" in {c["name"] for c in payload["measure"]}
 
 
 def test_check_result_passed_is_residual_within_threshold():
@@ -165,6 +166,14 @@ def test_decompose_non_numeric_entry_usage_error():
         proc = run_cli("decompose", stdin=json.dumps(obj))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+
+def test_decompose_ragged_rows_usage_error():
+    obj = matrix_to_json(np.eye(3, dtype=complex))
+    obj["im"][2][2] = [1]
+    proc = run_cli("decompose", stdin=json.dumps(obj))
+    assert proc.returncode == 2
+    assert "expected (3, 3) matrices" in proc.stderr
 
 
 def test_decompose_file_not_utf8_usage_error(tmp_path):

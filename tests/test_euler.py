@@ -187,15 +187,20 @@ def test_decompose_single_theta_factor():
 def test_decompose_roundtrip_haar():
     us = qr_haar_su3(300, 99)
     worst = 0.0
-    n_gamma_ext = 0
+    n_gamma_ext = n_phi_ext = 0
     for u in us:
         rep = decompose(u, full_output=True)
         worst = max(worst, rep.residual)
         n_gamma_ext += rep.gamma_extended
+        n_phi_ext += rep.phi_extended
         assert rep.angles.is_canonical(tol=1e-12)
     assert worst <= 1e-9
     # about half of the group lives in the gamma >= pi sheet
     assert 0.35 < n_gamma_ext / len(us) < 0.65
+    # a box that covers once makes phi uniform on [0, 2 sqrt(3) pi), so a
+    # fraction 1 - 1/sqrt(3) of the elements needs phi >= 2 pi
+    p = 1 - 1 / SQRT3
+    assert abs(n_phi_ext / len(us) - p) <= 4 * math.sqrt(p * (1 - p) / len(us))
 
 
 def test_decompose_recovers_sampler_angles():

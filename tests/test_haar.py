@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from su3geom import haar, verify
-from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many
+from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many, decompose
 from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
                           character, density,
                           density_from_coframe, group_volume, integrate_mc,
@@ -472,6 +473,35 @@ def test_volume_report_fields():
     assert rep["sphere_product_target"] == pytest.approx(2 * PI ** 5)
     assert rep["analytic_over_target"] == pytest.approx(0.5, rel=1e-12)
     assert "note" in rep
+
+
+def measure_check(name):
+    return next(c for c in verify.suite_measure(1000, 7) if c.name == name)
+
+
+@pytest.mark.parametrize("ranges,multiplicity", [
+    (RANGES_COVER, 1.0), (RANGES_STATED, 1 / (2 * math.sqrt(3.0))),
+    (RANGES_QUAD, 8.0)], ids=["cover", "stated", "quad"])
+def test_cover_volume_check_rejects_other_boxes(monkeypatch, ranges, multiplicity):
+    # the stated box misses part of the group; RANGES_QUAD covers it 8 times
+    monkeypatch.setattr(haar, "RANGES_COVER", ranges)
+    check = measure_check("measure.cover_volume")
+    assert check.residual == pytest.approx(abs(multiplicity - 1.0), abs=1e-12)
+    assert check.passed == (ranges is RANGES_COVER)
+
+
+def test_decompose_roundtrip_check_rejects_angles_outside_the_box(monkeypatch):
+    # gamma + 2 pi gives the same element, so only the box test can fail
+    def shifted(u, full_output=False):
+        rep = decompose(u, full_output=True)
+        x = rep.angles.as_array()
+        x[2] += 2 * PI
+        return dataclasses.replace(rep, angles=EulerAngles.from_array(x))
+
+    assert measure_check("measure.decompose_roundtrip").passed
+    monkeypatch.setattr(verify, "decompose", shifted)
+    check = measure_check("measure.decompose_roundtrip")
+    assert check.residual == 1.0 and not check.passed
 
 
 # ---------------------------------------------------------------------------

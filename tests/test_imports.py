@@ -1,10 +1,13 @@
-"""Every imported name is used somewhere in its module, and every derived
-seed goes through ``haar.sub_seed``.
+"""Every imported name is used somewhere in its module, every derived
+seed goes through ``haar.sub_seed``, and all randomness comes from
+``haar._sample_rows``.
 
 No linter ships with the project, so this parses the package modules,
 the scripts and the tests with ``ast`` and fails on any imported name
-that the module never references, and on any ``seed + k`` written by hand
-in the package or the scripts: such a sum can leave [0, 2^64).
+that the module never references, on any ``seed + k`` written by hand
+in the package or the scripts (such a sum can leave [0, 2^64)), and on
+any use of ``numpy.random`` in the package or the scripts outside
+``haar._sample_rows``, the one Philox stream that the sampler draws from.
 """
 
 import ast
@@ -58,17 +61,20 @@ def _is_seed(node):
             or isinstance(node, ast.Attribute) and node.attr == "seed")
 
 
+def nodes_outside(source, function):
+    """The ast nodes of source that are not inside the named function."""
+    tree = ast.parse(source)
+    exempt = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == function
+              for n in ast.walk(f)}
+    return [n for n in ast.walk(tree) if id(n) not in exempt]
+
+
 def seed_additions(source):
     """Lines of source that add to a name or attribute called seed, outside
     the body of ``sub_seed``."""
-    tree = ast.parse(source)
-    exempt = {id(n) for f in ast.walk(tree)
-              if isinstance(f, ast.FunctionDef) and f.name == "sub_seed"
-              for n in ast.walk(f)}
     found = []
-    for n in ast.walk(tree):
-        if id(n) in exempt:
-            continue
+    for n in nodes_outside(source, "sub_seed"):
         if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
                 and (_is_seed(n.left) or _is_seed(n.right))
                 or isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add)
@@ -87,3 +93,33 @@ def test_seed_additions_are_found():
 @pytest.mark.parametrize("path", SEED_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_derived_seeds_go_through_sub_seed(path):
     assert seed_additions(path.read_text()) == []
+
+
+def random_uses(source):
+    """Lines of source that reach ``numpy.random``, by attribute or import,
+    outside the body of ``_sample_rows``."""
+    found = []
+    for n in nodes_outside(source, "_sample_rows"):
+        if (isinstance(n, ast.Attribute) and n.attr == "random"
+                and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy")
+                or isinstance(n, ast.Import)
+                and any(a.name.startswith("numpy.random") for a in n.names)
+                or isinstance(n, ast.ImportFrom)
+                and (n.module or "").startswith("numpy.random")
+                or isinstance(n, ast.ImportFrom) and n.module == "numpy"
+                and any(a.name == "random" for a in n.names)):
+            found.append(n.lineno)
+    return sorted(found)
+
+
+def test_random_uses_are_found():
+    source = ("def _sample_rows(seed):\n    return np.random.Philox(seed)\n"
+              "rng = np.random.default_rng(0)\nimport numpy.random\n"
+              "from numpy.random import Generator\nfrom numpy import random\n"
+              "x = numpy.random.random()\ny = rng.random()\n")
+    assert random_uses(source) == [3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("path", SEED_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_randomness_only_in_sample_rows(path):
+    assert random_uses(path.read_text()) == []

@@ -1,6 +1,4 @@
 import importlib.util
-import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +21,6 @@ def test_quadrature_convergence_stated_box_rows():
     for name, value, se, target in rows:
         assert isinstance(name, str) and se is None
         assert np.isfinite(value) and np.isfinite(target)
-
-
-def test_coverage_study_roundtrip(monkeypatch, capsys):
-    script = load_script("coverage_study")
-    monkeypatch.setattr(sys, "argv", ["coverage_study.py", "--n", "2000"])
-    script.main()
-    found = re.search(r"worst roundtrip residual over 2000 elements: (\S+)",
-                      capsys.readouterr().out)
-    assert found and float(found.group(1)) <= 1e-9
 
 
 def test_benchmark_trace_targets_exist():

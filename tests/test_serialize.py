@@ -22,6 +22,12 @@ def test_matrix_rejects_malformed():
         matrix_from_json({"re": [[1, 2], [3, 4]], "im": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError):
         matrix_from_json([1, 2, 3])
+    # ragged rows get the shape message, not numpy's
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for re, im in ((identity, [[0, 0, 0], [0, 0, 0], [0, 0, [1]]]),
+                   ([[1, 0], [0, 1, 0], [0, 0, 1]], [[0] * 3] * 3)):
+        with pytest.raises(ValueError, match=r"expected \(3, 3\) matrices"):
+            matrix_from_json({"re": re, "im": im})
     # a JSON true or false among numbers is not read as 1 or 0
     for entry in ({}, "1", None, True, False):
         re = [[1, 0, 0], [0, 1, 0], [0, 0, entry]]
