@@ -126,9 +126,6 @@ _FRAME_FNS = {
 
 
 def cmd_frames(args):
-    if len(args.point) != 8:
-        print("error: --point needs 8 angles", file=sys.stderr)
-        return EXIT_USAGE
     x = np.asarray(args.point, dtype=float)
     fn = _FRAME_FNS[(args.chirality, args.forms, args.closed)]
     try:

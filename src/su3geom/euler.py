@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gellmann import LAMBDA, SQRT3
+from .gellmann import SQRT3
 
 #: Full period of the R8(phi) factor.
 PHI_PERIOD = 2.0 * SQRT3 * math.pi
@@ -146,37 +146,6 @@ def factors(x):
     """The eight factor matrices of the product, in order."""
     x = _as_angle_array(x)
     return [factor_exponential(g, t) for g, t in zip(GENERATOR_SLOTS, x)]
-
-
-#: Row k keeps the angles before k (prefix) or from k on (suffix).
-_PREFIX = np.tril(np.ones((8, 8)), -1)
-_SUFFIX = np.triu(np.ones((8, 8)))
-
-#: lam_g for the generator g of each factor, in order.
-_GENERATORS = LAMBDA[np.array(GENERATOR_SLOTS) - 1]
-
-
-def _partial_products(x, mask):
-    """Row k of ``mask`` picks the factors of product k: (..., 8) -> (..., 8, 3, 3).
-
-    A factor at angle 0 is the identity, so zeroing the other angles leaves
-    the ordered product of the picked factors, which ``compose_many`` fills
-    in closed form.
-    """
-    return compose_many((x[..., None, :] * mask).reshape(-1, 8)).reshape(
-        x.shape[:-1] + (8, 3, 3))
-
-
-def partial_derivatives(x):
-    """Exact dD/dx_k for all eight coordinates: (8,) -> (8, 3, 3), (n, 8) -> (n, 8, 3, 3).
-
-    The derivative of the ordered product inserts i*generator in front of
-    the differentiated factor: d_k D = P_k (i lam_{g_k}) S_k, with P_k the
-    product of the factors before k and S_k the product from factor k on.
-    """
-    x = _as_angle_points(x)
-    return (_partial_products(x, _PREFIX) @ (1j * _GENERATORS)
-            @ _partial_products(x, _SUFFIX))
 
 
 def _closed_form(x):

@@ -30,9 +30,10 @@ available.  Three range boxes matter:
     All four flat SU(2) phases widened to [0, 2 pi), phi the full period.
     Covers the group uniformly eight times (the constant cancels in
     normalized integrals) and makes every flat coordinate a full circle,
-    so periodic quadrature nodes are spectrally accurate.  Default box for
-    ``quadrature_mean``, which composes each half-grid once; a node costs
-    one 3x3 product, memory stays flat, and ``NODE_CAP`` bounds the run time.
+    so midpoint nodes integrate its harmonics exactly.  Default box for
+    ``quadrature_mean``, exact on it for polynomials of bounded degree; it
+    composes each half-grid once, a node costs one 3x3 product, memory
+    stays flat, and ``NODE_CAP`` bounds the run time.
 
 Both integrators average functions on the group, not on the chart: the
 integrand maps an (m, 3, 3) stack of sampled or composed elements to (m,).
@@ -92,8 +93,9 @@ RANGES_QUAD = AngleRanges(alpha=(0.0, 2 * _PI), gamma=(0.0, 2 * _PI),
                           a=(0.0, 2 * _PI), c=(0.0, 2 * _PI),
                           phi=(0.0, PHI_PERIOD))
 
-#: Which coordinates carry a density factor ('flat' ones carry none).
-_WEIGHTED = {1: "sin2", 3: "sin2sq", 5: "sin2"}
+#: Weighted coordinate -> p: with s = sin^2 x, beta and b carry sin(2x) dx = ds
+#: and theta sin(2x) sin^2(x) dx = s ds, so each carries s^p ds; the rest none.
+_SIN2_POWER = {1: 0, 3: 1, 5: 0}
 #: Natural period of each flat coordinate.
 _FLAT_PERIOD = {0: 2 * _PI, 2: 2 * _PI, 4: 2 * _PI, 6: 2 * _PI, 7: PHI_PERIOD}
 
@@ -263,42 +265,32 @@ def integrate_mc(f, n, seed, *, vectorized=True):
 NODE_CAP = 8 ** 8
 
 
-def _gauss_legendre_axis(dim, lo, hi, glx, glw):
-    """Gauss-Legendre nodes on [lo, hi], with the axis' density factor
-    (if any) folded into the weights."""
-    x = (hi - lo) / 2 * glx + (hi + lo) / 2
-    w = glw * (hi - lo) / 2
-    if _WEIGHTED.get(dim) == "sin2":
-        w = w * np.sin(2 * x)
-    elif _WEIGHTED.get(dim) == "sin2sq":
-        w = w * np.sin(2 * x) * np.sin(x) ** 2
-    return x, w
-
-
 def _quad_axis(dim, lo, hi, nodes, glx, glw):
     """Nodes and density-folded weights for one coordinate axis.
 
-    Weighted coordinates (beta, b, theta) always use Gauss-Legendre with
-    the density factor folded into the weights.  Flat coordinates use
-    periodic midpoint nodes when the range is a whole number of natural
-    periods (spectrally exact for trigonometric integrands); otherwise
-    they fall back to Gauss-Legendre.
+    A weighted axis puts Gauss-Legendre nodes in s = sin^2 x on [sin^2 lo,
+    sin^2 hi], at x = arcsin(sqrt(s)) with s^p in the weights: exact for
+    polynomials in s of degree up to 2 nodes - 1 - p.  s is monotone only on
+    [0, pi/2], so a weighted range outside it raises ValueError.  A flat
+    axis takes midpoint nodes on a whole number of periods (exact on e^{ikx}
+    unless nodes divides k != 0), else Gauss-Legendre in x.
     """
-    if dim in _WEIGHTED:
-        return _gauss_legendre_axis(dim, lo, hi, glx, glw)
+    if dim in _SIN2_POWER:
+        if not (0.0 <= lo <= _HALF_PI and 0.0 <= hi <= _HALF_PI):
+            raise ValueError(f"weighted range [{lo}, {hi}] is not inside [0, pi/2]")
+        s_lo, s_hi = math.sin(lo) ** 2, math.sin(hi) ** 2
+        s = (s_hi - s_lo) / 2 * glx + (s_hi + s_lo) / 2
+        return np.arcsin(np.sqrt(s)), glw * (s_hi - s_lo) / 2 * s ** _SIN2_POWER[dim]
     period = _FLAT_PERIOD[dim]
     span = hi - lo
     if abs(span / period - round(span / period)) < 1e-12 and span > 0:
         if dim == 7 and nodes % 3 == 0:
-            # A uniform phi grid with 3 | nodes is blind to the lowest
-            # nonvanishing phi harmonic of quartic class functions (the
-            # e^{+-2 i sqrt(3) phi} terms alias onto the mean and shift
-            # <adj,adj> by ~0.5); step off the resonance.
+            # phi harmonics come in multiples of 3 (see quadrature_mean)
             nodes = nodes + 1
         x = lo + (np.arange(nodes) + 0.5) * span / nodes
         w = np.full(nodes, span / nodes)
         return x, w
-    return _gauss_legendre_axis(dim, lo, hi, glx, glw)
+    return span / 2 * glx + (hi + lo) / 2, glw * span / 2
 
 
 def _half_grid(xs, ws, axes):
@@ -321,6 +313,21 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
     The sum is normalized by f == 1 under the same rule, so any constant
     covering multiplicity of the range box cancels.  Default box is
     ``RANGES_QUAD``.  Returns ``(mean, n_nodes)``.
+
+    Exactness: over ``RANGES_QUAD``, ``nodes_per_dim >= 2d + 1`` integrate,
+    up to roundoff, every f of degree <= d in U and <= d in conj U with
+    f(wU) = f(U), w = e^{2 pi i/3}.  Expanded by the closed form of
+    ``compose_many``, f is a sum of products of one factor per axis, and
+    the rule is exact on each product whose factors the axis rules are: on
+    alpha, gamma, a and c a factor e^{ikx} has |k| <= 2d < nodes; on phi,
+    e^{2 pi i k phi / PHI_PERIOD} has |k| <= 3d and 3 | k (as f(wU) = f(U)),
+    and the phi node count m is prime to 3, so m | k would need 3m | k,
+    beyond 3d.  A product with a nonzero frequency is thus 0 under both the
+    rule and the Haar measure; in one with none, counting generators along
+    the chain leaves even powers of cos x and sin x on beta, b and theta, a
+    polynomial of degree <= d in s that ``_quad_axis`` integrates exactly.
+    Not covered: other boxes, the part of f that w changes (Haar mean 0),
+    fewer nodes (4 give E|tr U|^4 = 2.40).
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per dimension, got {nodes_per_dim}")
@@ -370,24 +377,29 @@ def integrate_quadrature(f, nodes_per_dim):
 
 
 def _axis_volume(dim, lo, hi):
-    """Exact integral of this axis' density factor over [lo, hi]."""
-    if dim in (1, 5):  # sin(2t) -> [-cos(2t)/2]
-        return (math.cos(2 * lo) - math.cos(2 * hi)) / 2.0
-    if dim == 3:       # sin(2t) sin^2(t) -> [sin^4(t)/2]
-        return (math.sin(hi) ** 4 - math.sin(lo) ** 4) / 2.0
+    """Exact integral of this axis' density factor over [lo, hi]: s^q / q, q = p + 1."""
+    if dim in _SIN2_POWER:
+        q = _SIN2_POWER[dim] + 1
+        return (math.sin(hi) ** (2 * q) - math.sin(lo) ** (2 * q)) / q
     return hi - lo
 
 
 def _quadrature_volume(ranges):
     """The density integral by a 48-node Gauss-Legendre rule on each axis.
 
-    The density is separable, so the eight-dimensional product rule is the
-    product of the eight one-dimensional sums.
+    The nodes lie in the raw angles, with sin(2x) sin^(2p)(x) in the weights,
+    independent of ``_axis_volume`` and ``_quad_axis``.  The density is
+    separable, so the eight-dimensional product rule is the product of the
+    eight one-dimensional sums.
     """
     glx, glw = np.polynomial.legendre.leggauss(48)
     vol = 1.0
     for dim, (lo, hi) in enumerate(ranges.as_tuples()):
-        vol *= float(np.sum(_gauss_legendre_axis(dim, lo, hi, glx, glw)[1]))
+        x = (hi - lo) / 2 * glx + (hi + lo) / 2
+        w = glw * (hi - lo) / 2
+        if dim in _SIN2_POWER:
+            w = w * np.sin(2 * x) * np.sin(x) ** (2 * _SIN2_POWER[dim])
+        vol *= float(np.sum(w))
     return vol
 
 

@@ -39,10 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# partial_derivatives lives in euler and is re-exported under this module
-from .euler import (_GENERATORS, _PREFIX, _SUFFIX, _as_angle_array,
-                    _as_angle_points, _partial_products, ensure_group_element,
-                    partial_derivatives)
+from .euler import (GENERATOR_SLOTS, _as_angle_array, _as_angle_points,
+                    compose_many, ensure_group_element)
 from .gellmann import LAMBDA, SQRT3
 
 #: Threshold on the singular chart factors.
@@ -61,6 +59,37 @@ _CHART_SCALE = np.array([2.0, 2.0, 2.0, 1.0])
 def chart_denominators(xs):
     """The four frame denominators at (n, 8) angle rows, as (n, 4)."""
     return np.sin(xs[..., _CHART_INDEX] * _CHART_SCALE).reshape(-1, 4)
+
+
+#: Row k keeps the angles before k (prefix) or from k on (suffix).
+_PREFIX = np.tril(np.ones((8, 8)), -1)
+_SUFFIX = np.triu(np.ones((8, 8)))
+
+#: lam_g for the generator g of each factor, in order.
+_GENERATORS = LAMBDA[np.array(GENERATOR_SLOTS) - 1]
+
+
+def _partial_products(x, mask):
+    """Row k of ``mask`` picks the factors of product k: (..., 8) -> (..., 8, 3, 3).
+
+    A factor at angle 0 is the identity, so zeroing the other angles leaves
+    the ordered product of the picked factors, which ``compose_many`` fills
+    in closed form.
+    """
+    return compose_many((x[..., None, :] * mask).reshape(-1, 8)).reshape(
+        x.shape[:-1] + (8, 3, 3))
+
+
+def partial_derivatives(x):
+    """Exact dD/dx_k for all eight coordinates: (8,) -> (8, 3, 3), (n, 8) -> (n, 8, 3, 3).
+
+    The derivative of the ordered product inserts i*generator in front of
+    the differentiated factor: d_k D = P_k (i lam_{g_k}) S_k, with P_k the
+    product of the factors before k and S_k the product from factor k on.
+    """
+    x = _as_angle_points(x)
+    return (_partial_products(x, _PREFIX) @ (1j * _GENERATORS)
+            @ _partial_products(x, _SUFFIX))
 
 
 class ChartSingularityError(ValueError):

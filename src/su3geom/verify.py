@@ -715,8 +715,8 @@ def suite_measure(n_mc, seed):
         worst = max(worst, abs(val - tgt))
         detail.append(f"{nm} = {val.real:+.5f}{val.imag:+.5f}i")
     checks.append(CheckResult(
-        name="measure.characters_quadrature", residual=worst, threshold=0.02,
-        detail="5 nodes/dim: " + "; ".join(detail)))
+        name="measure.characters_quadrature", residual=worst, threshold=1e-12,
+        detail="5 nodes/dim, exact for these degree-2 integrands: " + "; ".join(detail)))
 
     worst = invariance_deviations(min(n_mc, 200_000), haar.sub_seed(seed, 5))
     checks.append(CheckResult(

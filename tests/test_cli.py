@@ -221,6 +221,13 @@ def test_frames_singular_point():
     assert "sin(2*beta)" in proc.stderr
 
 
+def test_frames_wrong_point_count_usage_error():
+    # argparse rejects anything but 8 values for --point with its own usage text
+    proc = run_cli("frames", "--point", "1", "2", "3")
+    assert proc.returncode == 2
+    assert "expected 8 arguments" in proc.stderr
+
+
 def test_frames_duality_through_cli():
     pt = ["0.4", "0.6", "1.1", "0.7", "0.9", "0.5", "0.3", "2.0"]
     frame = json.loads(run_cli("frames", "--point", *pt).stdout)

@@ -21,10 +21,6 @@ FILES = sorted(
     + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py")))
 
-#: Deliberate re-exports, as (file name, imported name): benchmark/tracing.py
-#: resolves ``tangent_frames.partial_derivatives``.
-REEXPORTS = {("tangent_frames.py", "partial_derivatives")}
-
 
 def unused_imports(source):
     """Names bound by the import statements of source and never referenced."""
@@ -47,9 +43,7 @@ def test_unused_imports_are_found():
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
-    unused = [name for name in unused_imports(path.read_text())
-              if (path.name, name) not in REEXPORTS]
-    assert unused == []
+    assert unused_imports(path.read_text()) == []
 
 
 SEED_FILES = sorted(list((ROOT / "src" / "su3geom").glob("*.py"))
