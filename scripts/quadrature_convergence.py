@@ -19,20 +19,17 @@ the cost of a resolution shows next to its accuracy.
 Run:  python scripts/quadrature_convergence.py
 """
 
-import time
-
-from su3geom import RANGES_QUAD, RANGES_STATED, quadrature_mean
+from su3geom import RANGES_QUAD, RANGES_STATED, integrate_quadrature
 from su3geom.verify import SCHUR_NAMES, SCHUR_TARGETS, schur_integrands
 
 
 def characters(nodes, ranges=RANGES_QUAD):
     """The four character integrals as (name, value, None, target) rows,
     with the grid's node count and the rule's wall time in seconds."""
-    start = time.perf_counter()
-    means, n_nodes = quadrature_mean(schur_integrands, nodes, ranges=ranges)
+    r = integrate_quadrature(schur_integrands, nodes, ranges=ranges)
     rows = [(name, complex(m), None, target)
-            for name, m, target in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
-    return rows, n_nodes, time.perf_counter() - start
+            for name, m, target in zip(SCHUR_NAMES, r.estimate, SCHUR_TARGETS)]
+    return rows, r.n, r.elapsed_s
 
 
 def stated_box_characters(nodes):

@@ -15,8 +15,7 @@ from .gellmann import (LAMBDA, SQRT3, commutator, expand_in_basis,
 from .haar import (AngleRanges, IntegrationResult, RANGES_COVER, RANGES_QUAD,
                    RANGES_STATED, character, density, density_from_coframe,
                    group_volume, integrate_mc, integrate_quadrature,
-                   mc_moments, quadrature_mean, sample_angles,
-                   volume_report)
+                   sample_angles, volume_report)
 from .invariant_forms import (CoFrameMatrix, left_coframe, left_coframe_closed,
                               right_coframe, right_coframe_closed)
 from .tangent_frames import (ChartSingularityError, FrameMatrix,

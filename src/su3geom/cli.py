@@ -56,9 +56,6 @@ def cmd_verify(args):
 
 
 def cmd_sample(args):
-    if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     if args.format == "csv" and args.emit != "angles":
         print("error: csv output only supports --emit angles", file=sys.stderr)
         return EXIT_USAGE

@@ -79,16 +79,14 @@ class EulerAngles:
             raise ValueError(f"expected 8 angles, got shape {x.shape}")
         return cls(*x)
 
-    def is_canonical(self, tol=0.0):
+    def is_canonical(self):
         """True if inside the exact-cover box (gamma < 2pi, phi < full period)."""
         al, be, ga, th, a, b, c, ph = self.as_array()
-        half = [al, a, c]
-        quarter = [be, b, th]
         return (
-            all(-tol <= v < math.pi + tol for v in half)
-            and all(-tol <= v <= math.pi / 2 + tol for v in quarter)
-            and -tol <= ga < 2 * math.pi + tol
-            and -tol <= ph < PHI_PERIOD + tol
+            all(0.0 <= v < math.pi for v in (al, a, c))
+            and all(0.0 <= v <= math.pi / 2 for v in (be, b, th))
+            and 0.0 <= ga < 2 * math.pi
+            and 0.0 <= ph < PHI_PERIOD
         )
 
 

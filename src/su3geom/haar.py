@@ -31,13 +31,15 @@ available.  Three range boxes matter:
     Covers the group uniformly eight times (the constant cancels in
     normalized integrals) and makes every flat coordinate a full circle,
     so midpoint nodes integrate its harmonics exactly.  Default box for
-    ``quadrature_mean``, exact on it for polynomials of bounded degree; it
+    ``integrate_quadrature``, exact on it for polynomials of bounded degree; it
     composes each half-grid once, a node costs one 3x3 product, memory
     stays flat, and ``NODE_CAP`` bounds the run time.
 
 Both integrators average functions on the group, not on the chart: the
-integrand maps an (m, 3, 3) stack of sampled or composed elements to (m,).
-Both run it on blocks of elements, several threads at once, and add the
+integrand maps an (m, 3, 3) stack of sampled or composed elements to (m,)
+or (m, ...) values, real or complex, and each trailing entry is averaged
+in its dtype; both return an ``IntegrationResult``.  Both run the
+integrand on blocks of elements, several threads at once, and add the
 block sums in block order (``_ordered_sums``): the result is the same, bit
 for bit, for any number of threads or cores, and an integrand must not
 mutate shared state.  Every integrand in this package is pure.
@@ -54,7 +56,6 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -175,8 +176,17 @@ def sample_angles(n, seed):
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    estimate: complex
-    std_error: Optional[float]
+    """A Haar average from ``integrate_mc`` or ``integrate_quadrature``.
+
+    ``estimate`` has the integrand's dtype and trailing shape: a scalar for
+    (m,) values, an array for (m, ...).  ``std_error`` has the same shape
+    (real), or is None for the product rule.  ``n`` counts the samples or
+    grid nodes, ``method`` is "mc" or "quadrature", and ``elapsed_s`` is
+    the wall time of the call.
+    """
+
+    estimate: np.ndarray | complex
+    std_error: np.ndarray | float | None
     n: int
     method: str
     elapsed_s: float
@@ -212,52 +222,41 @@ def _ordered_sums(fn, blocks):
     return totals
 
 
-def mc_moments(f, n, seed):
-    """Sample mean and standard error of f over n Haar-distributed elements.
-
-    The elements are ``compose_many(sample_angles(n, seed))`` in blocks of
-    ``_BLOCK_ROWS`` rows; ``f`` maps each (m, 3, 3) stack to shape (m,) or
-    (m, ...), and both moments are summed over axis 0.  The standard error
-    is the sample standard deviation of f over sqrt(n), entry by entry.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n = {n}")
-
-    def chunk_moments(start):
-        xs = _sample_rows(seed, start, min(start + _BLOCK_ROWS, n))
-        vals = np.asarray(f(compose_many(xs)))
-        return vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
-
-    total, total_sq = _ordered_sums(chunk_moments, range(0, n, _BLOCK_ROWS))
-    mean = total / n
-    return mean, np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
-
-
-def _complex_values(vals, m):
-    """An integrand's values for m elements as a complex (m,) array."""
-    vals = np.asarray(vals, dtype=complex)
-    if vals.shape != (m,):
-        raise ValueError(f"integrand returned shape {vals.shape}, expected ({m},)")
+def _rows(vals, m):
+    """An integrand's values for m elements as an array with m rows."""
+    vals = np.asarray(vals)
+    if vals.shape[:1] != (m,):
+        raise ValueError(f"integrand returned shape {vals.shape}, expected ({m}, ...)")
     return vals
 
 
 def integrate_mc(f, n, seed, *, vectorized=True):
-    """Haar average of f over n sampled group elements.
+    """Haar average of f over n >= 2 sampled group elements.
 
-    ``f`` maps an (m, 3, 3) stack of elements to (m,) values.  Samples
-    already follow the Haar density, so the plain mean over the stream of
-    ``mc_moments`` is the normalized integral; ``std_error`` is the sample
-    standard deviation of f over sqrt(n).
+    The elements are ``compose_many(sample_angles(n, seed))`` in blocks of
+    ``_BLOCK_ROWS`` rows; ``f`` maps each (m, 3, 3) stack to shape (m,) or
+    (m, ...), and both moments are summed over axis 0.  Samples already
+    follow the Haar density, so the plain mean is the normalized integral;
+    ``std_error`` is the sample standard deviation of f over sqrt(n), entry
+    by entry.
     """
     # vectorized stays only because benchmark/workloads.py passes it
     if not vectorized:
         raise ValueError("vectorized=False is not supported: f takes (m, 3, 3) stacks")
     if n < 2:
         raise ValueError(f"need n >= 2 for an error estimate, got {n}")
-    start = time.perf_counter()
-    mean, se = mc_moments(lambda us: _complex_values(f(us), len(us)), n, seed)
-    return IntegrationResult(estimate=complex(mean), std_error=float(se), n=n,
-                             method="mc", elapsed_s=time.perf_counter() - start)
+    start_s = time.perf_counter()
+
+    def chunk_moments(start):
+        us = compose_many(_sample_rows(seed, start, min(start + _BLOCK_ROWS, n)))
+        vals = _rows(f(us), len(us))
+        return vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+
+    total, total_sq = _ordered_sums(chunk_moments, range(0, n, _BLOCK_ROWS))
+    mean = total / n
+    se = np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
+    return IntegrationResult(estimate=mean, std_error=se, n=n, method="mc",
+                             elapsed_s=time.perf_counter() - start_s)
 
 
 #: Cap on the total quadrature grid size, set by run time: 8 nodes per axis
@@ -285,7 +284,7 @@ def _quad_axis(dim, lo, hi, nodes, glx, glw):
     span = hi - lo
     if abs(span / period - round(span / period)) < 1e-12 and span > 0:
         if dim == 7 and nodes % 3 == 0:
-            # phi harmonics come in multiples of 3 (see quadrature_mean)
+            # phi harmonics come in multiples of 3 (see integrate_quadrature)
             nodes = nodes + 1
         x = lo + (np.arange(nodes) + 0.5) * span / nodes
         w = np.full(nodes, span / nodes)
@@ -300,7 +299,7 @@ def _half_grid(xs, ws, axes):
     return compose_many(X), np.prod(np.meshgrid(*ws[axes], indexing="ij"), axis=0).ravel()
 
 
-def quadrature_mean(f, nodes_per_dim, ranges=None):
+def integrate_quadrature(f, nodes_per_dim, ranges=None):
     """Haar average of f by a separable product rule with the density weight.
 
     ``f`` maps an (m, 3, 3) stack of group elements to values of shape
@@ -312,7 +311,8 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
     (about ``_BLOCK_ROWS`` nodes in C order) on several threads at once.
     The sum is normalized by f == 1 under the same rule, so any constant
     covering multiplicity of the range box cancels.  Default box is
-    ``RANGES_QUAD``.  Returns ``(mean, n_nodes)``.
+    ``RANGES_QUAD``.  The result's ``n`` is the node count and its
+    ``std_error`` is None.
 
     Exactness: over ``RANGES_QUAD``, ``nodes_per_dim >= 2d + 1`` integrate,
     up to roundoff, every f of degree <= d in U and <= d in conj U with
@@ -333,6 +333,7 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
         raise ValueError(f"need at least 2 nodes per dimension, got {nodes_per_dim}")
     if ranges is None:
         ranges = RANGES_QUAD
+    start_s = time.perf_counter()
     glx, glw = np.polynomial.legendre.leggauss(nodes_per_dim)
     xs, ws = zip(*(_quad_axis(dim, lo, hi, nodes_per_dim, glx, glw)
                    for dim, (lo, hi) in enumerate(ranges.as_tuples())))
@@ -348,7 +349,7 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
         # nodes in C order; rebinding frees the product before f runs
         nodes = (block.reshape(-1, 3) @ right_cols).reshape(len(block), 3, len(right), 3)
         nodes = nodes.transpose(0, 2, 1, 3).reshape(-1, 3, 3)
-        vals = np.asarray(f(nodes))
+        vals = _rows(f(nodes), len(nodes))
         W = np.multiply.outer(w_left[start:start + rows], w_right).ravel()
         # C order makes each entry's terms contiguous, so numpy sums them
         # pairwise exactly as it sums that entry's (m,) values alone
@@ -356,19 +357,8 @@ def quadrature_mean(f, nodes_per_dim, ranges=None):
         return terms.sum(axis=-1), W.sum()
 
     acc, w_sum = _ordered_sums(block_sums, range(0, len(left), rows))
-    return acc / w_sum, total_nodes
-
-
-def integrate_quadrature(f, nodes_per_dim):
-    """Haar average of a complex f by ``quadrature_mean`` over ``RANGES_QUAD``.
-
-    ``f`` maps an (m, 3, 3) stack of group elements to (m,) values.
-    """
-    start = time.perf_counter()
-    mean, n_nodes = quadrature_mean(
-        lambda us: _complex_values(f(us), len(us)), nodes_per_dim)
-    return IntegrationResult(estimate=complex(mean), std_error=None, n=n_nodes,
-                             method="quadrature", elapsed_s=time.perf_counter() - start)
+    return IntegrationResult(estimate=acc / w_sum, std_error=None, n=total_nodes,
+                             method="quadrature", elapsed_s=time.perf_counter() - start_s)
 
 
 # ---------------------------------------------------------------------------

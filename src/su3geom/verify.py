@@ -546,13 +546,13 @@ def schur_integrands(us):
 
 def character_integrals_mc(n, seed):
     """The four Schur integrals by Monte Carlo; returns (name, value, se, target)."""
-    means, ses = haar.mc_moments(schur_integrands, n, seed)
-    return list(zip(SCHUR_NAMES, means, ses, SCHUR_TARGETS))
+    r = haar.integrate_mc(schur_integrands, n, seed)
+    return list(zip(SCHUR_NAMES, r.estimate, r.std_error, SCHUR_TARGETS))
 
 
 def character_integrals_quadrature(nodes):
     """Same four integrals by the separable product rule, in one grid pass."""
-    means, _ = haar.quadrature_mean(schur_integrands, nodes)
+    means = haar.integrate_quadrature(schur_integrands, nodes).estimate
     return [(nm, complex(m), None, tg)
             for nm, m, tg in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
 
@@ -605,10 +605,10 @@ def invariance_deviations(n, seed):
                         sum(us[:, 0, b, None] * g[b, :2] for b in range(3)))
         return out
 
-    means, ses = haar.mc_moments(values, n, seed)
+    r = haar.integrate_mc(values, n, seed)
     worst = 0.0
     for cols, width in ((slice(0, n_class), 3), (slice(n_class, None), 2)):
-        m, s = means[cols].reshape(-1, width), ses[cols].reshape(-1, width)
+        m, s = r.estimate[cols].reshape(-1, width), r.std_error[cols].reshape(-1, width)
         dev = np.abs(m[1:] - m[0])
         combined = 4.0 * np.hypot(s[1:], s[0])
         ratio = np.divide(dev, combined, out=np.zeros_like(dev),

@@ -110,11 +110,6 @@ def test_sample_matrices_unitary_on_reread():
         assert abs(np.linalg.det(U) - 1.0) <= 1e-12
 
 
-def test_sample_zero_usage_error():
-    proc = run_cli("sample", "--n", "0")
-    assert proc.returncode == 2
-
-
 def test_sample_csv_matrices_usage_error():
     proc = run_cli("sample", "--n", "1", "--format", "csv",
                    "--emit", "matrices")
@@ -202,6 +197,8 @@ def test_verify_too_few_points_usage_error(suite, points):
     ("volume", "--phi-range", "nan"),
     ("volume", "--phi-range", "inf"),
     ("frames", "--point", "0.4", "0.6", "1.1", "nan", "0.9", "0.5", "0.3", "2.0"),
+    ("sample", "--n", "0"),
+    ("sample", "--n", "-3"),
 ])
 def test_bad_input_usage_error(args):
     proc = run_cli(*args)

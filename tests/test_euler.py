@@ -193,7 +193,7 @@ def test_decompose_roundtrip_haar():
         worst = max(worst, rep.residual)
         n_gamma_ext += rep.gamma_extended
         n_phi_ext += rep.phi_extended
-        assert rep.angles.is_canonical(tol=1e-12)
+        assert rep.angles.is_canonical()
     assert worst <= 1e-9
     # about half of the group lives in the gamma >= pi sheet
     assert 0.35 < n_gamma_ext / len(us) < 0.65
@@ -237,7 +237,7 @@ def test_decompose_boundary_elements(x):
     U = compose(x)
     rep = decompose(U, full_output=True)
     assert rep.residual <= 1e-9
-    assert rep.angles.is_canonical(tol=1e-12)
+    assert rep.angles.is_canonical()
 
 
 def signed_permutations():
@@ -256,7 +256,7 @@ def signed_permutations():
                          ids=lambda P: ",".join(str(int(v)) for v in P.real.ravel()))
 def test_decompose_signed_permutations_canonical(P):
     rep = decompose(P, full_output=True)
-    assert rep.angles.is_canonical(tol=0)
+    assert rep.angles.is_canonical()
     assert rep.residual <= 1e-9
 
 
@@ -268,7 +268,7 @@ def test_decompose_real_rotations():
         Q = Q * np.sign(np.diag(R))
         Q = Q * np.sign(np.linalg.det(Q))
         rep = decompose(Q.astype(complex), full_output=True)
-        assert rep.angles.is_canonical(tol=0)
+        assert rep.angles.is_canonical()
         assert rep.residual <= 1e-9
 
 
@@ -280,7 +280,7 @@ def test_decompose_real_rotations():
 def test_canonicalize_branch_cut_examples(vals):
     x = np.array(vals)
     y = canonicalize(x)
-    assert y.is_canonical(tol=0)
+    assert y.is_canonical()
     assert np.linalg.norm(compose(y.as_array()) - compose(x)) <= 1e-9
 
 
@@ -317,7 +317,7 @@ def test_decompose_near_gimbal_lock():
     for U in compose_many(xs):
         rep = decompose(U, full_output=True)
         assert rep.residual <= 1e-9
-        assert rep.angles.is_canonical(tol=1e-12)
+        assert rep.angles.is_canonical()
         worst = max(worst, rep.residual)
     assert worst <= 1e-11
 
@@ -363,6 +363,6 @@ def test_canonicalize_phi_period():
 def test_canonicalize_preserves_element(vals):
     x = np.array(vals)
     y = canonicalize(x)
-    assert y.is_canonical(tol=1e-12)
+    assert y.is_canonical()
     assert np.max(np.abs(compose(y.as_array()) - compose(x))) <= 1e-9
 

@@ -72,12 +72,15 @@ def test_right_closed_table_garbled_but_stable(interior_points):
     diff = compare_table(interior_points[:40], "right", "form")
     assert not diff.clean
     assert diff.stable
-    flagged_cols = {e.column for e in diff.entries}
-    # the transcribed right-form table is systematically garbled; every
-    # defect is enumerated and point-stable, and the dc/dphi columns are
-    # untouched
-    assert "dc" not in flagged_cols
-    assert "dphi" not in flagged_cols
+    # the transcribed right-form table is systematically garbled: these 35
+    # entries are wrong at every point, and no other is (dc and dphi are
+    # clean in every form)
+    expected = ({(row, col) for row in range(1, 9) for col in ("dbeta", "dgamma", "dtheta")}
+                | {(row, "da") for row in range(1, 8)}
+                | {(row, "dalpha") for row in (1, 4, 7)} | {(1, "db")})
+    assert len(expected) == 35
+    assert {(e.row, e.column) for e in diff.entries} == expected
+    assert all(e.mismatch_fraction == 1.0 for e in diff.entries)
 
 
 def test_right_closed_good_entries_match(interior_points):

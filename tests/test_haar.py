@@ -16,8 +16,7 @@ from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many, decompose
 from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
                           character, density,
                           density_from_coframe, group_volume, integrate_mc,
-                          integrate_quadrature, mc_moments, quadrature_mean,
-                          sample_angles, volume_report)
+                          integrate_quadrature, sample_angles, volume_report)
 
 from conftest import qr_haar_su3
 
@@ -173,17 +172,35 @@ def test_mc_vectorized_shape_check():
     lambda f: integrate_quadrature(f, 5),      # three grid chunks
 ], ids=["mc", "quadrature"])
 def test_integrand_shape_is_checked_per_block(integrate):
-    # both integrators take (m, 3, 3) -> (m,) and reject (m, 1) values at
-    # the first block, naming the shape
+    # both integrators take (m, 3, 3) -> (m, ...) and reject values with
+    # another number of rows at the first block, naming the shape
     calls = []
 
-    def column(us):
-        calls.append(us.shape[1:])
-        return np.ones((len(us), 1))
+    def short(us):
+        calls.append(us.shape)
+        return np.ones((len(us) - 1, 1))
 
-    with pytest.raises(ValueError, match=r"integrand returned shape \(\d+, 1\)"):
-        integrate(column)
-    assert calls == [(3, 3)]
+    with pytest.raises(ValueError, match="integrand returned shape") as err:
+        integrate(short)
+    assert len(calls) == 1 and calls[0][1:] == (3, 3)
+    assert f"shape ({calls[0][0] - 1}, 1)" in str(err.value)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda f: integrate_mc(f, 40_000, 6),
+    lambda f: integrate_quadrature(f, 5),
+], ids=["mc", "quadrature"])
+def test_real_integrand_gives_real_estimate(integrate):
+    # values are summed in their own dtype: |U_11|^2 stays real, and its
+    # (m, 2) stack with tr U stays complex
+    def entry(us):
+        return np.abs(us[:, 0, 0]) ** 2
+
+    r = integrate(entry)
+    assert np.isrealobj(r.estimate) and np.ndim(r.estimate) == 0
+    both = integrate(lambda us: np.stack([entry(us), np.einsum("nii->n", us)], axis=1))
+    assert np.iscomplexobj(both.estimate) and both.estimate.shape == (2,)
+    assert both.estimate[0] == pytest.approx(r.estimate, rel=1e-13, abs=0)
 
 
 def test_mc_scalar_integrands_are_rejected():
@@ -191,7 +208,7 @@ def test_mc_scalar_integrands_are_rejected():
         integrate_mc(lambda us: np.ones(len(us)), 10, 3, vectorized=False)
 
 
-def test_mc_moments_keeps_trailing_shape():
+def test_mc_keeps_trailing_shape():
     # four chunks, the last one of 5 rows
     n, seed = 3 * haar._BLOCK_ROWS + 5, 21
 
@@ -199,10 +216,10 @@ def test_mc_moments_keeps_trailing_shape():
         return np.abs(us[:, :2, :]) ** 2  # (m, 2, 3): first two rows
 
     vals = f(compose_many(sample_angles(n, seed)))
-    mean, se = mc_moments(f, n, seed)
-    assert mean.shape == se.shape == (2, 3)
-    assert np.allclose(mean, vals.mean(axis=0), rtol=1e-13, atol=0)
-    assert np.allclose(se, vals.std(axis=0) / math.sqrt(n), rtol=1e-9, atol=0)
+    r = integrate_mc(f, n, seed)
+    assert r.estimate.shape == r.std_error.shape == (2, 3) and r.n == n
+    assert np.allclose(r.estimate, vals.mean(axis=0), rtol=1e-13, atol=0)
+    assert np.allclose(r.std_error, vals.std(axis=0) / math.sqrt(n), rtol=1e-9, atol=0)
 
 
 def test_mc_needs_two_samples():
@@ -210,13 +227,14 @@ def test_mc_needs_two_samples():
         integrate_mc(lambda us: np.ones(len(us)), 1, 0)
 
 
-def test_mc_moments_is_the_same_for_any_thread_count(monkeypatch):
+def test_integrators_are_the_same_for_any_thread_count(monkeypatch):
     n, seed = 3 * haar._BLOCK_ROWS + 5, 8
     results = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(haar, "_WORKERS", workers)
-        results.append((*mc_moments(verify.schur_integrands, n, seed),
-                        quadrature_mean(verify.schur_integrands, 4)[0]))
+        mc = integrate_mc(verify.schur_integrands, n, seed)
+        results.append((mc.estimate, mc.std_error,
+                        integrate_quadrature(verify.schur_integrands, 4).estimate))
     for result in results[1:]:
         for got, expected in zip(result, results[0]):
             assert np.array_equal(got, expected)
@@ -260,7 +278,7 @@ def test_mc_error_in_a_pool_chunk_is_raised(integrate):
 def test_forked_child_runs_monte_carlo():
     # a child forked after Monte Carlo calls inherits no threads, and its
     # own calls must still run every chunk
-    mc_moments(verify.schur_integrands, 8 * haar._BLOCK_ROWS, 1)
+    integrate_mc(verify.schur_integrands, 8 * haar._BLOCK_ROWS, 1)
     pid = os.fork()
     if pid == 0:
         code = 1
@@ -313,10 +331,10 @@ def test_quadrature_known_moments_are_exact():
         return np.stack([np.abs(tr) ** 2, np.abs(tr) ** 4, np.abs(us[:, 0, 0]) ** 4,
                          np.abs(tr) ** 6, tr ** 3], axis=1)
 
-    means, _ = quadrature_mean(lambda us: moments(us)[:, :3], 5)
-    assert np.all(np.abs(means - [1.0, 2.0, 1 / 6]) <= 1e-13)
-    means, _ = quadrature_mean(lambda us: moments(us)[:, 3:], 7)
-    assert np.all(np.abs(means - [6.0, 1.0]) <= 1e-12)
+    r = integrate_quadrature(lambda us: moments(us)[:, :3], 5)
+    assert np.all(np.abs(r.estimate - [1.0, 2.0, 1 / 6]) <= 1e-13)
+    r = integrate_quadrature(lambda us: moments(us)[:, 3:], 7)
+    assert np.all(np.abs(r.estimate - [6.0, 1.0]) <= 1e-12)
 
 
 @pytest.mark.parametrize("ranges", [AngleRanges(beta=(0.0, PI)),
@@ -325,18 +343,18 @@ def test_quadrature_known_moments_are_exact():
 def test_quadrature_rejects_weighted_range_outside_quarter_turn(ranges):
     # s = sin^2 x is monotone only on [0, pi/2]
     with pytest.raises(ValueError, match="pi/2"):
-        quadrature_mean(lambda us: np.ones(len(us)), 3, ranges)
+        integrate_quadrature(lambda us: np.ones(len(us)), 3, ranges)
 
 
 @pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
-def test_quadrature_mean_columns_match_single_integrands(ranges):
+def test_quadrature_columns_match_single_integrands(ranges):
     schur = verify.schur_integrands
-    means, n_nodes = quadrature_mean(schur, 3, ranges)
-    assert means.shape == (4,)
+    r = integrate_quadrature(schur, 3, ranges)
+    assert r.estimate.shape == (4,)
     for k in range(4):
-        mean, n = quadrature_mean(lambda us: schur(us)[:, k], 3, ranges)
-        assert n == n_nodes
-        assert mean == means[k]
+        single = integrate_quadrature(lambda us: schur(us)[:, k], 3, ranges)
+        assert single.n == r.n
+        assert single.estimate == r.estimate[k]
 
 
 def test_character_quadrature_composes_half_grids_once(monkeypatch):
@@ -390,12 +408,12 @@ def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
     assert left // rows > 5
     assert (left % rows != 0) == (ranges is not RANGES_QUAD or nodes != 3)
     monkeypatch.setattr(haar, "_BLOCK_ROWS", 1000)
-    means, _ = quadrature_mean(schur, nodes, ranges)
+    means = integrate_quadrature(schur, nodes, ranges).estimate
     assert np.all(np.abs(means - expected) <= bound(-(-left // rows)))
     # 50-node blocks, below every right half-grid here (81 to 256 nodes):
     # each block holds one left row
     monkeypatch.setattr(haar, "_BLOCK_ROWS", 50)
-    means, _ = quadrature_mean(schur, nodes, ranges)
+    means = integrate_quadrature(schur, nodes, ranges).estimate
     assert np.all(np.abs(means - expected) <= bound(left))
 
 
@@ -436,8 +454,7 @@ def test_quadrature_over_stated_ranges_is_biased():
     def f1(us):
         return np.einsum("nii->n", us)
 
-    mean, _ = quadrature_mean(f1, 6, RANGES_STATED)
-    assert abs(mean) > 0.05
+    assert abs(integrate_quadrature(f1, 6, RANGES_STATED).estimate) > 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +625,8 @@ def _invariance_reference(n, seed):
             cols += [f(v) for side in sides for v in stacks[side]]
         return np.stack(cols, axis=1)
 
-    means, ses = mc_moments(values, n, seed)
+    r = integrate_mc(values, n, seed)
+    means, ses = r.estimate, r.std_error
     ratios, base = {}, 0
     for kind, sides, k, _ in blocks:
         for j, side in enumerate(sides):
