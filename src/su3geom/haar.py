@@ -16,7 +16,7 @@ available.  Three range boxes matter:
     has period 2 sqrt(3) pi, and the (alpha, gamma) pair only reaches half
     of its SU(2) subgroup.  Averaging over it is measurably biased
     (``test_quadrature_over_stated_ranges_is_biased``: |E[tr U]| comes
-    out 0.069 at 6 nodes instead of 0).
+    out 0.071 at 6 nodes instead of 0).
 
 ``RANGES_COVER``
     Same but gamma in [0, 2 pi) and phi in [0, 2 sqrt(3) pi); density
@@ -259,27 +259,34 @@ def integrate_mc(f, n, seed, *, vectorized=True):
                              elapsed_s=time.perf_counter() - start_s)
 
 
-#: Cap on the total quadrature grid size, set by run time: 8 nodes per axis
-#: take about 2 s on two cores.  Memory does not grow with the grid.
+#: Cap on the total quadrature grid size, set by run time: 12 nodes per flat
+#: axis, the most under it, make 9.7 M nodes and take about 1.2 s for the
+#: four character integrals on two cores.  Memory does not grow with the grid.
 NODE_CAP = 8 ** 8
 
 
-def _quad_axis(dim, lo, hi, nodes, glx, glw):
+def _quad_axis(dim, lo, hi, nodes):
     """Nodes and density-folded weights for one coordinate axis.
 
-    A weighted axis puts Gauss-Legendre nodes in s = sin^2 x on [sin^2 lo,
-    sin^2 hi], at x = arcsin(sqrt(s)) with s^p in the weights: exact for
-    polynomials in s of degree up to 2 nodes - 1 - p.  s is monotone only on
-    [0, pi/2], so a weighted range outside it raises ValueError.  A flat
-    axis takes midpoint nodes on a whole number of periods (exact on e^{ikx}
-    unless nodes divides k != 0), else Gauss-Legendre in x.
+    ``nodes`` is the count on a flat axis; it sets the exactness degree
+    d = (nodes - 1) // 2, and each axis takes the nodes that d needs.  A
+    weighted axis puts (d + 2 + p) // 2 Gauss-Legendre nodes in s = sin^2 x
+    on [sin^2 lo, sin^2 hi], at x = arcsin(sqrt(s)) with s^p in the weights:
+    m nodes are exact for polynomials in s of degree up to 2m - 1 - p >= d.
+    s is monotone only on [0, pi/2], so a weighted range outside it raises
+    ValueError.  A flat axis takes ``nodes`` midpoint nodes on a whole
+    number of periods (exact on e^{ikx} unless nodes divides k != 0), one
+    more on phi when 3 divides ``nodes``, else ``nodes`` Gauss-Legendre
+    nodes in x.
     """
     if dim in _SIN2_POWER:
         if not (0.0 <= lo <= _HALF_PI and 0.0 <= hi <= _HALF_PI):
             raise ValueError(f"weighted range [{lo}, {hi}] is not inside [0, pi/2]")
+        p, degree = _SIN2_POWER[dim], (nodes - 1) // 2
+        glx, glw = np.polynomial.legendre.leggauss((degree + 2 + p) // 2)
         s_lo, s_hi = math.sin(lo) ** 2, math.sin(hi) ** 2
         s = (s_hi - s_lo) / 2 * glx + (s_hi + s_lo) / 2
-        return np.arcsin(np.sqrt(s)), glw * (s_hi - s_lo) / 2 * s ** _SIN2_POWER[dim]
+        return np.arcsin(np.sqrt(s)), glw * (s_hi - s_lo) / 2 * s ** p
     period = _FLAT_PERIOD[dim]
     span = hi - lo
     if abs(span / period - round(span / period)) < 1e-12 and span > 0:
@@ -289,6 +296,7 @@ def _quad_axis(dim, lo, hi, nodes, glx, glw):
         x = lo + (np.arange(nodes) + 0.5) * span / nodes
         w = np.full(nodes, span / nodes)
         return x, w
+    glx, glw = np.polynomial.legendre.leggauss(nodes)
     return span / 2 * glx + (hi + lo) / 2, glw * span / 2
 
 
@@ -316,26 +324,29 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
 
     Exactness: over ``RANGES_QUAD``, ``nodes_per_dim >= 2d + 1`` integrate,
     up to roundoff, every f of degree <= d in U and <= d in conj U with
-    f(wU) = f(U), w = e^{2 pi i/3}.  Expanded by the closed form of
-    ``compose_many``, f is a sum of products of one factor per axis, and
-    the rule is exact on each product whose factors the axis rules are: on
-    alpha, gamma, a and c a factor e^{ikx} has |k| <= 2d < nodes; on phi,
-    e^{2 pi i k phi / PHI_PERIOD} has |k| <= 3d and 3 | k (as f(wU) = f(U)),
-    and the phi node count m is prime to 3, so m | k would need 3m | k,
-    beyond 3d.  A product with a nonzero frequency is thus 0 under both the
-    rule and the Haar measure; in one with none, counting generators along
-    the chain leaves even powers of cos x and sin x on beta, b and theta, a
-    polynomial of degree <= d in s that ``_quad_axis`` integrates exactly.
+    f(wU) = f(U), w = e^{2 pi i/3}.  ``_quad_axis`` sets d = (nodes_per_dim
+    - 1) // 2 and gives each axis the nodes that d needs.  Expanded by the
+    closed form of ``compose_many``, f is a sum of products of one factor
+    per axis, and the rule is exact on each product whose factors the axis
+    rules are: on alpha, gamma, a and c a factor e^{ikx} has |k| <= 2d <
+    nodes_per_dim, the midpoint count; on phi, e^{2 pi i k phi / PHI_PERIOD}
+    has |k| <= 3d and 3 | k (as f(wU) = f(U)), and the phi node count m is
+    prime to 3, so m | k would need 3m | k, beyond 3d.  A product with a
+    nonzero frequency is thus 0 under both the rule and the Haar measure;
+    in one with none, counting generators along the chain leaves even
+    powers of cos x and sin x on beta, b and theta, a polynomial of degree
+    <= d in s.  Against ds (beta, b) or s ds (theta), (d + 2 + p) // 2
+    Gauss nodes in s are exact to degree 2 ((d + 2 + p) // 2) - 1 - p >= d:
+    2 each at d = 2, so 5^4 * 2^3 * 5 = 25 000 nodes at 5 per flat axis.
     Not covered: other boxes, the part of f that w changes (Haar mean 0),
-    fewer nodes (4 give E|tr U|^4 = 2.40).
+    fewer nodes (4 give E|tr U|^4 = 2.75).
     """
     if nodes_per_dim < 2:
-        raise ValueError(f"need at least 2 nodes per dimension, got {nodes_per_dim}")
+        raise ValueError(f"need at least 2 nodes per flat axis, got {nodes_per_dim}")
     if ranges is None:
         ranges = RANGES_QUAD
     start_s = time.perf_counter()
-    glx, glw = np.polynomial.legendre.leggauss(nodes_per_dim)
-    xs, ws = zip(*(_quad_axis(dim, lo, hi, nodes_per_dim, glx, glw)
+    xs, ws = zip(*(_quad_axis(dim, lo, hi, nodes_per_dim)
                    for dim, (lo, hi) in enumerate(ranges.as_tuples())))
     total_nodes = math.prod(map(len, xs))
     if total_nodes > NODE_CAP:

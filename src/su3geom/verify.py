@@ -709,14 +709,14 @@ def suite_measure(n_mc, seed):
         name="measure.characters_mc", residual=worst, threshold=1.0,
         detail="; ".join(detail)))
 
-    worst = 0.0
-    detail = []
-    for nm, val, _, tgt in character_integrals_quadrature(5):
-        worst = max(worst, abs(val - tgt))
-        detail.append(f"{nm} = {val.real:+.5f}{val.imag:+.5f}i")
+    r = haar.integrate_quadrature(schur_integrands, 5)
+    worst = float(np.max(np.abs(r.estimate - SCHUR_TARGETS)))
+    detail = [f"{nm} = {val.real:+.5f}{val.imag:+.5f}i"
+              for nm, val in zip(SCHUR_NAMES, r.estimate)]
     checks.append(CheckResult(
         name="measure.characters_quadrature", residual=worst, threshold=1e-12,
-        detail="5 nodes/dim, exact for these degree-2 integrands: " + "; ".join(detail)))
+        detail=f"{r.n} nodes (5 per flat axis), exact for these degree-2 "
+               "integrands: " + "; ".join(detail)))
 
     worst = invariance_deviations(min(n_mc, 200_000), haar.sub_seed(seed, 5))
     checks.append(CheckResult(

@@ -169,7 +169,7 @@ def test_mc_vectorized_shape_check():
 
 @pytest.mark.parametrize("integrate", [
     lambda f: integrate_mc(f, 140_000, 3),     # nine sample chunks
-    lambda f: integrate_quadrature(f, 5),      # three grid chunks
+    lambda f: integrate_quadrature(f, 5),      # two grid blocks
 ], ids=["mc", "quadrature"])
 def test_integrand_shape_is_checked_per_block(integrate):
     # both integrators take (m, 3, 3) -> (m, ...) and reject values with
@@ -233,8 +233,16 @@ def test_integrators_are_the_same_for_any_thread_count(monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(haar, "_WORKERS", workers)
         mc = integrate_mc(verify.schur_integrands, n, seed)
-        results.append((mc.estimate, mc.std_error,
-                        integrate_quadrature(verify.schur_integrands, 4).estimate))
+        blocks = []
+
+        def schur(us):
+            blocks.append(len(us))
+            return verify.schur_integrands(us)
+
+        # 7 nodes: 13 blocks of whole left rows, so every thread runs several
+        quad = integrate_quadrature(schur, 7)
+        assert len(blocks) > workers + 1
+        results.append((mc.estimate, mc.std_error, quad.estimate))
     for result in results[1:]:
         for got, expected in zip(result, results[0]):
             assert np.array_equal(got, expected)
@@ -250,7 +258,7 @@ def mc_threads():
 
 @pytest.mark.parametrize("integrate", [
     lambda f: integrate_mc(f, 8 * haar._BLOCK_ROWS, 1),
-    lambda f: integrate_quadrature(f, 5),  # 25 blocks of 26 left rows or fewer
+    lambda f: integrate_quadrature(f, 7),  # 13 blocks of 23 left rows or fewer
 ], ids=["integrate_mc", "integrate_quadrature"])
 def test_mc_error_in_a_pool_chunk_is_raised(integrate):
     calls = itertools.count(1)  # next() is atomic, so threads share it safely
@@ -260,10 +268,14 @@ def test_mc_error_in_a_pool_chunk_is_raised(integrate):
             raise FourthCall
         return np.ones(len(us))
 
+    blocks = []
+
     def ones(us):
+        blocks.append(len(us))
         return np.ones(len(us))
 
     expected = integrate(ones).estimate
+    assert len(blocks) >= 4
     with pytest.raises(FourthCall):
         integrate(fails_on_fourth_call)
     # each call joins its threads, whether it raises or returns, and the
@@ -367,15 +379,15 @@ def test_character_quadrature_composes_half_grids_once(monkeypatch):
 
     monkeypatch.setattr(haar, "compose_many", counting)
     verify.character_integrals_quadrature(3)
-    # the left half-grid has 3 nodes on four axes, the right one 3 on three
+    # 3 nodes mean degree 1: the left half-grid has 3 nodes on alpha and
+    # gamma, 1 on beta and 2 on theta, the right one 3 on a and c, 1 on b
     # and 4 on phi (which steps off 3); no grid node is composed on its own
-    assert sum(rows) == 3 ** 4 + 3 ** 3 * 4
+    assert sum(rows) == 3 * 1 * 3 * 2 + 3 * 1 * 3 * 4
 
 
 def whole_grid_mean(f, nodes, ranges):
     """The product rule with the whole meshgrid built at once."""
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
-    axes = [haar._quad_axis(dim, lo, hi, nodes, glx, glw)
+    axes = [haar._quad_axis(dim, lo, hi, nodes)
             for dim, (lo, hi) in enumerate(ranges.as_tuples())]
     X = np.stack([g.ravel() for g in
                   np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
@@ -385,13 +397,12 @@ def whole_grid_mean(f, nodes, ranges):
 
 
 @pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
-@pytest.mark.parametrize("nodes", [3, 4])
+@pytest.mark.parametrize("nodes", [4, 6])
 def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
     schur = verify.schur_integrands
     expected = whole_grid_mean(schur, nodes, ranges)
     mean_abs = whole_grid_mean(lambda us: np.abs(schur(us)), nodes, ranges)
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
-    sizes = [len(haar._quad_axis(dim, lo, hi, nodes, glx, glw)[0])
+    sizes = [len(haar._quad_axis(dim, lo, hi, nodes)[0])
              for dim, (lo, hi) in enumerate(ranges.as_tuples())]
     left, right = math.prod(sizes[:4]), math.prod(sizes[4:])
 
@@ -402,44 +413,61 @@ def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
         # |f| it adds up, once for f and once for the weights
         return (blocks + math.log2(left * right)) * np.finfo(float).eps * mean_abs
 
-    # 1000-node blocks: several blocks of whole left rows, the last one
-    # partial except at 3 nodes over RANGES_QUAD
-    rows = max(1, 1000 // right)
-    assert left // rows > 5
-    assert (left % rows != 0) == (ranges is not RANGES_QUAD or nodes != 3)
-    monkeypatch.setattr(haar, "_BLOCK_ROWS", 1000)
+    # blocks of 5.5 right half-grids: several blocks of 5 whole left rows,
+    # the last one partial (32 and 144 left rows)
+    rows = 5
+    assert left // rows > 5 and left % rows != 0
+    monkeypatch.setattr(haar, "_BLOCK_ROWS", rows * right + right // 2)
     means = integrate_quadrature(schur, nodes, ranges).estimate
     assert np.all(np.abs(means - expected) <= bound(-(-left // rows)))
-    # 50-node blocks, below every right half-grid here (81 to 256 nodes):
+    # 50-node blocks, below every right half-grid here (64 to 504 nodes):
     # each block holds one left row
+    assert right > 50
     monkeypatch.setattr(haar, "_BLOCK_ROWS", 50)
     means = integrate_quadrature(schur, nodes, ranges).estimate
     assert np.all(np.abs(means - expected) <= bound(left))
 
 
 def test_character_quadrature_memory_peak():
-    # the whole 5-node grid took 137 MB, 131 072-node blocks one at a time
-    # about 56; 16 384-node blocks, a few at once, take about 11
+    # the whole 390 625-node grid of 5 Gauss nodes on every weighted axis
+    # took 137 MB, 131 072-node blocks one at a time about 56, 16 384-node
+    # blocks, a few at once, about 11; the 25 000 nodes of the degree-2
+    # grid take about 5.5
     tracemalloc.start()
     try:
         verify.character_integrals_quadrature(5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    assert peak <= 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("nodes, grid", [(3, 648), (4, 2048), (5, 25_000),
+                                         (6, 72_576), (7, 201_684), (8, 393_216)])
+def test_quadrature_node_count(nodes, grid):
+    # the node count sets the run time: nodes_per_dim midpoint nodes on
+    # alpha, gamma, a and c (one more on phi when 3 divides it) and only
+    # the Gauss nodes that degree (nodes - 1) // 2 needs on beta, b and theta
+    assert integrate_quadrature(lambda us: np.ones(len(us)), nodes).n == grid
 
 
 def test_quadrature_node_cap():
-    # 9 nodes per axis exceed NODE_CAP = 8^8 before f sees a single node
+    # 13 nodes per flat axis (23.8 M grid nodes) are the fewest that exceed
+    # NODE_CAP = 8^8, and the call fails before f sees a single node
     calls = []
 
     def f(us):
         calls.append(len(us))
         return np.ones(len(us))
 
+    def grid(nodes):
+        return math.prod(len(haar._quad_axis(dim, lo, hi, nodes)[0])
+                         for dim, (lo, hi) in enumerate(RANGES_QUAD.as_tuples()))
+
     assert haar.NODE_CAP == 8 ** 8
+    assert grid(12) <= haar.NODE_CAP < grid(13) == 23_762_752
     with pytest.raises(ValueError, match="cap"):
-        integrate_quadrature(f, 9)
+        integrate_quadrature(f, 13)
     assert calls == []
 
 
@@ -666,6 +694,35 @@ def test_invariance_deviations_reject_the_stated_box(monkeypatch):
 
     monkeypatch.setattr(haar, "_angles_from_uniform", stated_box)
     assert verify.invariance_deviations(50_000, 12) > 1.0
+
+
+def _quadrature_translation_gaps(seed):
+    """Worst |E f(gU) - E f(U)| and |E f(Ug) - E f(U)| by the 5-node rule,
+    over five g, the class and entry functions and |M_11|^4."""
+    gs = compose_many(sample_angles(5, seed))
+    fs = _CLASS_REFERENCE + _ENTRY_REFERENCE + (lambda v: np.abs(v[:, 0, 0]) ** 4,)
+
+    def values(us):
+        stacks = [us] + [g @ us for g in gs] + [us @ g for g in gs]
+        return np.stack([f(v) for v in stacks for f in fs], axis=1)
+
+    means = integrate_quadrature(values, 5).estimate.reshape(-1, len(fs))
+    return float(np.max(np.abs(means[1:] - means[0])))
+
+
+def test_quadrature_density_is_bi_invariant():
+    # f(gU) and f(Ug) have the degree of f, at most 2 in U and in conj U,
+    # so the 5-node rule integrates both exactly: the paper's density is
+    # left and right invariant to roundoff (4.4e-16), not to 4 sigma
+    for seed in (0, 1, 42):
+        assert _quadrature_translation_gaps(seed) <= 1e-12
+
+
+def test_quadrature_bi_invariance_needs_sin2_theta(monkeypatch):
+    # without the sin^2 theta factor the density is not invariant, and the
+    # exact rule shows it at order 1 (|tr|^2 moves by 0.374)
+    monkeypatch.setitem(haar._SIN2_POWER, 3, 0)
+    assert _quadrature_translation_gaps(0) > 0.1
 
 
 def test_invariance_deviations_memory_peak():
