@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -219,10 +218,11 @@ def cmd_integrate(args):
 def cmd_volume(args):
     ranges = haar.RANGES_STATED
     if args.phi_range is not None:
-        if not (math.isfinite(args.phi_range) and args.phi_range > 0):
-            print("error: --phi-range must be positive and finite", file=sys.stderr)
+        try:
+            ranges = haar.AngleRanges(phi=(0.0, args.phi_range))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        ranges = haar.AngleRanges(phi=(0.0, args.phi_range))
     rep = haar.volume_report(ranges)
     print(dumps(rep))
     return EXIT_OK

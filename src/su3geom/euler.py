@@ -176,7 +176,7 @@ def compose(x):
 
 
 def compose_many(xs):
-    """Vectorized ``compose``: (n, 8) angles -> (n, 3, 3) elements.
+    """Vectorized ``compose``: (n, 8) finite angles -> (n, 3, 3) elements.
 
     The product collapses to K1 R5(theta) K2 R8(phi) with SU(2) blocks
     K1 = [[x1, y1], [-conj(y1), conj(x1)]] and K2 likewise from (x2, y2),
@@ -191,8 +191,8 @@ def compose_many(xs):
     (z* is the complex conjugate).  ``compose`` evaluates it on numpy scalars,
     which may round the last bit differently; ``factors`` is the reference.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != 8:
+    xs = _as_angle_points(xs)
+    if xs.ndim != 2:
         raise ValueError(f"expected (n, 8) angles, got shape {xs.shape}")
     return _closed_form(xs)
 

@@ -649,16 +649,6 @@ def suite_measure(n_mc, seed):
         detail="factor exponentials, SU(2) block, canonicalize, sample "
                "materialization, character values"))
 
-    mc = haar.integrate_mc(
-        lambda us: haar.character(us, "fundamental"),
-        max(n_mc // 4, 10_000), haar.sub_seed(seed, 21))
-    dev = abs(mc.estimate) / (4 * mc.std_error)
-    checks.append(CheckResult(
-        name="measure.mc_integrator", residual=dev, threshold=1.0,
-        detail=f"integrate_mc of the fundamental character: "
-               f"{mc.estimate.real:+.5f}{mc.estimate.imag:+.5f}i "
-               f"(se {mc.std_error:.1e})"))
-
     # decompose puts every element in the cover box (decompose_roundtrip);
     # if the box's coframe volume is vol SU(3), the mean number of preimages
     # is 1.  Macdonald (Invent. Math. 56 (1980) 93) gives vol SU(n) for the

@@ -19,6 +19,22 @@ def qr_haar_su3(n, seed):
     return Q / (det ** (1.0 / 3.0))[:, None, None]
 
 
+def gauss_legendre_volume(ranges, nodes=48):
+    """The density integral by a full per-axis Gauss-Legendre product.
+
+    A reference for ``haar.group_volume`` that shares no code with it: the
+    nodes lie in the raw angles, with the density factors in the weights.
+    """
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    factors = {1: lambda x: np.sin(2 * x), 5: lambda x: np.sin(2 * x),
+               3: lambda x: np.sin(2 * x) * np.sin(x) ** 2}
+    vol = 1.0
+    for dim, (lo, hi) in enumerate(ranges.as_tuples()):
+        x = lo + (hi - lo) * (t + 1) / 2
+        vol *= float(np.sum(w * (hi - lo) / 2 * factors.get(dim, np.ones_like)(x)))
+    return vol
+
+
 def expm_series(M, terms=80):
     """Plain exponential power series, summed to convergence."""
     out = np.eye(M.shape[0], dtype=complex)

@@ -199,6 +199,8 @@ def test_verify_too_few_points_usage_error(suite, points):
     ("frames", "--point", "0.4", "0.6", "1.1", "nan", "0.9", "0.5", "0.3", "2.0"),
     ("sample", "--n", "0"),
     ("sample", "--n", "-3"),
+    ("volume", "--phi-range", "0"),
+    ("volume", "--phi-range", "-1"),
 ])
 def test_bad_input_usage_error(args):
     proc = run_cli(*args)
@@ -286,7 +288,6 @@ def test_integrate_bad_entrypoly():
 def test_volume_default():
     payload = json.loads(run_cli("volume").stdout)
     assert payload["analytic"] == pytest.approx(math.pi ** 5, rel=1e-12)
-    assert payload["ratio"] == pytest.approx(1.0, abs=1e-10)
     assert payload["sphere_product_target"] == pytest.approx(2 * math.pi ** 5)
 
 

@@ -52,6 +52,18 @@ def test_factor_nonfinite():
         factor_exponential(3, float("nan"))
 
 
+def test_compose_and_compose_many_reject_nonfinite_angles():
+    xs = np.zeros((2, 8))
+    xs[1, 3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        compose(xs[1])
+    for bad in (xs, np.full((2, 8), np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            compose_many(bad)
+    with pytest.raises(ValueError, match="shape"):
+        compose_many(np.zeros(8))
+
+
 def test_compose_zeros_is_identity():
     assert np.allclose(compose(np.zeros(8)), np.eye(3), atol=0)
 

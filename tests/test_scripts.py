@@ -25,6 +25,16 @@ def test_quadrature_convergence_stated_box_rows():
         assert np.isfinite(value) and np.isfinite(target)
 
 
+def test_quadrature_convergence_main_prints_every_row(capsys):
+    script = load_script("quadrature_convergence")
+    script.main()
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if "nodes_per_dim" in line]
+    # 3..7 nodes over the cover box, then 5 and 6 over the stated box
+    assert [int(line.split("=")[1].split(":")[0]) for line in rows] == [3, 4, 5, 6, 7, 5, 6]
+    assert "5 x 2 x 5 x 2 x 5 x 2 x 5 x 5 = 25000 nodes" in rows[2]
+
+
 def test_benchmark_trace_targets_exist():
     # a traced benchmark run wraps each of these names; a missing one
     # would only show up there
