@@ -276,7 +276,8 @@ def build_parser():
                         "--function entrypoly (1-based entry indices)")
     p.add_argument("--method", default="mc", choices=["mc", "quad"])
     p.add_argument("--n", type=int, default=100_000, help="MC sample count")
-    p.add_argument("--nodes", type=int, default=5, help="quadrature nodes on each flat axis")
+    p.add_argument("--nodes", type=int, default=5,
+                   help="quadrature nodes N per flat axis; sets degree (N - 1) // 2")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_integrate)
 

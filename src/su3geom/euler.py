@@ -14,7 +14,8 @@ The product collapses to K1 R5(theta) K2 R8(phi): two SU(2) blocks
 y = sin(beta) e^{i(alpha-gamma)} (and the same in a, b, c), one real
 rotation and one diagonal phase, so each of the nine entries has a short
 closed form; ``compose`` and ``compose_many`` both evaluate it, and the
-ordered product of ``factors`` is the reference the tests check it against.
+ordered product of the ``factor_exponential`` matrices is the reference the
+tests check it against.
 
 The parameterization covers the group exactly once on the box
 
@@ -140,12 +141,6 @@ def factor_exponential(generator, t):
     raise ValueError(f"no closed-form factor for generator index {generator!r}")
 
 
-def factors(x):
-    """The eight factor matrices of the product, in order."""
-    x = _as_angle_array(x)
-    return [factor_exponential(g, t) for g, t in zip(GENERATOR_SLOTS, x)]
-
-
 def _closed_form(x):
     """The closed form of ``compose_many`` on any leading shape: (..., 8) -> (..., 3, 3)."""
     alpha, beta, gamma, theta, a, b, c, phi = np.moveaxis(x, -1, 0)
@@ -189,7 +184,8 @@ def compose_many(xs):
         [-st x2 e,                   -st y2 e,                   ct e^-2]
 
     (z* is the complex conjugate).  ``compose`` evaluates it on numpy scalars,
-    which may round the last bit differently; ``factors`` is the reference.
+    which may round the last bit differently; the ordered product of the
+    ``factor_exponential`` matrices is the reference.
     """
     xs = _as_angle_points(xs)
     if xs.ndim != 2:

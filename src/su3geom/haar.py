@@ -17,7 +17,7 @@ available.  Three range boxes matter:
     has period 2 sqrt(3) pi, and the (alpha, gamma) pair only reaches half
     of its SU(2) subgroup.  Averaging over it is measurably biased
     (``test_quadrature_over_stated_ranges_is_biased``: |E[tr U]| comes
-    out 0.071 at 6 nodes instead of 0).
+    out 0.071 at 5 and 6 nodes instead of 0).
 
 ``RANGES_COVER``
     Same but gamma in [0, 2 pi) and phi in [0, 2 sqrt(3) pi); density
@@ -32,7 +32,8 @@ available.  Three range boxes matter:
     Covers the group uniformly eight times (the constant cancels in
     normalized integrals) and makes every flat coordinate a full circle,
     so midpoint nodes integrate its harmonics exactly.  Default box for
-    ``integrate_quadrature``, exact on it for polynomials of bounded degree; it
+    ``integrate_quadrature``: with 2d + 1 nodes on each flat axis it is
+    exact on every polynomial of degree <= d in U and in conj U.  It
     composes each half-grid once, a node costs one 3x3 product, memory
     stays flat, and ``NODE_CAP`` bounds the run time.
 
@@ -271,40 +272,33 @@ def integrate_mc(f, n, seed, *, vectorized=True):
                              elapsed_s=time.perf_counter() - start_s)
 
 
-#: Cap on the total quadrature grid size, set by run time: 12 nodes per flat
-#: axis, the most under it, make 9.7 M nodes and take about 1.2 s for the
-#: four character integrals on two cores.  Memory does not grow with the grid.
+#: Cap on the total quadrature grid size, set by run time: 11 and 12 nodes per
+#: flat axis, the most under it, make 5 797 836 nodes and take about 0.6 s for
+#: the four character integrals on two cores.  Memory does not grow with the grid.
 NODE_CAP = 8 ** 8
 
 
-def _quad_axis(dim, lo, hi, nodes):
-    """Nodes and density-folded weights for one coordinate axis.
+def _quad_axis(dim, lo, hi, degree):
+    """Nodes and density-folded weights that integrate one axis to ``degree``.
 
-    ``nodes`` is the count on a flat axis; it sets the exactness degree
-    d = (nodes - 1) // 2, and each axis takes the nodes that d needs.  A
-    weighted axis puts (d + 2 + p) // 2 Gauss-Legendre nodes in s = sin^2 x
-    on [sin^2 lo, sin^2 hi], at x = arcsin(sqrt(s)) with s^p in the weights:
-    m nodes are exact for polynomials in s of degree up to 2m - 1 - p >= d.
-    ``AngleRanges`` keeps the range in [0, pi/2], where s is monotone.  A flat
-    axis takes ``nodes`` midpoint nodes on a whole number of periods (exact
-    on e^{ikx} unless nodes divides k != 0), one more on phi when 3 divides
-    ``nodes``, else ``nodes`` Gauss-Legendre nodes in x.
+    A flat axis takes 2 degree + 1 nodes: midpoint nodes on a whole number
+    of periods, exact on e^{ikx} unless 2 degree + 1 divides k != 0, else
+    Gauss-Legendre nodes in x.  A weighted axis puts (degree + 2 + p) // 2
+    Gauss-Legendre nodes in s = sin^2 x on [sin^2 lo, sin^2 hi], at
+    x = arcsin(sqrt(s)) with s^p in the weights: m nodes are exact for
+    polynomials in s of degree up to 2m - 1 - p >= degree.  ``AngleRanges``
+    keeps the range in [0, pi/2], where s is monotone.
     """
     if dim in _SIN2_POWER:
-        p, degree = _SIN2_POWER[dim], (nodes - 1) // 2
+        p = _SIN2_POWER[dim]
         glx, glw = np.polynomial.legendre.leggauss((degree + 2 + p) // 2)
         s_lo, s_hi = math.sin(lo) ** 2, math.sin(hi) ** 2
         s = (s_hi - s_lo) / 2 * glx + (s_hi + s_lo) / 2
         return np.arcsin(np.sqrt(s)), glw * (s_hi - s_lo) / 2 * s ** p
-    period = _FLAT_PERIOD[dim]
-    span = hi - lo
-    if abs(span / period - round(span / period)) < 1e-12:
-        if dim == 7 and nodes % 3 == 0:
-            # phi harmonics come in multiples of 3 (see integrate_quadrature)
-            nodes = nodes + 1
-        x = lo + (np.arange(nodes) + 0.5) * span / nodes
-        w = np.full(nodes, span / nodes)
-        return x, w
+    nodes, span = 2 * degree + 1, hi - lo
+    periods = span / _FLAT_PERIOD[dim]
+    if abs(periods - round(periods)) < 1e-12:
+        return lo + (np.arange(nodes) + 0.5) * span / nodes, np.full(nodes, span / nodes)
     glx, glw = np.polynomial.legendre.leggauss(nodes)
     return span / 2 * glx + (hi + lo) / 2, glw * span / 2
 
@@ -331,31 +325,35 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     ``RANGES_QUAD``.  The result's ``n`` is the node count and its
     ``std_error`` is None.
 
-    Exactness: over ``RANGES_QUAD``, ``nodes_per_dim >= 2d + 1`` integrate,
-    up to roundoff, every f of degree <= d in U and <= d in conj U with
-    f(wU) = f(U), w = e^{2 pi i/3}.  ``_quad_axis`` sets d = (nodes_per_dim
-    - 1) // 2 and gives each axis the nodes that d needs.  Expanded by the
-    closed form of ``compose_many``, f is a sum of products of one factor
-    per axis, and the rule is exact on each product whose factors the axis
-    rules are: on alpha, gamma, a and c a factor e^{ikx} has |k| <= 2d <
-    nodes_per_dim, the midpoint count; on phi, e^{2 pi i k phi / PHI_PERIOD}
-    has |k| <= 3d and 3 | k (as f(wU) = f(U)), and the phi node count m is
-    prime to 3, so m | k would need 3m | k, beyond 3d.  A product with a
-    nonzero frequency is thus 0 under both the rule and the Haar measure;
-    in one with none, counting generators along the chain leaves even
-    powers of cos x and sin x on beta, b and theta, a polynomial of degree
-    <= d in s.  Against ds (beta, b) or s ds (theta), (d + 2 + p) // 2
-    Gauss nodes in s are exact to degree 2 ((d + 2 + p) // 2) - 1 - p >= d:
-    2 each at d = 2, so 5^4 * 2^3 * 5 = 25 000 nodes at 5 per flat axis.
-    Not covered: other boxes, the part of f that w changes (Haar mean 0),
-    fewer nodes (4 give E|tr U|^4 = 2.75).
+    Exactness: over ``RANGES_QUAD`` the rule integrates, up to roundoff,
+    every polynomial f of degree <= d in U and <= d in conj U, where
+    d = (nodes_per_dim - 1) // 2 is the one number that sets the grid
+    (``_quad_axis``).  Expanded by the closed form of ``compose_many``, f is
+    a sum of products of one factor per axis, and the rule is exact on each
+    product whose factors the axis rules are.  Let n_j count the U factors
+    of a monomial in column j minus its conj U factors in column j.  On
+    alpha, gamma and a, a factor e^{ikx} has |k| <= 2d < 2d + 1, the
+    midpoint count, so only k = 0 survives, as under the Haar measure.  On
+    c, k = n0 - n1, also of size <= 2d, so only n0 = n1 survives.  On phi,
+    in units of 2 pi / PHI_PERIOD, k = n0 + n1 - 2 n2 = 2 (n0 - n2) with
+    |n0 - n2| <= 2d, and the odd count 2d + 1 > 2d divides it only when
+    n0 = n2.  A product with a nonzero frequency is thus 0 under both the
+    rule and the Haar measure; in one with none, counting generators along
+    the chain leaves even powers of cos x and sin x on beta, b and theta, a
+    polynomial of degree <= d in s.  Against ds (beta, b) or s ds (theta),
+    (d + 2 + p) // 2 Gauss nodes in s are exact to degree
+    2 ((d + 2 + p) // 2) - 1 - p >= d: 2 each at d = 2, so
+    5^5 * 2^3 = 25 000 nodes at 5 (or 6) per flat axis.  Not covered:
+    other boxes and higher degrees (at 3 or 4 nodes, d = 1, and
+    E|tr U|^4 comes out 2.5534 instead of 2).
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per flat axis, got {nodes_per_dim}")
     if ranges is None:
         ranges = RANGES_QUAD
     start_s = time.perf_counter()
-    xs, ws = zip(*(_quad_axis(dim, lo, hi, nodes_per_dim)
+    degree = (nodes_per_dim - 1) // 2
+    xs, ws = zip(*(_quad_axis(dim, lo, hi, degree)
                    for dim, (lo, hi) in enumerate(ranges.as_tuples())))
     total_nodes = math.prod(map(len, xs))
     if total_nodes > NODE_CAP:

@@ -1,22 +1,23 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+ROOT = Path(__file__).resolve().parent.parent
 
-def qr_haar_su3(n, seed):
-    """Reference Haar sampler via QR of a complex Gaussian matrix.
 
-    Independent of the Euler-angle machinery under test: the R-diagonal
-    phase fix makes the QR factor Haar on U(3), and dividing by a cube
-    root of the determinant projects to SU(3) (a center element absorbs
-    the branch choice, which leaves Haar invariant).
-    """
-    rng = np.random.default_rng(seed)
-    Z = (rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)))
-    Q, R = np.linalg.qr(Z / np.sqrt(2.0))
-    d = np.einsum("nii->ni", R)
-    Q = Q * (d / np.abs(d))[:, None, :]
-    det = np.linalg.det(Q)
-    return Q / (det ** (1.0 / 3.0))[:, None, None]
+def load_module(name, directory=ROOT / "benchmark"):
+    """A module of the repository loaded by path, outside the package."""
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The benchmark's references, which do not use su3geom: ``qr_haar_su3(n, rng)``
+#: (Mezzadri's QR sampler) and ``factor(k, t)`` (scipy's matrix exponential).
+references = load_module("references")
 
 
 def gauss_legendre_volume(ranges, nodes=48):
@@ -33,18 +34,6 @@ def gauss_legendre_volume(ranges, nodes=48):
         x = lo + (hi - lo) * (t + 1) / 2
         vol *= float(np.sum(w * (hi - lo) / 2 * factors.get(dim, np.ones_like)(x)))
     return vol
-
-
-def expm_series(M, terms=80):
-    """Plain exponential power series, summed to convergence."""
-    out = np.eye(M.shape[0], dtype=complex)
-    term = np.eye(M.shape[0], dtype=complex)
-    for k in range(1, terms):
-        term = term @ M / k
-        out = out + term
-        if np.linalg.norm(term) < 1e-18 * max(np.linalg.norm(out), 1.0):
-            break
-    return out
 
 
 @pytest.fixture(scope="session")

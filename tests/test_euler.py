@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su3geom.euler import (PHI_PERIOD, canonicalize, compose, compose_many,
-                           decompose, factor_exponential, factors,
+from su3geom.euler import (GENERATOR_SLOTS, PHI_PERIOD, canonicalize, compose,
+                           compose_many, decompose, factor_exponential,
                            unitarity_defect)
-from su3geom.gellmann import SQRT3, gell_mann_matrix
+from su3geom.gellmann import SQRT3
 from su3geom.haar import sample_angles
 
-from conftest import expm_series, qr_haar_su3
+from conftest import references
 
 angles8 = st.lists(st.floats(-8.0, 8.0), min_size=8, max_size=8).map(np.array)
 
@@ -37,8 +37,7 @@ def test_factor_lambda8_sqrt3_pi():
 @given(st.sampled_from([2, 3, 5, 8]), st.floats(-7.0, 7.0))
 def test_factor_matches_series(g, t):
     got = factor_exponential(g, t)
-    want = expm_series(1j * gell_mann_matrix(g) * t)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got - references.factor(g, t))) <= 1e-12
 
 
 def test_factor_bad_generator():
@@ -106,7 +105,8 @@ def test_compose_many_matches_scalar():
     # once per operation, not fused (FMA) as in numpy's array loops, so
     # compose may differ from compose_many by a few ulp
     def product(row):
-        return functools.reduce(np.matmul, factors(row))
+        return functools.reduce(np.matmul, [factor_exponential(g, t)
+                                            for g, t in zip(GENERATOR_SLOTS, row)])
 
     xs = sample_angles(40, 5)
     us = compose_many(xs)
@@ -197,7 +197,7 @@ def test_decompose_single_theta_factor():
 
 
 def test_decompose_roundtrip_haar():
-    us = qr_haar_su3(300, 99)
+    us = references.qr_haar_su3(300, np.random.default_rng(99))
     worst = 0.0
     n_gamma_ext = n_phi_ext = 0
     for u in us:

@@ -18,7 +18,7 @@ from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
                           density_from_coframe, group_volume, integrate_mc,
                           integrate_quadrature, sample_angles, volume_report)
 
-from conftest import gauss_legendre_volume, qr_haar_su3
+from conftest import gauss_legendre_volume, references
 
 PI = math.pi
 
@@ -106,7 +106,7 @@ def test_sampler_beta_cdf():
 def test_sampler_matches_qr_reference():
     n = 300_000
     us = compose_many(sample_angles(n, 5))
-    ur = qr_haar_su3(n, 6)
+    ur = references.qr_haar_su3(n, np.random.default_rng(6))
     for f in (lambda u: np.einsum("nii->n", u),
               lambda u: np.abs(np.einsum("nii->n", u)) ** 2,
               lambda u: np.abs(u[:, 0, 0]) ** 2):
@@ -349,6 +349,57 @@ def test_quadrature_known_moments_are_exact():
     assert np.all(np.abs(r.estimate - [6.0, 1.0]) <= 1e-12)
 
 
+@pytest.mark.parametrize("nodes", [5, 6, 7])
+def test_quadrature_schur_integrals_are_exact_from_five_nodes(nodes):
+    r = integrate_quadrature(verify.schur_integrands, nodes)
+    assert np.all(np.abs(r.estimate - verify.SCHUR_TARGETS) <= 1e-15)
+
+
+def test_quadrature_aliases_below_degree_two():
+    # 3 and 4 nodes both mean degree 1 and build one 486-node grid, on which
+    # |tr U|^4, of degree 2, aliases: 2.5534 instead of 2
+    def tr4(us):
+        return np.abs(np.einsum("nii->n", us)) ** 4
+
+    three, four = (integrate_quadrature(tr4, nodes).estimate for nodes in (3, 4))
+    assert three == four
+    assert abs(three - 2.5534249) <= 1e-7
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 10])
+def test_quadrature_is_exact_on_monomials_the_centre_changes(nodes):
+    # U_11 U_22 conj(U_33)^p has centre charge 2 - p, so its Haar mean is 0,
+    # and n0 - n2 = 1 + p; an even phi count 2m would let n0 - n2 = m through,
+    # giving -1/12 for p = 3 on 8 phi nodes and -0.0636 for p = 4 on 10
+    def monomials(us):
+        return (us[:, 0, 0] * us[:, 1, 1])[:, None] * np.conj(us[:, 2, 2])[:, None] ** [3, 4]
+
+    assert np.all(np.abs(integrate_quadrature(monomials, nodes).estimate) <= 1e-14)
+
+
+def test_quadrature_is_exact_on_every_monomial_of_degree_two_the_centre_changes():
+    # the 55 monomials P of degree <= 2 in the entries of U, each the product
+    # of two entries of (1, U_11, U_12, ..., U_33); the 918 products
+    # P_i conj(P_j) whose degrees in U and conj U differ by 1 or 2 are
+    # changed by w = e^{2 pi i/3}, so their Haar mean is 0; at 5 nodes, in
+    # chunks of 64 columns to keep each block's values small
+    first, second = np.array([(0, 0)] + [(0, e) for e in range(1, 10)] + list(
+        itertools.combinations_with_replacement(range(1, 10), 2))).T
+    degree = (first > 0).astype(int) + (second > 0)
+    rows, cols = np.nonzero((degree[:, None] - degree[None, :]) % 3)
+    assert len(rows) == 918
+
+    def products(us, i, j):
+        entries = np.concatenate([np.ones((len(us), 1)), us.reshape(-1, 9)], axis=1)
+        powers = entries[:, first] * entries[:, second]
+        return powers[:, i] * np.conj(powers[:, j])
+
+    for k in range(0, len(rows), 64):
+        i, j = rows[k:k + 64], cols[k:k + 64]
+        r = integrate_quadrature(lambda us: products(us, i, j), 5)
+        assert np.all(np.abs(r.estimate) <= 1e-14)
+
+
 @pytest.mark.parametrize("ranges", [{"beta": (0.0, PI)}, {"theta": (-0.1, PI / 2)},
                                     {"b": (PI / 2, 2.0)}, {"theta": (0.0, 200.0)}])
 def test_quadrature_rejects_weighted_range_outside_quarter_turn(ranges):
@@ -390,14 +441,14 @@ def test_character_quadrature_composes_half_grids_once(monkeypatch):
     monkeypatch.setattr(haar, "compose_many", counting)
     verify.character_integrals_quadrature(3)
     # 3 nodes mean degree 1: the left half-grid has 3 nodes on alpha and
-    # gamma, 1 on beta and 2 on theta, the right one 3 on a and c, 1 on b
-    # and 4 on phi (which steps off 3); no grid node is composed on its own
-    assert sum(rows) == 3 * 1 * 3 * 2 + 3 * 1 * 3 * 4
+    # gamma, 1 on beta and 2 on theta, the right one 3 on a, c and phi and
+    # 1 on b; no grid node is composed on its own
+    assert sum(rows) == 3 * 1 * 3 * 2 + 3 * 1 * 3 * 3
 
 
 def whole_grid_mean(f, nodes, ranges):
     """The product rule with the whole meshgrid built at once."""
-    axes = [haar._quad_axis(dim, lo, hi, nodes)
+    axes = [haar._quad_axis(dim, lo, hi, (nodes - 1) // 2)
             for dim, (lo, hi) in enumerate(ranges.as_tuples())]
     X = np.stack([g.ravel() for g in
                   np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
@@ -407,12 +458,12 @@ def whole_grid_mean(f, nodes, ranges):
 
 
 @pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
-@pytest.mark.parametrize("nodes", [4, 6])
+@pytest.mark.parametrize("nodes", [6, 8])
 def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
     schur = verify.schur_integrands
     expected = whole_grid_mean(schur, nodes, ranges)
     mean_abs = whole_grid_mean(lambda us: np.abs(schur(us)), nodes, ranges)
-    sizes = [len(haar._quad_axis(dim, lo, hi, nodes)[0])
+    sizes = [len(haar._quad_axis(dim, lo, hi, (nodes - 1) // 2)[0])
              for dim, (lo, hi) in enumerate(ranges.as_tuples())]
     left, right = math.prod(sizes[:4]), math.prod(sizes[4:])
 
@@ -423,14 +474,14 @@ def test_streamed_grid_matches_whole_grid(monkeypatch, ranges, nodes):
         # |f| it adds up, once for f and once for the weights
         return (blocks + math.log2(left * right)) * np.finfo(float).eps * mean_abs
 
-    # blocks of 5.5 right half-grids: several blocks of 5 whole left rows,
-    # the last one partial (32 and 144 left rows)
-    rows = 5
+    # blocks of 9.5 right half-grids: several blocks of 9 whole left rows,
+    # the last one partial (100 and 294 left rows)
+    rows = 9
     assert left // rows > 5 and left % rows != 0
     monkeypatch.setattr(haar, "_BLOCK_ROWS", rows * right + right // 2)
     means = integrate_quadrature(schur, nodes, ranges).estimate
     assert np.all(np.abs(means - expected) <= bound(-(-left // rows)))
-    # 50-node blocks, below every right half-grid here (64 to 504 nodes):
+    # 50-node blocks, below every right half-grid here (250 to 686 nodes):
     # each block holds one left row
     assert right > 50
     monkeypatch.setattr(haar, "_BLOCK_ROWS", 50)
@@ -452,18 +503,20 @@ def test_character_quadrature_memory_peak():
     assert peak <= 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("nodes, grid", [(3, 648), (4, 2048), (5, 25_000),
-                                         (6, 72_576), (7, 201_684), (8, 393_216)])
+@pytest.mark.parametrize("nodes, grid", [(3, 486), (4, 486), (5, 25_000),
+                                         (6, 25_000), (7, 201_684), (8, 201_684)])
 def test_quadrature_node_count(nodes, grid):
-    # the node count sets the run time: nodes_per_dim midpoint nodes on
-    # alpha, gamma, a and c (one more on phi when 3 divides it) and only
-    # the Gauss nodes that degree (nodes - 1) // 2 needs on beta, b and theta
+    # the node count sets the run time, and the degree d = (nodes - 1) // 2
+    # alone sets the grid: 2d + 1 midpoint nodes on alpha, gamma, a, c and
+    # phi and only the Gauss nodes that d needs on beta, b and theta, so an
+    # even count builds the grid of the odd count below it
     assert integrate_quadrature(lambda us: np.ones(len(us)), nodes).n == grid
 
 
 def test_quadrature_node_cap():
     # 13 nodes per flat axis (23.8 M grid nodes) are the fewest that exceed
-    # NODE_CAP = 8^8, and the call fails before f sees a single node
+    # NODE_CAP = 8^8, 11 and 12 make 5.8 M, and the call fails before f
+    # sees a single node
     calls = []
 
     def f(us):
@@ -471,11 +524,11 @@ def test_quadrature_node_cap():
         return np.ones(len(us))
 
     def grid(nodes):
-        return math.prod(len(haar._quad_axis(dim, lo, hi, nodes)[0])
+        return math.prod(len(haar._quad_axis(dim, lo, hi, (nodes - 1) // 2)[0])
                          for dim, (lo, hi) in enumerate(RANGES_QUAD.as_tuples()))
 
     assert haar.NODE_CAP == 8 ** 8
-    assert grid(12) <= haar.NODE_CAP < grid(13) == 23_762_752
+    assert grid(11) == grid(12) == 5_797_836 <= haar.NODE_CAP < grid(13) == 23_762_752
     with pytest.raises(ValueError, match="cap"):
         integrate_quadrature(f, 13)
     assert calls == []

@@ -2,12 +2,12 @@
 seed goes through ``haar.sub_seed``, and all randomness comes from
 ``haar._sample_rows``.
 
-No linter ships with the project, so this parses the package modules,
-the scripts and the tests with ``ast`` and fails on any imported name
-that the module never references, on any ``seed + k`` written by hand
-in the package or the scripts (such a sum can leave [0, 2^64)), and on
-any use of ``numpy.random`` in the package or the scripts outside
-``haar._sample_rows``, the one Philox stream that the sampler draws from.
+No linter ships with the project, so this parses the package modules
+and the tests with ``ast`` and fails on any imported name that the
+module never references, on any ``seed + k`` written by hand in the
+package (such a sum can leave [0, 2^64)), and on any use of
+``numpy.random`` in the package outside ``haar._sample_rows``, the one
+Philox stream that the sampler draws from.
 """
 
 import ast
@@ -18,7 +18,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     [p for p in (ROOT / "src" / "su3geom").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py")))
 
 
@@ -46,8 +45,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-SEED_FILES = sorted(list((ROOT / "src" / "su3geom").glob("*.py"))
-                    + list((ROOT / "scripts").glob("*.py")))
+SEED_FILES = sorted((ROOT / "src" / "su3geom").glob("*.py"))
 
 
 def _is_seed(node):

@@ -1,44 +1,15 @@
-import importlib.util
+import importlib
 import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
-
-
-def load_script(name, directory=SCRIPTS):
-    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_quadrature_convergence_stated_box_rows():
-    script = load_script("quadrature_convergence")
-    rows = script.stated_box_characters(3)
-    assert len(rows) == 4
-    for name, value, se, target in rows:
-        assert isinstance(name, str) and se is None
-        assert np.isfinite(value) and np.isfinite(target)
-
-
-def test_quadrature_convergence_main_prints_every_row(capsys):
-    script = load_script("quadrature_convergence")
-    script.main()
-    rows = [line for line in capsys.readouterr().out.splitlines()
-            if "nodes_per_dim" in line]
-    # 3..7 nodes over the cover box, then 5 and 6 over the stated box
-    assert [int(line.split("=")[1].split(":")[0]) for line in rows] == [3, 4, 5, 6, 7, 5, 6]
-    assert "5 x 2 x 5 x 2 x 5 x 2 x 5 x 5 = 25000 nodes" in rows[2]
+from conftest import ROOT, load_module
 
 
 def test_benchmark_trace_targets_exist():
     # a traced benchmark run wraps each of these names; a missing one
     # would only show up there
-    tracing = load_script("tracing", ROOT / "benchmark")
+    tracing = load_module("tracing")
     for module, function, _ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(f"su3geom.{module}"),
                                 function)), (module, function)
