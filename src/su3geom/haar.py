@@ -33,8 +33,9 @@ available.  Three range boxes matter:
     normalized integrals) and makes every flat coordinate a full circle,
     so midpoint nodes integrate its harmonics exactly.  Default box for
     ``integrate_quadrature``: with 2d + 1 nodes on each flat axis it is
-    exact on every polynomial of degree <= d in U and in conj U.  It
-    composes each half-grid once, a node costs one 3x3 product, memory
+    exact on every polynomial of degree <= d in U and in conj U.  Grids
+    are cached per (degree, box): only the first call that needs a grid
+    composes its two half-grids, a node costs one 3x3 product, memory
     stays flat, and ``NODE_CAP`` bounds the run time.
 
 Both integrators average functions on the group, not on the chart: the
@@ -54,8 +55,10 @@ own.  Derived streams take ``sub_seed(seed, k)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -82,8 +85,10 @@ class AngleRanges:
 
     Raises ValueError unless every bound is finite, lo < hi, and beta, theta
     and b lie in [0, pi/2], where sin(2x) >= 0 and s = sin^2 x is monotone.
-    Defaults are the stated ranges (see module docstring); use
-    ``RANGES_COVER`` for anything that must be Haar-faithful.
+    Every bound is stored as a (float, float) tuple, so a box is hashable
+    and equals its twin given as lists or numpy scalars.  Defaults are the
+    stated ranges (see module docstring); use ``RANGES_COVER`` for anything
+    that must be Haar-faithful.
     """
 
     alpha: tuple = (0.0, _PI)
@@ -101,6 +106,7 @@ class AngleRanges:
                 raise ValueError(f"{COORD_NAMES[dim]} range ({lo}, {hi}) needs finite lo < hi")
             if dim in _SIN2_POWER and not 0.0 <= lo < hi <= _HALF_PI:
                 raise ValueError(f"{COORD_NAMES[dim]} range ({lo}, {hi}) exceeds [0, pi/2]")
+            object.__setattr__(self, COORD_NAMES[dim], (float(lo), float(hi)))
 
     def as_tuples(self):
         return (self.alpha, self.beta, self.gamma, self.theta,
@@ -205,10 +211,17 @@ class IntegrationResult:
     elapsed_s: float
 
 
-#: Rows or quadrature nodes in one block of an ordered sum: the unit of work
-#: handed to the threads, small enough that a block's arrays stay near the cache.
-_BLOCK_ROWS = 16384
-#: Threads that run an ordered sum's blocks after the first.
+#: Rows or quadrature nodes in one block of an ordered sum, the unit of work
+#: the threads share.  At 8192 the 25 000-node grid of 5 nodes per flat axis
+#: splits into 4 blocks, so two cores both get work (16384 made 2 blocks, of
+#: 65 and 35 left rows), and each block's temporaries are half as large: on
+#: 2 cores a ``haar_mc`` benchmark run peaked at 143 MB RSS instead of 151,
+#: with rounds of 0.51 s instead of 0.61.
+_BLOCK_ROWS = 8192
+#: Threads that run an ordered sum's blocks, the calling thread included:
+#: the usable cores, at most 4.  Each holds one block's temporaries at a
+#: time, so this also bounds the memory of a call; a ``haar_mc`` run peaked
+#: at 167 MB RSS when the caller waited on this many more threads.
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -216,22 +229,41 @@ _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 def _ordered_sums(fn, blocks):
     """The tuples ``fn(block)`` summed over ``blocks``, added in block order.
 
-    Block 0 runs on the calling thread, so an integrand that fails does so
-    after one call; the others run on up to ``_WORKERS`` threads that start
-    and are joined within the call, so ``fn`` and its integrand may run on
-    several threads at once and must not mutate shared state.  If a block
-    raises, the blocks not yet started are cancelled and the error is raised.
+    Block 0 runs alone on the calling thread, so an integrand that fails
+    does so after one call.  Then the caller and ``_WORKERS - 1`` threads,
+    started and joined within the call, take the other blocks' indices from
+    one shared iterator and store each block's sums by index; ``fn`` and its
+    integrand may thus run on several threads at once and must not mutate
+    shared state.  A thread whose block raises drains the iterator, so no
+    further block starts, and the error of the lowest such block is raised.
     """
-    totals = fn(blocks[0])
-    if len(blocks) > 1:
-        # imported here: at module import it would add ~5 ms to every import
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="su3geom-mc")
-        try:
-            for future in [pool.submit(fn, block) for block in blocks[1:]]:
-                totals = tuple(t + s for t, s in zip(totals, future.result()))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    sums = [fn(blocks[0])] + [None] * (len(blocks) - 1)
+    todo = iter(range(1, len(blocks)))  # next() holds the GIL, so threads share it
+    errors = {}
+
+    def run():
+        for k in todo:
+            try:
+                sums[k] = fn(blocks[k])
+            except BaseException as exc:
+                for _ in todo:
+                    pass
+                errors[k] = exc
+
+    threads = [threading.Thread(target=run, name=f"su3geom-mc_{i}")
+               for i in range(min(_WORKERS, len(blocks)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        run()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    totals = sums[0]
+    for block_sums in sums[1:]:
+        totals = tuple(t + s for t, s in zip(totals, block_sums))
     return totals
 
 
@@ -273,7 +305,7 @@ def integrate_mc(f, n, seed, *, vectorized=True):
 
 
 #: Cap on the total quadrature grid size, set by run time: 11 and 12 nodes per
-#: flat axis, the most under it, make 5 797 836 nodes and take about 0.6 s for
+#: flat axis, the most under it, make 5 797 836 nodes and take about 0.3 s for
 #: the four character integrals on two cores.  Memory does not grow with the grid.
 NODE_CAP = 8 ** 8
 
@@ -310,6 +342,28 @@ def _half_grid(xs, ws, axes):
     return compose_many(X), np.prod(np.meshgrid(*ws[axes], indexing="ij"), axis=0).ravel()
 
 
+@functools.lru_cache(maxsize=8)
+def _product_rule(degree, ranges):
+    """The product rule of ``degree`` over ``ranges``, built once and then cached.
+
+    Returns the left half-grid (k, 3, 3) with its k weights, and the right
+    half-grid with its m weights, its elements laid out as the (3, 3 m)
+    columns that one matrix product needs; all four arrays are read-only.
+    Raises ValueError, and caches nothing, above ``NODE_CAP`` nodes.  At
+    ``NODE_CAP`` an entry holds under 1 MB.
+    """
+    xs, ws = zip(*(_quad_axis(dim, lo, hi, degree)
+                   for dim, (lo, hi) in enumerate(ranges.as_tuples())))
+    total_nodes = math.prod(map(len, xs))
+    if total_nodes > NODE_CAP:
+        raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
+    (left, w_left), (right, w_right) = (_half_grid(xs, ws, slice(h, h + 4)) for h in (0, 4))
+    grid = left, w_left, right.transpose(1, 0, 2).reshape(3, -1), w_right
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
 def integrate_quadrature(f, nodes_per_dim, ranges=None):
     """Haar average of f by a separable product rule with the density weight.
 
@@ -317,12 +371,14 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     (m,) or (m, ...); every trailing entry is averaged with the same
     weights, so several integrands share one pass over the grid.  A node's
     element is a left half-grid element (axes 0-3) times a right one (axes
-    4-7): ``compose_many`` runs once per half-grid, and ``_ordered_sums``
-    forms the nodes by one 3x3 product each, in blocks of whole left rows
-    (about ``_BLOCK_ROWS`` nodes in C order) on several threads at once.
-    The sum is normalized by f == 1 under the same rule, so any constant
-    covering multiplicity of the range box cancels.  Default box is
-    ``RANGES_QUAD``.  The result's ``n`` is the node count and its
+    4-7): ``_product_rule`` composes each half-grid once per (degree, box)
+    and caches both, and ``_ordered_sums`` forms the nodes by one 3x3
+    product each, in blocks of whole left rows (about ``_BLOCK_ROWS`` nodes
+    in C order) on several threads at once.  Each thread forms its blocks
+    in one reused stack, so ``f`` must not keep its argument after it
+    returns.  The sum is normalized by f == 1 under the same rule, so any
+    constant covering multiplicity of the range box cancels.  Default box
+    is ``RANGES_QUAD``.  The result's ``n`` is the node count and its
     ``std_error`` is None.
 
     Exactness: over ``RANGES_QUAD`` the rule integrates, up to roundoff,
@@ -349,25 +405,34 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per flat axis, got {nodes_per_dim}")
-    if ranges is None:
-        ranges = RANGES_QUAD
     start_s = time.perf_counter()
-    degree = (nodes_per_dim - 1) // 2
-    xs, ws = zip(*(_quad_axis(dim, lo, hi, degree)
-                   for dim, (lo, hi) in enumerate(ranges.as_tuples())))
-    total_nodes = math.prod(map(len, xs))
-    if total_nodes > NODE_CAP:
-        raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
-    (left, w_left), (right, w_right) = (_half_grid(xs, ws, slice(h, h + 4)) for h in (0, 4))
-    right_cols = right.transpose(1, 0, 2).reshape(3, -1)
-    rows = max(1, _BLOCK_ROWS // len(right))
+    left, w_left, right_cols, w_right = _product_rule(
+        (nodes_per_dim - 1) // 2, RANGES_QUAD if ranges is None else ranges)
+    m = len(w_right)
+    rows = max(1, _BLOCK_ROWS // m)
+    # left rows per matrix product: about 2048 nodes, a 288 kB product; one
+    # product per block or per left row measured slower at 5 nodes
+    group = max(1, 2048 // m)
+    # each thread of this call forms all its blocks in one array: fresh
+    # arrays for every block cost a minor page fault per 4 kB page, and at
+    # 11 nodes per flat axis (726 blocks) 140 000 to 430 000 faults made a
+    # call take 0.5-0.6 s instead of 0.29
+    scratch = threading.local()
 
     def block_sums(start):
         block = left[start:start + rows]
-        # nodes in C order; rebinding frees the product before f runs
-        nodes = (block.reshape(-1, 3) @ right_cols).reshape(len(block), 3, len(right), 3)
-        nodes = nodes.transpose(0, 2, 1, 3).reshape(-1, 3, 3)
-        vals = _rows(f(nodes), len(nodes))
+        k = len(block)
+        if not hasattr(scratch, "work"):
+            scratch.work = np.empty(9 * (group + rows) * m, dtype=complex)
+        nodes = scratch.work[9 * group * m:9 * (group + k) * m].reshape(k, m, 3, 3)
+        for i in range(0, k, group):
+            part = block[i:i + group]
+            product = np.matmul(part.reshape(-1, 3), right_cols,
+                                out=scratch.work[:9 * len(part) * m].reshape(-1, 3 * m))
+            # the nodes in C order
+            nodes[i:i + group] = product.reshape(len(part), 3, m, 3).transpose(0, 2, 1, 3)
+        nodes = nodes.reshape(k * m, 3, 3)
+        vals = _rows(f(nodes), k * m)
         W = np.multiply.outer(w_left[start:start + rows], w_right).ravel()
         # C order makes each entry's terms contiguous, so numpy sums them
         # pairwise exactly as it sums that entry's (m,) values alone
@@ -375,7 +440,7 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
         return terms.sum(axis=-1), W.sum()
 
     acc, w_sum = _ordered_sums(block_sums, range(0, len(left), rows))
-    return IntegrationResult(estimate=acc / w_sum, std_error=None, n=total_nodes,
+    return IntegrationResult(estimate=acc / w_sum, std_error=None, n=len(w_left) * m,
                              method="quadrature", elapsed_s=time.perf_counter() - start_s)
 
 

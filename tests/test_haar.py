@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from su3geom import haar, verify
-from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many, decompose
+from su3geom.euler import COORD_NAMES, EulerAngles, PHI_PERIOD, compose_many, decompose
 from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
                           character, density,
                           density_from_coframe, group_volume, integrate_mc,
@@ -152,7 +152,7 @@ def test_mc_entry_moment():
 
 
 def test_mc_is_the_plain_mean_over_the_sample_stream():
-    # 300000 samples span 19 accumulation chunks
+    # 300000 samples span 37 accumulation blocks
     n, seed = 300_000, 5
     f = lambda us: np.einsum("nii->n", us)
     vals = f(compose_many(sample_angles(n, seed)))
@@ -168,8 +168,8 @@ def test_mc_vectorized_shape_check():
 
 
 @pytest.mark.parametrize("integrate", [
-    lambda f: integrate_mc(f, 140_000, 3),     # nine sample chunks
-    lambda f: integrate_quadrature(f, 5),      # two grid blocks
+    lambda f: integrate_mc(f, 140_000, 3),     # 18 sample blocks
+    lambda f: integrate_quadrature(f, 5),      # four grid blocks
 ], ids=["mc", "quadrature"])
 def test_integrand_shape_is_checked_per_block(integrate):
     # both integrators take (m, 3, 3) -> (m, ...) and reject values with
@@ -239,7 +239,7 @@ def test_integrators_are_the_same_for_any_thread_count(monkeypatch):
             blocks.append(len(us))
             return verify.schur_integrands(us)
 
-        # 7 nodes: 13 blocks of whole left rows, so every thread runs several
+        # 7 nodes: 27 blocks of whole left rows, so every thread runs several
         quad = integrate_quadrature(schur, 7)
         assert len(blocks) > workers + 1
         results.append((mc.estimate, mc.std_error, quad.estimate))
@@ -258,16 +258,9 @@ def mc_threads():
 
 @pytest.mark.parametrize("integrate", [
     lambda f: integrate_mc(f, 8 * haar._BLOCK_ROWS, 1),
-    lambda f: integrate_quadrature(f, 7),  # 13 blocks of 23 left rows or fewer
+    lambda f: integrate_quadrature(f, 7),  # 27 blocks of 11 left rows or fewer
 ], ids=["integrate_mc", "integrate_quadrature"])
-def test_mc_error_in_a_pool_chunk_is_raised(integrate):
-    calls = itertools.count(1)  # next() is atomic, so threads share it safely
-
-    def fails_on_fourth_call(us):
-        if next(calls) == 4:
-            raise FourthCall
-        return np.ones(len(us))
-
+def test_mc_error_in_a_pool_chunk_is_raised(monkeypatch, integrate):
     blocks = []
 
     def ones(us):
@@ -276,12 +269,76 @@ def test_mc_error_in_a_pool_chunk_is_raised(integrate):
 
     expected = integrate(ones).estimate
     assert len(blocks) >= 4
-    with pytest.raises(FourthCall):
-        integrate(fails_on_fourth_call)
-    # each call joins its threads, whether it raises or returns, and the
-    # next call gives the same result, bit for bit, as before the failure
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(haar, "_WORKERS", workers)
+        calls = itertools.count(1)  # next() is atomic, so threads share it safely
+        started = []
+
+        def fails_on_fourth_call(us):
+            started.append(next(calls))
+            if started[-1] == 4:
+                raise FourthCall
+            return np.ones(len(us))
+
+        with pytest.raises(FourthCall):
+            integrate(fails_on_fourth_call)
+        # the failing thread drains the shared block iterator, so only
+        # threads already between two blocks can start one more
+        assert max(started) <= 4 + workers - 1
+        # each call joins its threads, whether it raises or returns, and the
+        # next call gives the same result, bit for bit, as before the failure
+        assert mc_threads() == []
+        assert integrate(ones).estimate == expected
+        assert mc_threads() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocks_run_on_the_caller_and_at_most_workers_threads(monkeypatch, workers):
+    # block 0 runs alone on the caller, which then shares the other blocks
+    # with workers - 1 threads of its own; with one worker no thread starts
+    monkeypatch.setattr(haar, "_WORKERS", workers)
+    caller = threading.current_thread().name
+    names = []
+
+    def where(us):
+        names.append(threading.current_thread().name)
+        return np.ones(len(us))
+
+    integrate_mc(where, 8 * haar._BLOCK_ROWS, 1)
+    mc_names = list(names)
+    assert len(mc_names) == 8 and mc_names[0] == caller
+    integrate_quadrature(where, 7)
+    assert names[8] == caller
+    assert len(set(names)) <= workers and caller in names
+    assert all(name.startswith("su3geom-mc") for name in set(names) - {caller})
+    if workers > 1:
+        # 7 of 8 Monte Carlo blocks after block 0: the caller takes some
+        assert mc_names.count(caller) > 1
+    else:
+        assert set(names) == {caller}
     assert mc_threads() == []
-    assert integrate(ones).estimate == expected
+
+
+def test_shared_block_iterator_under_thread_stress(monkeypatch):
+    # more threads than cores and a 1 us switch interval: each block still
+    # runs exactly once and the sums come out bit for bit the same
+    schur = verify.schur_integrands
+    expected = integrate_quadrature(schur, 7).estimate
+    monkeypatch.setattr(haar, "_WORKERS", 8)
+    sizes = []
+
+    def counted(us):
+        sizes.append(len(us))
+        return schur(us)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = integrate_quadrature(counted, 7).estimate
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(sizes) == 27 and sum(sizes) == 201_684
+    assert np.array_equal(got, expected)
     assert mc_threads() == []
 
 
@@ -419,6 +476,20 @@ def test_angle_ranges_rejects_nonfinite_or_empty_range(ranges):
         AngleRanges(**ranges)
 
 
+def test_angle_ranges_are_hashable_with_list_bounds():
+    # bounds are stored as (float, float) tuples, so a box given with lists
+    # or numpy scalars hashes, equals its tuple twin and keys the grid cache
+    box = AngleRanges(alpha=[0.0, 1.0], phi=[np.int64(0), np.float64(5.0)])
+    twin = AngleRanges(alpha=(0.0, 1.0), phi=(0.0, 5.0))
+    assert box == twin and hash(box) == hash(twin)
+    assert box.alpha == (0.0, 1.0) and type(box.alpha) is tuple
+    assert all(type(v) is float for bound in box.as_tuples() for v in bound)
+    ones = lambda us: np.ones(len(us))
+    tr = lambda us: np.einsum("nii->n", us)
+    assert integrate_quadrature(ones, 3, box).estimate == 1.0
+    assert integrate_quadrature(tr, 3, box).estimate == integrate_quadrature(tr, 3, twin).estimate
+
+
 @pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
 def test_quadrature_columns_match_single_integrands(ranges):
     schur = verify.schur_integrands
@@ -430,7 +501,17 @@ def test_quadrature_columns_match_single_integrands(ranges):
         assert single.estimate == r.estimate[k]
 
 
-def test_character_quadrature_composes_half_grids_once(monkeypatch):
+@pytest.fixture
+def fresh_grids():
+    """An empty product-rule cache before and after the test, for tests that
+    count the composing of a grid or patch what builds one."""
+    haar._product_rule.cache_clear()
+    yield
+    haar._product_rule.cache_clear()
+
+
+def count_composed(monkeypatch):
+    """A list that receives the row count of every ``haar.compose_many`` call."""
     rows = []
     original = haar.compose_many
 
@@ -439,11 +520,69 @@ def test_character_quadrature_composes_half_grids_once(monkeypatch):
         return original(xs)
 
     monkeypatch.setattr(haar, "compose_many", counting)
+    return rows
+
+
+@pytest.mark.usefixtures("fresh_grids")
+def test_character_quadrature_composes_half_grids_once(monkeypatch):
+    rows = count_composed(monkeypatch)
     verify.character_integrals_quadrature(3)
     # 3 nodes mean degree 1: the left half-grid has 3 nodes on alpha and
     # gamma, 1 on beta and 2 on theta, the right one 3 on a, c and phi and
     # 1 on b; no grid node is composed on its own
     assert sum(rows) == 3 * 1 * 3 * 2 + 3 * 1 * 3 * 3
+
+
+@pytest.mark.usefixtures("fresh_grids")
+def test_quadrature_grid_is_built_once_per_degree_and_box(monkeypatch):
+    rows = count_composed(monkeypatch)
+
+    def ones(us):
+        return np.ones(len(us))
+
+    # degree 2: 100 left and 250 right half-grid elements
+    integrate_quadrature(ones, 5)
+    assert rows == [100, 250]
+    # the same degree again, also from 6 nodes, and the default box named
+    # or rebuilt from lists, compose nothing
+    verify.character_integrals_quadrature(5)
+    integrate_quadrature(ones, 6)
+    integrate_quadrature(ones, 5, RANGES_QUAD)
+    integrate_quadrature(ones, 5, AngleRanges(
+        **{name: list(bounds) for name, bounds in zip(COORD_NAMES, RANGES_QUAD.as_tuples())}))
+    assert rows == [100, 250]
+    # another box, or another degree, builds its own grid
+    integrate_quadrature(ones, 5, RANGES_STATED)
+    assert rows[2:] == [100, 250]
+    integrate_quadrature(ones, 7)
+    assert rows[4:] == [294, 686]
+    integrate_quadrature(ones, 7)
+    integrate_quadrature(ones, 5, RANGES_STATED)
+    assert len(rows) == 6
+
+
+def test_cached_half_grids_are_read_only():
+    grid = haar._product_rule(2, RANGES_QUAD)
+    assert haar._product_rule(2, RANGES_QUAD) is grid
+    assert [a.shape for a in grid] == [(100, 3, 3), (100,), (3, 750), (250,)]
+    for array in grid:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_quadrature_integrand_may_run_a_quadrature():
+    # each thread forms its blocks in one reused array; a call nested in
+    # the integrand must not form its nodes in the array the outer call's
+    # integrand is reading
+    schur = verify.schur_integrands
+
+    def nested(us):
+        integrate_quadrature(schur, 7)
+        return schur(us)
+
+    assert np.array_equal(integrate_quadrature(nested, 5).estimate,
+                          integrate_quadrature(schur, 5).estimate)
 
 
 def whole_grid_mean(f, nodes, ranges):
@@ -493,7 +632,9 @@ def test_character_quadrature_memory_peak():
     # the whole 390 625-node grid of 5 Gauss nodes on every weighted axis
     # took 137 MB, 131 072-node blocks one at a time about 56, 16 384-node
     # blocks, a few at once, about 11; the 25 000 nodes of the degree-2
-    # grid take about 5.5
+    # grid took about 5.5 in 16 384-node blocks and take about 4.9 in
+    # 8192-node blocks, each thread forming its blocks in one array, on the
+    # call that builds and caches the grid (4.1 on a later call)
     tracemalloc.start()
     try:
         verify.character_integrals_quadrature(5)
@@ -754,6 +895,7 @@ def test_quadrature_density_is_bi_invariant():
         assert _quadrature_translation_gaps(seed) <= 1e-12
 
 
+@pytest.mark.usefixtures("fresh_grids")
 def test_quadrature_bi_invariance_needs_sin2_theta(monkeypatch):
     # without the sin^2 theta factor the density is not invariant, and the
     # exact rule shows it at order 1 (|tr|^2 moves by 0.374)
@@ -763,8 +905,9 @@ def test_quadrature_bi_invariance_needs_sin2_theta(monkeypatch):
 
 def test_invariance_deviations_memory_peak():
     # one translated stack at a time and one (m, 40) real block per
-    # chunk, a few chunks at once: about 28 MB; the bound keeps haar_mc's
-    # peak RSS from growing
+    # block, one block at a time per thread: about 13 MB on two cores (26
+    # with 16 384-row blocks, the caller idle and two more threads); the
+    # bound keeps haar_mc's peak RSS from growing
     tracemalloc.start()
     try:
         verify.invariance_deviations(100_000, 5)
