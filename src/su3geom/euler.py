@@ -150,7 +150,7 @@ def _closed_form(x):
     y2 = np.sin(b) * np.exp(1j * (a - c))
     ct, st = np.cos(theta), np.sin(theta)
     e = np.exp(1j * phi / SQRT3)
-    e2 = np.conj(e * e)
+    e2 = e ** -2
     x1c, y1c = np.conj(x1), np.conj(y1)
     U = np.empty(x.shape[:-1] + (3, 3), dtype=complex)
     U[..., 0, 0] = (x1 * ct * x2 - y1 * np.conj(y2)) * e

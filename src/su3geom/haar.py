@@ -33,9 +33,8 @@ available.  Three range boxes matter:
     normalized integrals) and makes every flat coordinate a full circle,
     so midpoint nodes integrate its harmonics exactly.  Default box for
     ``integrate_quadrature``: with 2d + 1 nodes on each flat axis it is
-    exact on every polynomial of degree <= d in U and in conj U.  Grids
-    are cached per (degree, box): only the first call that needs a grid
-    composes its two half-grids, a node costs one 3x3 product, memory
+    exact on every polynomial of degree <= d in U and in conj U.  It
+    composes each half-grid once, a node costs one 3x3 product, memory
     stays flat, and ``NODE_CAP`` bounds the run time.
 
 Both integrators average functions on the group, not on the chart: the
@@ -55,7 +54,6 @@ own.  Derived streams take ``sub_seed(seed, k)``.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -85,10 +83,8 @@ class AngleRanges:
 
     Raises ValueError unless every bound is finite, lo < hi, and beta, theta
     and b lie in [0, pi/2], where sin(2x) >= 0 and s = sin^2 x is monotone.
-    Every bound is stored as a (float, float) tuple, so a box is hashable
-    and equals its twin given as lists or numpy scalars.  Defaults are the
-    stated ranges (see module docstring); use ``RANGES_COVER`` for anything
-    that must be Haar-faithful.
+    Defaults are the stated ranges (see module docstring); use
+    ``RANGES_COVER`` for anything that must be Haar-faithful.
     """
 
     alpha: tuple = (0.0, _PI)
@@ -106,7 +102,6 @@ class AngleRanges:
                 raise ValueError(f"{COORD_NAMES[dim]} range ({lo}, {hi}) needs finite lo < hi")
             if dim in _SIN2_POWER and not 0.0 <= lo < hi <= _HALF_PI:
                 raise ValueError(f"{COORD_NAMES[dim]} range ({lo}, {hi}) exceeds [0, pi/2]")
-            object.__setattr__(self, COORD_NAMES[dim], (float(lo), float(hi)))
 
     def as_tuples(self):
         return (self.alpha, self.beta, self.gamma, self.theta,
@@ -342,28 +337,6 @@ def _half_grid(xs, ws, axes):
     return compose_many(X), np.prod(np.meshgrid(*ws[axes], indexing="ij"), axis=0).ravel()
 
 
-@functools.lru_cache(maxsize=8)
-def _product_rule(degree, ranges):
-    """The product rule of ``degree`` over ``ranges``, built once and then cached.
-
-    Returns the left half-grid (k, 3, 3) with its k weights, and the right
-    half-grid with its m weights, its elements laid out as the (3, 3 m)
-    columns that one matrix product needs; all four arrays are read-only.
-    Raises ValueError, and caches nothing, above ``NODE_CAP`` nodes.  At
-    ``NODE_CAP`` an entry holds under 1 MB.
-    """
-    xs, ws = zip(*(_quad_axis(dim, lo, hi, degree)
-                   for dim, (lo, hi) in enumerate(ranges.as_tuples())))
-    total_nodes = math.prod(map(len, xs))
-    if total_nodes > NODE_CAP:
-        raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
-    (left, w_left), (right, w_right) = (_half_grid(xs, ws, slice(h, h + 4)) for h in (0, 4))
-    grid = left, w_left, right.transpose(1, 0, 2).reshape(3, -1), w_right
-    for array in grid:
-        array.flags.writeable = False
-    return grid
-
-
 def integrate_quadrature(f, nodes_per_dim, ranges=None):
     """Haar average of f by a separable product rule with the density weight.
 
@@ -371,12 +344,12 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     (m,) or (m, ...); every trailing entry is averaged with the same
     weights, so several integrands share one pass over the grid.  A node's
     element is a left half-grid element (axes 0-3) times a right one (axes
-    4-7): ``_product_rule`` composes each half-grid once per (degree, box)
-    and caches both, and ``_ordered_sums`` forms the nodes by one 3x3
-    product each, in blocks of whole left rows (about ``_BLOCK_ROWS`` nodes
-    in C order) on several threads at once.  Each thread forms its blocks
-    in one reused stack, so ``f`` must not keep its argument after it
-    returns.  The sum is normalized by f == 1 under the same rule, so any
+    4-7): ``compose_many`` runs once per half-grid, and ``_ordered_sums``
+    forms the nodes by one 3x3 product each, in blocks of whole left rows
+    (about ``_BLOCK_ROWS`` nodes in C order) on several threads at once.
+    Each thread forms its blocks in one reused stack and hands ``f`` a
+    read-only view of it, so ``f`` must not keep its argument, or a view
+    of it, after it returns.  The sum is normalized by f == 1 under the same rule, so any
     constant covering multiplicity of the range box cancels.  Default box
     is ``RANGES_QUAD``.  The result's ``n`` is the node count and its
     ``std_error`` is None.
@@ -405,18 +378,27 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per flat axis, got {nodes_per_dim}")
+    if ranges is None:
+        ranges = RANGES_QUAD
     start_s = time.perf_counter()
-    left, w_left, right_cols, w_right = _product_rule(
-        (nodes_per_dim - 1) // 2, RANGES_QUAD if ranges is None else ranges)
-    m = len(w_right)
+    degree = (nodes_per_dim - 1) // 2
+    xs, ws = zip(*(_quad_axis(dim, lo, hi, degree)
+                   for dim, (lo, hi) in enumerate(ranges.as_tuples())))
+    total_nodes = math.prod(map(len, xs))
+    if total_nodes > NODE_CAP:
+        raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
+    (left, w_left), (right, w_right) = (_half_grid(xs, ws, slice(h, h + 4)) for h in (0, 4))
+    right_cols = right.transpose(1, 0, 2).reshape(3, -1)
+    m = len(right)
     rows = max(1, _BLOCK_ROWS // m)
-    # left rows per matrix product: about 2048 nodes, a 288 kB product; one
-    # product per block or per left row measured slower at 5 nodes
+    # left rows per matrix product: about 2048 nodes, a 288 kB product that
+    # stays in cache while it is copied into C order; one product per block
+    # took 5.5-6.9 ms instead of 3.0-4.4 for the 5-node character integrals
     group = max(1, 2048 // m)
     # each thread of this call forms all its blocks in one array: fresh
-    # arrays for every block cost a minor page fault per 4 kB page, and at
-    # 11 nodes per flat axis (726 blocks) 140 000 to 430 000 faults made a
-    # call take 0.5-0.6 s instead of 0.29
+    # arrays for every block cost a minor page fault per 4 kB page, 5.9-6.2
+    # ms at 5 nodes, and 0.5-0.7 s instead of 0.26-0.42 at 11 nodes (726
+    # blocks, 120 000 to 360 000 faults a call)
     scratch = threading.local()
 
     def block_sums(start):
@@ -432,6 +414,8 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
             # the nodes in C order
             nodes[i:i + group] = product.reshape(len(part), 3, m, 3).transpose(0, 2, 1, 3)
         nodes = nodes.reshape(k * m, 3, 3)
+        # f sees a read-only view, since the next block overwrites it
+        nodes.flags.writeable = False
         vals = _rows(f(nodes), k * m)
         W = np.multiply.outer(w_left[start:start + rows], w_right).ravel()
         # C order makes each entry's terms contiguous, so numpy sums them
@@ -440,7 +424,7 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
         return terms.sum(axis=-1), W.sum()
 
     acc, w_sum = _ordered_sums(block_sums, range(0, len(left), rows))
-    return IntegrationResult(estimate=acc / w_sum, std_error=None, n=len(w_left) * m,
+    return IntegrationResult(estimate=acc / w_sum, std_error=None, n=total_nodes,
                              method="quadrature", elapsed_s=time.perf_counter() - start_s)
 
 

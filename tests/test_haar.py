@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from su3geom import haar, verify
-from su3geom.euler import COORD_NAMES, EulerAngles, PHI_PERIOD, compose_many, decompose
+from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many, decompose
 from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
                           character, density,
                           density_from_coframe, group_volume, integrate_mc,
@@ -476,20 +476,6 @@ def test_angle_ranges_rejects_nonfinite_or_empty_range(ranges):
         AngleRanges(**ranges)
 
 
-def test_angle_ranges_are_hashable_with_list_bounds():
-    # bounds are stored as (float, float) tuples, so a box given with lists
-    # or numpy scalars hashes, equals its tuple twin and keys the grid cache
-    box = AngleRanges(alpha=[0.0, 1.0], phi=[np.int64(0), np.float64(5.0)])
-    twin = AngleRanges(alpha=(0.0, 1.0), phi=(0.0, 5.0))
-    assert box == twin and hash(box) == hash(twin)
-    assert box.alpha == (0.0, 1.0) and type(box.alpha) is tuple
-    assert all(type(v) is float for bound in box.as_tuples() for v in bound)
-    ones = lambda us: np.ones(len(us))
-    tr = lambda us: np.einsum("nii->n", us)
-    assert integrate_quadrature(ones, 3, box).estimate == 1.0
-    assert integrate_quadrature(tr, 3, box).estimate == integrate_quadrature(tr, 3, twin).estimate
-
-
 @pytest.mark.parametrize("ranges", [RANGES_QUAD, RANGES_STATED])
 def test_quadrature_columns_match_single_integrands(ranges):
     schur = verify.schur_integrands
@@ -501,17 +487,7 @@ def test_quadrature_columns_match_single_integrands(ranges):
         assert single.estimate == r.estimate[k]
 
 
-@pytest.fixture
-def fresh_grids():
-    """An empty product-rule cache before and after the test, for tests that
-    count the composing of a grid or patch what builds one."""
-    haar._product_rule.cache_clear()
-    yield
-    haar._product_rule.cache_clear()
-
-
-def count_composed(monkeypatch):
-    """A list that receives the row count of every ``haar.compose_many`` call."""
+def test_character_quadrature_composes_half_grids_once(monkeypatch):
     rows = []
     original = haar.compose_many
 
@@ -520,55 +496,11 @@ def count_composed(monkeypatch):
         return original(xs)
 
     monkeypatch.setattr(haar, "compose_many", counting)
-    return rows
-
-
-@pytest.mark.usefixtures("fresh_grids")
-def test_character_quadrature_composes_half_grids_once(monkeypatch):
-    rows = count_composed(monkeypatch)
     verify.character_integrals_quadrature(3)
     # 3 nodes mean degree 1: the left half-grid has 3 nodes on alpha and
     # gamma, 1 on beta and 2 on theta, the right one 3 on a, c and phi and
     # 1 on b; no grid node is composed on its own
     assert sum(rows) == 3 * 1 * 3 * 2 + 3 * 1 * 3 * 3
-
-
-@pytest.mark.usefixtures("fresh_grids")
-def test_quadrature_grid_is_built_once_per_degree_and_box(monkeypatch):
-    rows = count_composed(monkeypatch)
-
-    def ones(us):
-        return np.ones(len(us))
-
-    # degree 2: 100 left and 250 right half-grid elements
-    integrate_quadrature(ones, 5)
-    assert rows == [100, 250]
-    # the same degree again, also from 6 nodes, and the default box named
-    # or rebuilt from lists, compose nothing
-    verify.character_integrals_quadrature(5)
-    integrate_quadrature(ones, 6)
-    integrate_quadrature(ones, 5, RANGES_QUAD)
-    integrate_quadrature(ones, 5, AngleRanges(
-        **{name: list(bounds) for name, bounds in zip(COORD_NAMES, RANGES_QUAD.as_tuples())}))
-    assert rows == [100, 250]
-    # another box, or another degree, builds its own grid
-    integrate_quadrature(ones, 5, RANGES_STATED)
-    assert rows[2:] == [100, 250]
-    integrate_quadrature(ones, 7)
-    assert rows[4:] == [294, 686]
-    integrate_quadrature(ones, 7)
-    integrate_quadrature(ones, 5, RANGES_STATED)
-    assert len(rows) == 6
-
-
-def test_cached_half_grids_are_read_only():
-    grid = haar._product_rule(2, RANGES_QUAD)
-    assert haar._product_rule(2, RANGES_QUAD) is grid
-    assert [a.shape for a in grid] == [(100, 3, 3), (100,), (3, 750), (250,)]
-    for array in grid:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
 
 
 def test_quadrature_integrand_may_run_a_quadrature():
@@ -583,6 +515,21 @@ def test_quadrature_integrand_may_run_a_quadrature():
 
     assert np.array_equal(integrate_quadrature(nested, 5).estimate,
                           integrate_quadrature(schur, 5).estimate)
+
+
+def test_quadrature_integrand_gets_a_read_only_stack():
+    # the next block overwrites the stack, so an integrand may not write
+    # to it, and one that writes in place fails instead of corrupting it
+    flags = []
+
+    def writes(us):
+        flags.append(us.flags.writeable)
+        us *= 2
+        return np.ones(len(us))
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_quadrature(writes, 5)
+    assert flags == [False]
 
 
 def whole_grid_mean(f, nodes, ranges):
@@ -633,8 +580,7 @@ def test_character_quadrature_memory_peak():
     # took 137 MB, 131 072-node blocks one at a time about 56, 16 384-node
     # blocks, a few at once, about 11; the 25 000 nodes of the degree-2
     # grid took about 5.5 in 16 384-node blocks and take about 4.9 in
-    # 8192-node blocks, each thread forming its blocks in one array, on the
-    # call that builds and caches the grid (4.1 on a later call)
+    # 8192-node blocks, each thread forming its blocks in one array
     tracemalloc.start()
     try:
         verify.character_integrals_quadrature(5)
@@ -895,7 +841,6 @@ def test_quadrature_density_is_bi_invariant():
         assert _quadrature_translation_gaps(seed) <= 1e-12
 
 
-@pytest.mark.usefixtures("fresh_grids")
 def test_quadrature_bi_invariance_needs_sin2_theta(monkeypatch):
     # without the sin^2 theta factor the density is not invariant, and the
     # exact rule shows it at order 1 (|tr|^2 moves by 0.374)
