@@ -210,8 +210,7 @@ class IntegrationResult:
 #: the threads share.  At 8192 the 25 000-node grid of 5 nodes per flat axis
 #: splits into 4 blocks, so two cores both get work (16384 made 2 blocks, of
 #: 65 and 35 left rows), and each block's temporaries are half as large: on
-#: 2 cores a ``haar_mc`` benchmark run peaked at 143 MB RSS instead of 151,
-#: with rounds of 0.51 s instead of 0.61.
+#: 2 cores a ``haar_mc`` benchmark run peaked at 143 MB RSS instead of 151.
 _BLOCK_ROWS = 8192
 #: Threads that run an ordered sum's blocks, the calling thread included:
 #: the usable cores, at most 4.  Each holds one block's temporaries at a
@@ -396,8 +395,8 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     # took 5.5-6.9 ms instead of 3.0-4.4 for the 5-node character integrals
     group = max(1, 2048 // m)
     # each thread of this call forms all its blocks in one array: fresh
-    # arrays for every block cost a minor page fault per 4 kB page, 5.9-6.2
-    # ms at 5 nodes, and 0.5-0.7 s instead of 0.26-0.42 at 11 nodes (726
+    # arrays for every block cost a minor page fault per 4 kB page, 5.2-6.3
+    # ms at 5 nodes, and 0.47-0.72 s instead of 0.26-0.42 at 11 nodes (726
     # blocks, 120 000 to 360 000 faults a call)
     scratch = threading.local()
 
