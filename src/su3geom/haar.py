@@ -348,10 +348,10 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     (about ``_BLOCK_ROWS`` nodes in C order) on several threads at once.
     Each thread forms its blocks in one reused stack and hands ``f`` a
     read-only view of it, so ``f`` must not keep its argument, or a view
-    of it, after it returns.  The sum is normalized by f == 1 under the same rule, so any
-    constant covering multiplicity of the range box cancels.  Default box
-    is ``RANGES_QUAD``.  The result's ``n`` is the node count and its
-    ``std_error`` is None.
+    of it, after it returns.  The sum is normalized by f == 1 under the
+    same rule, so any constant covering multiplicity of the range box
+    cancels.  Default box is ``RANGES_QUAD``.  The result's ``n`` is the
+    node count and its ``std_error`` is None.
 
     Exactness: over ``RANGES_QUAD`` the rule integrates, up to roundoff,
     every polynomial f of degree <= d in U and <= d in conj U, where
