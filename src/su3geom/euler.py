@@ -26,8 +26,8 @@ Restricting gamma to [0, pi) or phi to [0, 2 pi) — the ranges one might
 naively read off the SU(2) analogy — provably leaves half, respectively an
 irrational fraction, of the group unreachable; see haar.py for the measure
 consequences.  ``decompose`` flags results that land in the extended parts
-of the gamma and phi ranges; within about 1e-12 of a gimbal lock (beta, b or
-theta at 0 or pi/2) its residual can reach a few 1e-12.
+of the gamma and phi ranges; within 1e-6 of a gimbal lock (beta, b or
+theta at 0 or pi/2) its residual reached 2.46e-12 on 3000 test elements.
 """
 
 from __future__ import annotations
@@ -229,14 +229,10 @@ def ensure_group_element(U, tol=1e-12):
 # Inverse factorization
 # ---------------------------------------------------------------------------
 
-# Below this |sin(theta)| the R5 factor is treated as the identity and the
-# two SU(2) factors merge (the a, b, c angles are folded away).  The generic
-# branch stays accurate well below 1e-9 because extraction noise in the K2
-# row re-enters the product suppressed by sin(theta); only a near-exact zero
-# needs the fold.
-_THETA_FOLD = 1e-12
-# Magnitudes below this are treated as an exact gimbal lock in the SU(2)
-# extractions (only the phase sum or difference is defined).
+# Magnitudes below this are an exact gimbal lock: an SU(2) row then defines
+# only its phase sum or difference, and at sin(theta) below it R5 is the
+# identity and a, b, c are set to 0.  Elsewhere the generic formulas hold;
+# extraction noise in the K2 row re-enters the product times sin(theta).
 _GIMBAL = 1e-12
 
 
@@ -244,30 +240,17 @@ def _su2_angles_free_gamma(x, y):
     """Euler angles of SU(2) row (x, y), with the parity pushed into gamma.
 
     Solves x = cos(beta) e^{i(alpha+gamma)}, y = sin(beta) e^{i(alpha-gamma)}
-    for alpha in [0, pi), beta in [0, pi/2], gamma in [0, 2 pi).  The pair
-    (alpha, gamma) is defined modulo simultaneous half-turns; the canonical
-    representative always exists because gamma runs over the full circle.
+    for alpha in [0, pi), beta in [0, pi/2], gamma in [0, 2 pi).  With
+    p = arg x and q = arg y, alpha = ((p + q) / 2) mod pi and
+    gamma = (p - alpha) mod 2 pi: then 2 alpha = p + q (mod 2 pi), so
+    alpha + gamma = p and alpha - gamma = 2 alpha - p = q.  At a gimbal lock
+    the vanishing entry has no phase and takes the other one's, so p - alpha
+    is a multiple of pi and gamma is 0 or pi.
     """
-    beta = math.atan2(abs(y), abs(x))
-    if abs(y) < _GIMBAL:
-        p = cmath.phase(x) % (2 * math.pi)
-        alpha = p % math.pi
-        gamma = (p - alpha) % (2 * math.pi)  # 0 or pi
-        return alpha, beta, gamma
-    if abs(x) < _GIMBAL:
-        q = cmath.phase(y)
-        alpha = q % math.pi
-        gamma = (alpha - q) % (2 * math.pi)  # 0 or pi
-        return alpha, beta, gamma
-    p, q = cmath.phase(x), cmath.phase(y)
-    araw, graw = (p + q) / 2.0, (p - q) / 2.0
-    alpha = araw % math.pi
-    r = round((araw - alpha) / math.pi)
-    gamma = graw % math.pi
-    s = round((graw - gamma) / math.pi)
-    if (r - s) % 2:
-        gamma += math.pi
-    return alpha, beta, gamma
+    p = cmath.phase(y if abs(x) < _GIMBAL else x)
+    q = p if abs(y) < _GIMBAL else cmath.phase(y)
+    alpha = ((p + q) / 2.0) % math.pi
+    return alpha, math.atan2(abs(y), abs(x)), (p - alpha) % (2 * math.pi)
 
 
 def _analytic_decompose(U):
@@ -289,13 +272,10 @@ def _analytic_decompose(U):
     # product, so no phase has to be rounded to pick the lift.
     phi = (-SQRT3 / 2.0 * psi) % (SQRT3 * math.pi)
     e8bar = cmath.exp(-1j * phi / SQRT3)
-
-    if st < _THETA_FOLD:
-        # R5 factor is the identity: the SU(2) factors merge.  Fold a=b=c=0
-        # and take the principal phi; gamma absorbs the leftover half-turn.
-        al, be, ga = _su2_angles_free_gamma(u11 * e8bar, u12 * e8bar)
-        return np.array([al, be, ga, theta, 0.0, 0.0, 0.0, phi])
-    a, b, c = _su2_angles_free_gamma(-u31 * e8bar / st, -u32 * e8bar / st)
+    # At theta = 0 the SU(2) factors merge: K2 is the identity and K1 takes
+    # the whole upper-left block.
+    a, b, c = ((0.0, 0.0, 0.0) if st < _GIMBAL else
+               _su2_angles_free_gamma(-u31 * e8bar / st, -u32 * e8bar / st))
     # First row of K1 = U R8(phi)^dag K2^dag R5(theta)^dag, with (x2, y2) the
     # first row of K2 and r the first row of U R8(phi)^dag.
     x2 = math.cos(b) * cmath.exp(1j * (a + c))
@@ -314,8 +294,8 @@ def decompose(U, full_output=False):
 
     The angles are read off U in closed form and folded into the canonical
     box.  Away from chart boundaries the residual ||compose(angles) - U||_F
-    is at roundoff level; within about 1e-12 of a gimbal lock (beta, b or
-    theta at 0 or pi/2) it can reach a few 1e-12.  A residual above 1e-9
+    is at roundoff level; within 1e-6 of a gimbal lock (beta, b or theta
+    at 0 or pi/2) it reached 2.46e-12 on 3000 test elements.  Above 1e-9 it
     raises DecompositionError rather than returning silently.  U is one
     (3, 3) element; a stack raises ValueError.
 
@@ -347,8 +327,10 @@ def _fold_into_box(x):
 
     Applied to every extraction, which leaves c in [0, 2 pi) and, where a
     phase sits exactly on a branch cut, alpha or a at pi or gamma at 2 pi.
-    Angles that are outside by less than 1e-9 (boundary roundoff) are
-    clamped.
+    Extraction keeps beta, b and theta in [0, pi/2] (each is an atan2 of
+    non-negative values); the clamps of those outside by under 1e-9 serve
+    ``canonicalize``, whose input may cross an edge by roundoff and would
+    otherwise fall back to ``decompose``, which moves the angles.
     """
     x = np.array(x, dtype=float)
     TWO_PI = 2 * math.pi

@@ -153,16 +153,18 @@ def sub_seed(seed, k):
 
 
 def _angles_from_uniform(u):
-    """Inverse CDFs of the separable density over RANGES_COVER."""
+    """Inverse CDFs of the separable density over RANGES_COVER.
+
+    A flat axis is uniform on [lo, hi).  A weighted axis lies on [0, pi/2],
+    where s = sin^2 x carries s^p ds (p from ``_SIN2_POWER``), so s has CDF
+    s^(p+1) on [0, 1] and x = arcsin(u^(1 / (2 (p + 1)))).
+    """
     x = np.empty_like(u)
-    x[:, 0] = _PI * u[:, 0]
-    x[:, 1] = np.arcsin(np.sqrt(u[:, 1]))          # density sin(2 beta), CDF sin^2
-    x[:, 2] = 2 * _PI * u[:, 2]
-    x[:, 3] = np.arcsin(u[:, 3] ** 0.25)           # density sin(2t) sin^2(t), CDF sin^4
-    x[:, 4] = _PI * u[:, 4]
-    x[:, 5] = np.arcsin(np.sqrt(u[:, 5]))
-    x[:, 6] = _PI * u[:, 6]
-    x[:, 7] = PHI_PERIOD * u[:, 7]
+    for dim, (lo, hi) in enumerate(RANGES_COVER.as_tuples()):
+        if dim in _SIN2_POWER:
+            x[:, dim] = np.arcsin(u[:, dim] ** (0.5 / (_SIN2_POWER[dim] + 1)))
+        else:
+            x[:, dim] = lo + (hi - lo) * u[:, dim]
     return x
 
 

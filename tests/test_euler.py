@@ -225,19 +225,21 @@ def test_decompose_recovers_sampler_angles():
         assert np.max(np.abs(got - row)) <= 1e-8
 
 
+BOUNDARY_BASE = np.array([0.9, 0.6, 1.3, 0.7, 1.1, 0.8, 0.5, 2.0])
+
+
 def boundary_cases():
-    base = np.array([0.9, 0.6, 1.3, 0.7, 1.1, 0.8, 0.5, 2.0])
     out = []
     for idx, vals in ((3, (0.0, math.pi / 2)), (1, (0.0, math.pi / 2)),
                       (5, (0.0, math.pi / 2))):
         for v in vals:
-            x = base.copy()
+            x = BOUNDARY_BASE.copy()
             x[idx] = v
             out.append(x)
     # combined degeneracies
     for pair in (((3, 0.0), (1, 0.0)), ((3, math.pi / 2), (5, math.pi / 2)),
                  ((1, math.pi / 2), (5, 0.0))):
-        x = base.copy()
+        x = BOUNDARY_BASE.copy()
         for idx, v in pair:
             x[idx] = v
         out.append(x)
@@ -250,6 +252,17 @@ def test_decompose_boundary_elements(x):
     rep = decompose(U, full_output=True)
     assert rep.residual <= 1e-9
     assert rep.angles.is_canonical()
+    # the gimbal representatives: at theta = 0 the SU(2) factors merge and
+    # a, b, c are 0; otherwise a lock in beta leaves gamma at 0 or pi, and
+    # one in b leaves c at 0
+    y = rep.angles
+    if x[3] == 0.0:
+        assert y.a == y.b == y.c == 0.0
+    else:
+        if x[1] in (0.0, math.pi / 2):
+            assert abs(math.remainder(y.gamma, math.pi)) <= 1e-12
+        if x[5] in (0.0, math.pi / 2):
+            assert y.c == 0.0
 
 
 def signed_permutations():
@@ -368,6 +381,18 @@ def test_canonicalize_phi_period():
     y = canonicalize(x)
     assert y.is_canonical()
     assert np.max(np.abs(compose(y.as_array()) - compose(x))) <= 1e-12
+
+
+def test_canonicalize_clamps_roundoff_outside_the_box():
+    # decompose never leaves [0, pi/2] in beta, b or theta, but canonicalize
+    # takes any angles: roundoff past an edge is clamped, where falling back
+    # to decompose would move these angles by 1.3 and 8.2 rad
+    for idx, v in ((1, -1e-13), (3, math.pi / 2 + 1e-13)):
+        x = BOUNDARY_BASE.copy()
+        x[idx] = v
+        y = canonicalize(x)
+        assert y.is_canonical()
+        assert np.max(np.abs(y.as_array() - x)) <= 1e-12
 
 
 @given(st.lists(st.floats(-7.0, 7.0), min_size=8, max_size=8))

@@ -1,10 +1,12 @@
-"""Every imported name is used somewhere in its module, every derived
+"""Every imported name is used somewhere in its module, every private
+name of the package is used somewhere in the package, every derived
 seed goes through ``haar.sub_seed``, and all randomness comes from
 ``haar._sample_rows``.
 
 No linter ships with the project, so this parses the package modules
 and the tests with ``ast`` and fails on any imported name that the
-module never references, on any ``seed + k`` written by hand in the
+module never references, on any module-level private name that no
+package module loads, on any ``seed + k`` written by hand in the
 package (such a sum can leave [0, 2^64)), and on any use of
 ``numpy.random`` in the package outside ``haar._sample_rows``, the one
 Philox stream that the sampler draws from.
@@ -46,6 +48,43 @@ def test_no_unused_imports(path):
 
 
 SEED_FILES = sorted((ROOT / "src" / "su3geom").glob("*.py"))
+
+
+def unreferenced_private_names(sources):
+    """Module-level private names (``_name`` functions, classes and
+    assignments, not dunders) that none of the sources loads, by name,
+    attribute or import."""
+    defined, loaded = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                loaded.add(n.attr)
+            elif isinstance(n, ast.alias):
+                loaded.add(n.name)
+    return sorted(n for n in defined - loaded
+                  if n.startswith("_") and not (n.startswith("__") and n.endswith("__")))
+
+
+def test_unreferenced_private_names_are_found():
+    sources = ("_A = 1\n_B, _C = 2, 3\n_D: int = 4\n__all__ = []\n"
+               "def _f():\n    return _A\n\nclass _K:\n    _E = 5\n"
+               "def _g():\n    _F = 6\n    return _F\nPUBLIC = 7\n",
+               "from m import _B\nprint(m._C, _f)\n")
+    assert unreferenced_private_names(sources) == ["_D", "_K", "_g"]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private_names(p.read_text() for p in SEED_FILES) == []
 
 
 def _is_seed(node):
