@@ -7,13 +7,13 @@ adjoint representation, and the Haar measure with exact sampling and
 integration, plus a verification suite covering every identity involved.
 """
 
-from .euler import (DecompositionError, EulerAngles, PHI_PERIOD, canonicalize,
+from .euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, AngleRanges,
+                    DecompositionError, EulerAngles, PHI_PERIOD, canonicalize,
                     compose, compose_many, decompose, factor_exponential)
 from .gellmann import (LAMBDA, SQRT3, commutator, expand_in_basis,
                        gell_mann_matrix, structure_constants,
                        verify_cartan_split)
-from .haar import (AngleRanges, IntegrationResult, RANGES_COVER, RANGES_QUAD,
-                   RANGES_STATED, character, density, density_from_coframe,
+from .haar import (IntegrationResult, character, density, density_from_coframe,
                    group_volume, integrate_mc, integrate_quadrature,
                    sample_angles, volume_report)
 from .invariant_forms import (CoFrameMatrix, left_coframe, left_coframe_closed,

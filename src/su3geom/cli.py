@@ -2,6 +2,8 @@
 
 Exit codes: 0 success / all checks pass; 1 check failure; 2 usage error;
 3 numeric failure (singular chart, non-unitary input, non-convergence).
+Commands raise, and only ``main`` maps an error to its exit code and
+prints it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import haar, verify
-from .euler import COORD_NAMES, DecompositionError, compose_many, decompose
+from .euler import (COORD_NAMES, RANGES_STATED, AngleRanges, DecompositionError,
+                    compose_many, decompose)
 from .invariant_forms import (left_coframe, left_coframe_closed, right_coframe,
                               right_coframe_closed)
 from .serialize import (angles_to_json, dumps, matrix_from_json,
@@ -30,11 +33,7 @@ EXIT_NUMERIC = 3
 
 
 def cmd_verify(args):
-    try:
-        results = verify.run_suites(args.suite, points=args.points, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results = verify.run_suites(args.suite, points=args.points, seed=args.seed)
     all_ok = all(c.passed for checks in results.values() for c in checks)
     if args.json:
         payload = {suite: [c.as_dict() for c in checks]
@@ -56,13 +55,8 @@ def cmd_verify(args):
 
 def cmd_sample(args):
     if args.format == "csv" and args.emit != "angles":
-        print("error: csv output only supports --emit angles", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        xs = haar.sample_angles(args.n, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("csv output only supports --emit angles")
+    xs = haar.sample_angles(args.n, args.seed)
     weights = haar.density(xs)
     if args.format == "csv":
         for line in sample_csv_lines(xs, weights):
@@ -84,22 +78,22 @@ def cmd_sample(args):
 
 
 def cmd_decompose(args):
+    # an unreadable file is a usage error, but main lets other OSErrors,
+    # such as a closed stdout, pass
     try:
         data = Path(args.file).read_bytes() if args.file else sys.stdin.buffer.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(str(exc)) from exc
     try:
         # json.loads decodes the bytes; a bad encoding is a ValueError too
         U = matrix_from_json(json.loads(data))
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"error: cannot parse input matrix: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise ValueError(f"cannot parse input matrix: {exc}") from exc
     try:
         rep = decompose(U, full_output=True)
-    except (ValueError, DecompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except ValueError as exc:
+        # a parsed matrix that is not special unitary is a numeric failure
+        raise DecompositionError(str(exc)) from exc
     print(dumps({
         "angles": angles_to_json(rep.angles),
         "residual": rep.residual,
@@ -124,18 +118,11 @@ _FRAME_FNS = {
 def cmd_frames(args):
     x = np.asarray(args.point, dtype=float)
     fn = _FRAME_FNS[(args.chirality, args.forms, args.closed)]
-    try:
-        result = fn(x)
-    except ChartSingularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = fn(x)
     basis = [("d" + n) if args.forms else n for n in COORD_NAMES]
     print(dumps({
         "matrix": matrix_to_json(result.entries),
-        "chirality": result.chirality,
+        "chirality": args.chirality,
         "basis_order": basis,
         "kind": ("coframe" if args.forms else "frame")
                 + ("_closed" if args.closed else ""),
@@ -189,21 +176,12 @@ def _integrand(args):
 
 def cmd_integrate(args):
     if args.function == "entrypoly" and not args.entrypoly:
-        print("error: --function entrypoly needs a spec argument", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        fn = _integrand(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.method == "mc":
-            result = haar.integrate_mc(fn, args.n, args.seed)
-        else:
-            result = haar.integrate_quadrature(fn, args.nodes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--function entrypoly needs a spec argument")
+    fn = _integrand(args)
+    if args.method == "mc":
+        result = haar.integrate_mc(fn, args.n, args.seed)
+    else:
+        result = haar.integrate_quadrature(fn, args.nodes)
     print(dumps({
         "estimate_re": result.estimate.real,
         "estimate_im": result.estimate.imag,
@@ -216,13 +194,9 @@ def cmd_integrate(args):
 
 
 def cmd_volume(args):
-    ranges = haar.RANGES_STATED
+    ranges = RANGES_STATED
     if args.phi_range is not None:
-        try:
-            ranges = haar.AngleRanges(phi=(0.0, args.phi_range))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        ranges = AngleRanges(phi=(0.0, args.phi_range))
     rep = haar.volume_report(ranges)
     print(dumps(rep))
     return EXIT_OK
@@ -237,7 +211,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run identity-check suites")
     p.add_argument("--suite", default="all",
-                   choices=["all", "algebra", "frames", "forms", "measure"])
+                   choices=["all", *verify.SUITES])
     p.add_argument("--points", type=int, default=None,
                    help="sample count (suite-specific default)")
     p.add_argument("--seed", type=int, default=7)
@@ -295,7 +269,15 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.fn(args)
+    # ChartSingularityError is a ValueError, so it must be caught first
+    try:
+        return args.fn(args)
+    except (ChartSingularityError, DecompositionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,17 +17,38 @@ closed form; ``compose`` and ``compose_many`` both evaluate it, and the
 ordered product of the ``factor_exponential`` matrices is the reference the
 tests check it against.
 
-The parameterization covers the group exactly once on the box
+An ``AngleRanges`` is a box of eight coordinate intervals.  Three matter:
 
-    alpha, a, c in [0, pi),  gamma in [0, 2 pi),
-    beta, b, theta in [0, pi/2],  phi in [0, 2 sqrt(3) pi).
+``RANGES_STATED``
+    alpha, gamma, a, c in [0, pi); beta, b, theta in [0, pi/2];
+    phi in [0, 2 pi).  The ranges one might write down from the SU(2)
+    analogy and a sphere-volume argument.  Integrating the Haar density
+    over them gives pi^5 — but the box does NOT tile the group: the phi
+    factor has period 2 sqrt(3) pi, and the (alpha, gamma) pair only
+    reaches half of its SU(2) subgroup, so half, respectively an
+    irrational fraction, of the group is unreachable.  Averaging over it
+    is measurably biased (``test_quadrature_over_stated_ranges_is_biased``:
+    |E[tr U]| comes out 0.071 at 5 and 6 nodes instead of 0).
 
-Restricting gamma to [0, pi) or phi to [0, 2 pi) — the ranges one might
-naively read off the SU(2) analogy — provably leaves half, respectively an
-irrational fraction, of the group unreachable; see haar.py for the measure
-consequences.  ``decompose`` flags results that land in the extended parts
-of the gamma and phi ranges; within 1e-6 of a gimbal lock (beta, b or
-theta at 0 or pi/2) its residual reached 2.46e-12 on 3000 test elements.
+``RANGES_COVER``
+    Same but gamma in [0, 2 pi) and phi in [0, 2 sqrt(3) pi); density
+    integral 2 sqrt(3) pi^5.  Covers the group exactly once, up to a null
+    set: ``decompose`` puts every element in it, ``is_canonical`` tests
+    membership (flat axes half-open, weighted axes closed), and its
+    coframe volume sqrt(3) pi^5 is the Riemannian volume of SU(3)
+    (Macdonald, Invent. Math. 56 (1980) 93); ``verify`` checks both.  The
+    sampler and all normalized integrals use this box.
+
+``RANGES_QUAD``
+    All four flat SU(2) phases widened to [0, 2 pi), phi the full period.
+    Covers the group uniformly eight times (the constant cancels in
+    normalized integrals) and makes every flat coordinate a full circle,
+    so midpoint nodes integrate its harmonics exactly.  Default box for
+    ``haar.integrate_quadrature``.
+
+``decompose`` flags results with gamma or phi past the stated box; within
+1e-6 of a gimbal lock (beta, b or theta at 0 or pi/2) its residual
+reached 2.46e-12 on 3000 test elements.
 """
 
 from __future__ import annotations
@@ -48,6 +69,50 @@ COORD_NAMES = ("alpha", "beta", "gamma", "theta", "a", "b", "c", "phi")
 
 #: Generator index of each factor of the product, in order.
 GENERATOR_SLOTS = (3, 2, 3, 5, 3, 2, 3, 8)
+
+#: Weighted coordinate -> p: with s = sin^2 x, beta and b carry sin(2x) dx = ds
+#: and theta sin(2x) sin^2(x) dx = s ds, so each carries s^p ds; the rest none.
+_SIN2_POWER = {1: 0, 3: 1, 5: 0}
+#: Natural period of each flat coordinate.
+_FLAT_PERIOD = {0: 2 * math.pi, 2: 2 * math.pi, 4: 2 * math.pi, 6: 2 * math.pi, 7: PHI_PERIOD}
+
+
+@dataclass(frozen=True)
+class AngleRanges:
+    """Per-angle interval bounds (lo, hi), in the canonical coordinate order.
+
+    Raises ValueError unless every bound is finite, lo < hi, and beta, theta
+    and b lie in [0, pi/2], where sin(2x) >= 0 and s = sin^2 x is monotone.
+    Defaults are the stated ranges (see module docstring); use
+    ``RANGES_COVER`` for anything that must be Haar-faithful.
+    """
+
+    alpha: tuple = (0.0, math.pi)
+    beta: tuple = (0.0, math.pi / 2)
+    gamma: tuple = (0.0, math.pi)
+    theta: tuple = (0.0, math.pi / 2)
+    a: tuple = (0.0, math.pi)
+    b: tuple = (0.0, math.pi / 2)
+    c: tuple = (0.0, math.pi)
+    phi: tuple = (0.0, 2 * math.pi)
+
+    def __post_init__(self):
+        for dim, (lo, hi) in enumerate(self.as_tuples()):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"{COORD_NAMES[dim]} range ({lo}, {hi}) needs finite lo < hi")
+            if dim in _SIN2_POWER and not 0.0 <= lo < hi <= math.pi / 2:
+                raise ValueError(f"{COORD_NAMES[dim]} range ({lo}, {hi}) exceeds [0, pi/2]")
+
+    def as_tuples(self):
+        return (self.alpha, self.beta, self.gamma, self.theta,
+                self.a, self.b, self.c, self.phi)
+
+
+RANGES_STATED = AngleRanges()
+RANGES_COVER = AngleRanges(gamma=(0.0, 2 * math.pi), phi=(0.0, PHI_PERIOD))
+RANGES_QUAD = AngleRanges(alpha=(0.0, 2 * math.pi), gamma=(0.0, 2 * math.pi),
+                          a=(0.0, 2 * math.pi), c=(0.0, 2 * math.pi),
+                          phi=(0.0, PHI_PERIOD))
 
 
 class DecompositionError(RuntimeError):
@@ -81,14 +146,10 @@ class EulerAngles:
         return cls(*x)
 
     def is_canonical(self):
-        """True if inside the exact-cover box (gamma < 2pi, phi < full period)."""
-        al, be, ga, th, a, b, c, ph = self.as_array()
-        return (
-            all(0.0 <= v < math.pi for v in (al, a, c))
-            and all(0.0 <= v <= math.pi / 2 for v in (be, b, th))
-            and 0.0 <= ga < 2 * math.pi
-            and 0.0 <= ph < PHI_PERIOD
-        )
+        """True if inside ``RANGES_COVER``: flat axes half-open, weighted axes closed."""
+        return all(lo <= v < hi or v == hi and dim in _SIN2_POWER
+                   for dim, (v, (lo, hi)) in enumerate(zip(self.as_array(),
+                                                           RANGES_COVER.as_tuples())))
 
 
 @dataclass(frozen=True)
@@ -97,8 +158,8 @@ class DecompositionReport:
 
     angles: EulerAngles
     residual: float
-    gamma_extended: bool  # gamma landed in [pi, 2 pi)
-    phi_extended: bool    # phi landed in [2 pi, 2 sqrt(3) pi)
+    gamma_extended: bool  # gamma landed above RANGES_STATED, in [pi, 2 pi)
+    phi_extended: bool    # phi landed above RANGES_STATED, in [2 pi, 2 sqrt(3) pi)
 
 
 def _as_angle_points(x):
@@ -317,13 +378,13 @@ def decompose(U, full_output=False):
     return DecompositionReport(
         angles=angles,
         residual=residual,
-        gamma_extended=bool(angles.gamma >= math.pi),
-        phi_extended=bool(angles.phi >= 2 * math.pi),
+        gamma_extended=bool(angles.gamma >= RANGES_STATED.gamma[1]),
+        phi_extended=bool(angles.phi >= RANGES_STATED.phi[1]),
     )
 
 
 def _fold_into_box(x):
-    """Fold angles into the canonical box by exact product symmetries only.
+    """Fold angles into ``RANGES_COVER`` by exact product symmetries only.
 
     Applied to every extraction, which leaves c in [0, 2 pi) and, where a
     phase sits exactly on a branch cut, alpha or a at pi or gamma at 2 pi.
@@ -332,30 +393,24 @@ def _fold_into_box(x):
     ``canonicalize``, whose input may cross an edge by roundoff and would
     otherwise fall back to ``decompose``, which moves the angles.
     """
-    x = np.array(x, dtype=float)
-    TWO_PI = 2 * math.pi
-    # exact periodicity
-    for k in (0, 2, 4, 6):
-        x[k] %= TWO_PI
-    x[7] %= PHI_PERIOD
-    # beta/b/theta: tiny negatives or overshoots are roundoff
-    for k in (1, 3, 5):
-        if -1e-9 < x[k] < 0.0:
-            x[k] = 0.0
-        if math.pi / 2 < x[k] < math.pi / 2 + 1e-9:
-            x[k] = math.pi / 2
-    # (alpha, gamma) and (a, c) admit simultaneous half-turns
-    if x[0] >= math.pi:
-        x[0] -= math.pi
-        x[2] = (x[2] + math.pi) % TWO_PI
-    if x[4] >= math.pi:
-        x[4] -= math.pi
-        x[6] = (x[6] + math.pi) % TWO_PI
-    # (c, phi): a half-turn in c pairs with a half-period shift of phi
-    if x[6] >= math.pi:
-        x[6] -= math.pi
-        x[7] = (x[7] + SQRT3 * math.pi) % PHI_PERIOD
-    return x
+    # Python floats round like float64 scalars and cost less per operation
+    x = np.array(x, dtype=float).tolist()
+    box = RANGES_COVER.as_tuples()
+    for k, period in _FLAT_PERIOD.items():
+        x[k] %= period
+    # beta/b/theta: tiny crossings of an edge are roundoff
+    for k in _SIN2_POWER:
+        lo, hi = box[k]
+        if lo - 1e-9 < x[k] < lo:
+            x[k] = lo
+        if hi < x[k] < hi + 1e-9:
+            x[k] = hi
+    # a half-turn of alpha, a or c pairs with half a period of gamma, c or phi
+    for k, partner in ((0, 2), (4, 6), (6, 7)):
+        if x[k] >= box[k][1]:
+            x[k] -= _FLAT_PERIOD[k] / 2
+            x[partner] = (x[partner] + _FLAT_PERIOD[partner] / 2) % _FLAT_PERIOD[partner]
+    return np.array(x)
 
 
 def canonicalize(x):

@@ -7,35 +7,11 @@ The invariant volume element factorizes over the coordinates,
 
 so exact inverse-CDF sampling, separable quadrature weights and the
 volume in closed form over any box that ``AngleRanges`` accepts are
-available.  Three range boxes matter:
-
-``RANGES_STATED``
-    alpha, gamma, a, c in [0, pi); beta, b, theta in [0, pi/2];
-    phi in [0, 2 pi).  The ranges one might write down from the SU(2)
-    analogy and a sphere-volume argument.  Integrating the density over
-    them gives pi^5 — but the box does NOT tile the group: the phi factor
-    has period 2 sqrt(3) pi, and the (alpha, gamma) pair only reaches half
-    of its SU(2) subgroup.  Averaging over it is measurably biased
-    (``test_quadrature_over_stated_ranges_is_biased``: |E[tr U]| comes
-    out 0.071 at 5 and 6 nodes instead of 0).
-
-``RANGES_COVER``
-    Same but gamma in [0, 2 pi) and phi in [0, 2 sqrt(3) pi); density
-    integral 2 sqrt(3) pi^5.  Covers the group exactly once, up to a null
-    set: ``decompose`` puts every element in it, and its coframe volume
-    sqrt(3) pi^5 is the Riemannian volume of SU(3) (Macdonald, Invent.
-    Math. 56 (1980) 93); ``verify`` checks both.  The sampler and all
-    normalized integrals use this box.
-
-``RANGES_QUAD``
-    All four flat SU(2) phases widened to [0, 2 pi), phi the full period.
-    Covers the group uniformly eight times (the constant cancels in
-    normalized integrals) and makes every flat coordinate a full circle,
-    so midpoint nodes integrate its harmonics exactly.  Default box for
-    ``integrate_quadrature``: with 2d + 1 nodes on each flat axis it is
-    exact on every polynomial of degree <= d in U and in conj U.  It
-    composes each half-grid once, a node costs one 3x3 product, memory
-    stays flat, and ``NODE_CAP`` bounds the run time.
+available.  The boxes are described in euler.py: the sampler and all
+normalized integrals use ``RANGES_COVER``, and ``integrate_quadrature``
+defaults to ``RANGES_QUAD``, exact with 2d + 1 nodes per flat axis on
+every polynomial of degree <= d in U and in conj U.  It composes each
+half-grid once, and ``NODE_CAP`` bounds its run time.
 
 Both integrators average functions on the group, not on the chart: the
 integrand maps an (m, 3, 3) stack of sampled or composed elements to (m,)
@@ -62,57 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import (COORD_NAMES, EulerAngles, PHI_PERIOD, _as_group_elements,
-                    compose_many)
+from .euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, EulerAngles,
+                    _FLAT_PERIOD, _SIN2_POWER, _as_group_elements, compose_many)
 from .invariant_forms import left_coframe
-
-_PI = math.pi
-_HALF_PI = math.pi / 2
-
-
-#: Weighted coordinate -> p: with s = sin^2 x, beta and b carry sin(2x) dx = ds
-#: and theta sin(2x) sin^2(x) dx = s ds, so each carries s^p ds; the rest none.
-_SIN2_POWER = {1: 0, 3: 1, 5: 0}
-#: Natural period of each flat coordinate.
-_FLAT_PERIOD = {0: 2 * _PI, 2: 2 * _PI, 4: 2 * _PI, 6: 2 * _PI, 7: PHI_PERIOD}
-
-
-@dataclass(frozen=True)
-class AngleRanges:
-    """Per-angle interval bounds (lo, hi), in the canonical coordinate order.
-
-    Raises ValueError unless every bound is finite, lo < hi, and beta, theta
-    and b lie in [0, pi/2], where sin(2x) >= 0 and s = sin^2 x is monotone.
-    Defaults are the stated ranges (see module docstring); use
-    ``RANGES_COVER`` for anything that must be Haar-faithful.
-    """
-
-    alpha: tuple = (0.0, _PI)
-    beta: tuple = (0.0, _HALF_PI)
-    gamma: tuple = (0.0, _PI)
-    theta: tuple = (0.0, _HALF_PI)
-    a: tuple = (0.0, _PI)
-    b: tuple = (0.0, _HALF_PI)
-    c: tuple = (0.0, _PI)
-    phi: tuple = (0.0, 2 * _PI)
-
-    def __post_init__(self):
-        for dim, (lo, hi) in enumerate(self.as_tuples()):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"{COORD_NAMES[dim]} range ({lo}, {hi}) needs finite lo < hi")
-            if dim in _SIN2_POWER and not 0.0 <= lo < hi <= _HALF_PI:
-                raise ValueError(f"{COORD_NAMES[dim]} range ({lo}, {hi}) exceeds [0, pi/2]")
-
-    def as_tuples(self):
-        return (self.alpha, self.beta, self.gamma, self.theta,
-                self.a, self.b, self.c, self.phi)
-
-
-RANGES_STATED = AngleRanges()
-RANGES_COVER = AngleRanges(gamma=(0.0, 2 * _PI), phi=(0.0, PHI_PERIOD))
-RANGES_QUAD = AngleRanges(alpha=(0.0, 2 * _PI), gamma=(0.0, 2 * _PI),
-                          a=(0.0, 2 * _PI), c=(0.0, 2 * _PI),
-                          phi=(0.0, PHI_PERIOD))
 
 
 def density(x):
@@ -306,6 +234,13 @@ def integrate_mc(f, n, seed, *, vectorized=True):
 NODE_CAP = 8 ** 8
 
 
+def _axis_nodes(dim, degree):
+    """The number of nodes ``_quad_axis`` puts on one axis for ``degree``."""
+    if dim in _SIN2_POWER:
+        return (degree + 2 + _SIN2_POWER[dim]) // 2
+    return 2 * degree + 1
+
+
 def _quad_axis(dim, lo, hi, degree):
     """Nodes and density-folded weights that integrate one axis to ``degree``.
 
@@ -317,13 +252,14 @@ def _quad_axis(dim, lo, hi, degree):
     polynomials in s of degree up to 2m - 1 - p >= degree.  ``AngleRanges``
     keeps the range in [0, pi/2], where s is monotone.
     """
+    nodes = _axis_nodes(dim, degree)
     if dim in _SIN2_POWER:
         p = _SIN2_POWER[dim]
-        glx, glw = np.polynomial.legendre.leggauss((degree + 2 + p) // 2)
+        glx, glw = np.polynomial.legendre.leggauss(nodes)
         s_lo, s_hi = math.sin(lo) ** 2, math.sin(hi) ** 2
         s = (s_hi - s_lo) / 2 * glx + (s_hi + s_lo) / 2
         return np.arcsin(np.sqrt(s)), glw * (s_hi - s_lo) / 2 * s ** p
-    nodes, span = 2 * degree + 1, hi - lo
+    span = hi - lo
     periods = span / _FLAT_PERIOD[dim]
     if abs(periods - round(periods)) < 1e-12:
         return lo + (np.arange(nodes) + 0.5) * span / nodes, np.full(nodes, span / nodes)
@@ -383,11 +319,13 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
         ranges = RANGES_QUAD
     start_s = time.perf_counter()
     degree = (nodes_per_dim - 1) // 2
-    xs, ws = zip(*(_quad_axis(dim, lo, hi, degree)
-                   for dim, (lo, hi) in enumerate(ranges.as_tuples())))
-    total_nodes = math.prod(map(len, xs))
+    # counted before any axis is built: a weighted axis of m nodes solves
+    # an m x m eigenproblem
+    total_nodes = math.prod(_axis_nodes(dim, degree) for dim in range(8))
     if total_nodes > NODE_CAP:
         raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
+    xs, ws = zip(*(_quad_axis(dim, lo, hi, degree)
+                   for dim, (lo, hi) in enumerate(ranges.as_tuples())))
     (left, w_left), (right, w_right) = (_half_grid(xs, ws, slice(h, h + 4)) for h in (0, 4))
     right_cols = right.transpose(1, 0, 2).reshape(3, -1)
     m = len(right)
@@ -469,7 +407,7 @@ def volume_report(ranges=None):
     if ranges is None:
         ranges = RANGES_STATED
     analytic = group_volume(ranges)
-    pi5 = _PI ** 5
+    pi5 = math.pi ** 5
     return {
         "analytic": analytic,
         "pi^5": pi5,

@@ -35,13 +35,12 @@ class CoFrameMatrix:
     """One-form coefficients; rows = form index, columns = differentials."""
 
     entries: np.ndarray
-    chirality: str
 
 
 def _constructive_coframe(x, chirality):
     check_interior(x)
     mc = maurer_cartan_coefficients(x, chirality)
-    return CoFrameMatrix(entries=np.swapaxes(mc.c, -1, -2), chirality=chirality)
+    return CoFrameMatrix(entries=np.swapaxes(mc.c, -1, -2))
 
 
 def left_coframe(x):
@@ -212,10 +211,10 @@ def _right_form_table(x):
 def left_coframe_closed(x):
     """Transcribed closed-form left coframe (diffed against the constructive)."""
     x = _as_angle_array(x)
-    return CoFrameMatrix(entries=_left_form_table(x), chirality="left")
+    return CoFrameMatrix(entries=_left_form_table(x))
 
 
 def right_coframe_closed(x):
     """Transcribed closed-form right coframe (diffed against the constructive)."""
     x = _as_angle_array(x)
-    return CoFrameMatrix(entries=_right_form_table(x), chirality="right")
+    return CoFrameMatrix(entries=_right_form_table(x))

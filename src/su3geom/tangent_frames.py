@@ -125,7 +125,6 @@ class MaurerCartanCoefficients:
     or D^-1 (d_k D) = i sum_j c_kj lam_j (right); rows k = coordinates."""
 
     c: np.ndarray
-    chirality: str
     max_imag: float
 
 
@@ -134,7 +133,6 @@ class FrameMatrix:
     """Vector-field coefficients; rows = field index, columns = coordinates."""
 
     entries: np.ndarray
-    chirality: str
 
     def real_frame(self):
         """The real coefficient matrix of X_i = -i Lambda_i."""
@@ -163,7 +161,7 @@ def maurer_cartan_coefficients(x, chirality="left"):
         A = np.conj(np.swapaxes(S, -1, -2)) @ _GENERATORS @ S
     raw = np.einsum("...kab,jba->...kj", A, LAMBDA) / 2
     max_imag = float(np.max(np.abs(raw.imag)))
-    return MaurerCartanCoefficients(c=raw.real, chirality=chirality, max_imag=max_imag)
+    return MaurerCartanCoefficients(c=raw.real, max_imag=max_imag)
 
 
 def _constructive_frame(x, chirality):
@@ -175,7 +173,7 @@ def _constructive_frame(x, chirality):
     if ill.any():
         raise ChartSingularityError("cond(maurer_cartan_coefficients)",
                                     1.0 / cond[ill][0])
-    return FrameMatrix(entries=1j * np.linalg.inv(mc.c), chirality=chirality)
+    return FrameMatrix(entries=1j * np.linalg.inv(mc.c))
 
 
 def left_field_frame(x):
@@ -356,14 +354,14 @@ def left_field_frame_closed(x):
     """Transcribed closed-form left frame (see verify.py for the diff report)."""
     x = _as_angle_array(x)
     check_interior(x)
-    return FrameMatrix(entries=_left_table(x), chirality="left")
+    return FrameMatrix(entries=_left_table(x))
 
 
 def right_field_frame_closed(x):
     """Transcribed closed-form right frame (see verify.py for the diff report)."""
     x = _as_angle_array(x)
     check_interior(x)
-    return FrameMatrix(entries=_right_table(x), chirality="right")
+    return FrameMatrix(entries=_right_table(x))
 
 
 #: Unitarity and orthogonality tolerance of ``adjoint_matrix``.

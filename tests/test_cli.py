@@ -201,6 +201,7 @@ def test_verify_too_few_points_usage_error(suite, points):
     ("sample", "--n", "-3"),
     ("volume", "--phi-range", "0"),
     ("volume", "--phi-range", "-1"),
+    ("integrate", "--function", "tr", "--method", "quad", "--nodes", "1000001"),
 ])
 def test_bad_input_usage_error(args):
     proc = run_cli(*args)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su3geom.euler import (GENERATOR_SLOTS, PHI_PERIOD, canonicalize, compose,
-                           compose_many, decompose, factor_exponential,
-                           unitarity_defect)
+from su3geom import euler
+from su3geom.euler import (COORD_NAMES, GENERATOR_SLOTS, PHI_PERIOD, RANGES_COVER,
+                           EulerAngles, canonicalize, compose, compose_many,
+                           decompose, factor_exponential, unitarity_defect)
 from su3geom.gellmann import SQRT3
 from su3geom.haar import sample_angles
 
@@ -353,6 +354,31 @@ def test_decompose_flags_extended_phi():
     rep = decompose(compose(x), full_output=True)
     assert rep.residual <= 1e-12
     assert np.max(np.abs(compose(rep.angles.as_array()) - compose(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", range(8), ids=COORD_NAMES)
+def test_is_canonical_matches_cover_box_at_every_edge(dim):
+    # flat axes are half-open, the weighted beta, theta and b closed
+    lo, hi = RANGES_COVER.as_tuples()[dim]
+    closed = COORD_NAMES[dim] in ("beta", "theta", "b")
+    for v, inside in ((lo, True), (hi, closed), (np.nextafter(lo, -np.inf), False),
+                      (np.nextafter(hi, -np.inf), True), (np.nextafter(hi, np.inf), False)):
+        x = BOUNDARY_BASE.copy()
+        x[dim] = v
+        assert EulerAngles.from_array(x).is_canonical() == inside, v
+
+
+def test_decompose_flags_at_the_stated_box_edge(monkeypatch):
+    # gamma = pi and phi = 2 pi exactly are the first values past the stated box
+    for dim, hi in ((2, math.pi), (7, 2 * math.pi)):
+        for v, extended in ((hi, True), (np.nextafter(hi, -np.inf), False)):
+            x = BOUNDARY_BASE.copy()
+            x[dim] = v
+            monkeypatch.setattr(euler, "_analytic_decompose", lambda U, x=x: x.copy())
+            rep = decompose(compose(x), full_output=True)
+            assert rep.angles.as_array()[dim] == v
+            assert rep.gamma_extended == (extended and dim == 2)
+            assert rep.phi_extended == (extended and dim == 7)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from su3geom import haar, verify
-from su3geom.euler import EulerAngles, PHI_PERIOD, compose_many, decompose
-from su3geom.haar import (AngleRanges, RANGES_COVER, RANGES_QUAD, RANGES_STATED,
-                          character, density,
+from su3geom.euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, AngleRanges,
+                           EulerAngles, PHI_PERIOD, compose_many, decompose)
+from su3geom.haar import (character, density,
                           density_from_coframe, group_volume, integrate_mc,
                           integrate_quadrature, sample_angles, volume_report)
 
@@ -600,10 +600,10 @@ def test_quadrature_node_count(nodes, grid):
     assert integrate_quadrature(lambda us: np.ones(len(us)), nodes).n == grid
 
 
-def test_quadrature_node_cap():
+def test_quadrature_node_cap(monkeypatch):
     # 13 nodes per flat axis (23.8 M grid nodes) are the fewest that exceed
     # NODE_CAP = 8^8, 11 and 12 make 5.8 M, and the call fails before f
-    # sees a single node
+    # sees a single node or any axis is built
     calls = []
 
     def f(us):
@@ -616,8 +616,16 @@ def test_quadrature_node_cap():
 
     assert haar.NODE_CAP == 8 ** 8
     assert grid(11) == grid(12) == 5_797_836 <= haar.NODE_CAP < grid(13) == 23_762_752
-    with pytest.raises(ValueError, match="cap"):
-        integrate_quadrature(f, 13)
+
+    def no_axis(*args):
+        raise AssertionError("built an axis of a grid over the cap")
+
+    monkeypatch.setattr(haar, "_quad_axis", no_axis)
+    # a weighted axis of 1 000 001 nodes per flat axis alone would be a
+    # 250 001 x 250 001 eigenproblem
+    for nodes in (13, 1_000_001):
+        with pytest.raises(ValueError, match="cap"):
+            integrate_quadrature(f, nodes)
     assert calls == []
 
 

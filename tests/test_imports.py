@@ -1,15 +1,17 @@
 """Every imported name is used somewhere in its module, every private
 name of the package is used somewhere in the package, every derived
-seed goes through ``haar.sub_seed``, and all randomness comes from
-``haar._sample_rows``.
+seed goes through ``haar.sub_seed``, all randomness comes from
+``haar._sample_rows``, and only ``cli.main`` maps errors to exit codes.
 
 No linter ships with the project, so this parses the package modules
 and the tests with ``ast`` and fails on any imported name that the
 module never references, on any module-level private name that no
 package module loads, on any ``seed + k`` written by hand in the
-package (such a sum can leave [0, 2^64)), and on any use of
+package (such a sum can leave [0, 2^64)), on any use of
 ``numpy.random`` in the package outside ``haar._sample_rows``, the one
-Philox stream that the sampler draws from.
+Philox stream that the sampler draws from, and on any load of
+``EXIT_USAGE`` or ``EXIT_NUMERIC`` or use of ``sys.stderr`` in
+``cli.py`` outside ``main``.
 """
 
 import ast
@@ -154,3 +156,29 @@ def test_random_uses_are_found():
 @pytest.mark.parametrize("path", SEED_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_randomness_only_in_sample_rows(path):
     assert random_uses(path.read_text()) == []
+
+
+def exit_policy_uses(source):
+    """Lines of source that load ``EXIT_USAGE`` or ``EXIT_NUMERIC`` or name
+    ``sys.stderr``, outside the body of ``main``."""
+    found = []
+    for n in nodes_outside(source, "main"):
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                and n.id in ("EXIT_USAGE", "EXIT_NUMERIC")
+                or isinstance(n, ast.Attribute) and n.attr == "stderr"
+                and isinstance(n.value, ast.Name) and n.value.id == "sys"):
+            found.append(n.lineno)
+    return sorted(found)
+
+
+def test_exit_policy_uses_are_found():
+    source = ("EXIT_USAGE = 2\nEXIT_NUMERIC = 3\n"
+              "def main():\n    print(file=sys.stderr)\n    return EXIT_USAGE\n"
+              "def cmd(args):\n    return EXIT_NUMERIC\n"
+              "def cmd2(args):\n    sys.stderr.write('x')\n    return EXIT_OK\n"
+              "codes = (EXIT_USAGE, sys.stdout)\n")
+    assert exit_policy_uses(source) == [7, 9, 11]
+
+
+def test_only_main_maps_errors_to_exit_codes():
+    assert exit_policy_uses((ROOT / "src" / "su3geom" / "cli.py").read_text()) == []
