@@ -1,15 +1,17 @@
 """Command-line surface: verify, sample, decompose, frames, integrate, volume.
 
 Exit codes: 0 success / all checks pass; 1 check failure; 2 usage error;
-3 numeric failure (singular chart, non-unitary input, non-convergence).
-Commands raise, and only ``main`` maps an error to its exit code and
-prints it.
+3 numeric failure (singular chart, non-unitary input, non-convergence);
+141 when the reader closes stdout early, as a shell reports for a writer
+killed by SIGPIPE.  Commands raise, and only ``main`` maps an error to its
+exit code and prints it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,18 +20,15 @@ import numpy as np
 from . import haar, verify
 from .euler import (COORD_NAMES, RANGES_STATED, AngleRanges, DecompositionError,
                     compose_many, decompose)
-from .invariant_forms import (left_coframe, left_coframe_closed, right_coframe,
-                              right_coframe_closed)
 from .serialize import (angles_to_json, dumps, matrix_from_json,
                         matrix_to_json, sample_csv_lines)
-from .tangent_frames import (ChartSingularityError, left_field_frame,
-                             left_field_frame_closed, right_field_frame,
-                             right_field_frame_closed)
+from .tangent_frames import ChartSingularityError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def cmd_verify(args):
@@ -78,8 +77,8 @@ def cmd_sample(args):
 
 
 def cmd_decompose(args):
-    # an unreadable file is a usage error, but main lets other OSErrors,
-    # such as a closed stdout, pass
+    # an unreadable file is a usage error; main catches no OSError but a
+    # closed stdout
     try:
         data = Path(args.file).read_bytes() if args.file else sys.stdin.buffer.read()
     except OSError as exc:
@@ -103,27 +102,14 @@ def cmd_decompose(args):
     return EXIT_OK
 
 
-_FRAME_FNS = {
-    ("left", False, False): left_field_frame,
-    ("left", False, True): left_field_frame_closed,
-    ("right", False, False): right_field_frame,
-    ("right", False, True): right_field_frame_closed,
-    ("left", True, False): left_coframe,
-    ("left", True, True): left_coframe_closed,
-    ("right", True, False): right_coframe,
-    ("right", True, True): right_coframe_closed,
-}
-
-
 def cmd_frames(args):
     x = np.asarray(args.point, dtype=float)
-    fn = _FRAME_FNS[(args.chirality, args.forms, args.closed)]
-    result = fn(x)
-    basis = [("d" + n) if args.forms else n for n in COORD_NAMES]
+    table = "form" if args.forms else "field"
+    result = verify.ROUTES[(table, args.chirality)][args.closed](x)
     print(dumps({
         "matrix": matrix_to_json(result.entries),
         "chirality": args.chirality,
-        "basis_order": basis,
+        "basis_order": list(verify._COLUMNS[table]),
         "kind": ("coframe" if args.forms else "frame")
                 + ("_closed" if args.closed else ""),
         "point": angles_to_json(x),
@@ -233,8 +219,7 @@ def build_parser():
 
     p = sub.add_parser("frames", help="evaluate a frame or coframe at a point")
     p.add_argument("--point", type=float, nargs=8, required=True,
-                   metavar=("ALPHA", "BETA", "GAMMA", "THETA",
-                            "A", "B", "C", "PHI"))
+                   metavar=tuple(n.upper() for n in COORD_NAMES))
     p.add_argument("--chirality", default="left", choices=["left", "right"])
     p.add_argument("--forms", action="store_true",
                    help="emit the one-form coframe instead of the vector frame")
@@ -271,13 +256,20 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     # ChartSingularityError is a ValueError, so it must be caught first
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (ChartSingularityError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull, so
+        # the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

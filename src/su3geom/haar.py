@@ -38,19 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, EulerAngles,
-                    _FLAT_PERIOD, _SIN2_POWER, _as_group_elements, compose_many)
+from .euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, _FLAT_PERIOD,
+                    _SIN2_POWER, _as_angle_points, _as_group_elements,
+                    compose_many)
 from .invariant_forms import left_coframe
 
 
 def density(x):
     """Unnormalized Haar weight sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta).
 
-    Accepts EulerAngles, an 8-vector, or an (n, 8) batch.
+    Accepts EulerAngles, an 8-vector, or an (n, 8) batch of finite angles.
     """
-    if isinstance(x, EulerAngles):
-        x = x.as_array()
-    x = np.asarray(x, dtype=float)
+    x = _as_angle_points(x)
     beta, theta, b = x[..., 1], x[..., 3], x[..., 5]
     return np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * np.sin(theta) ** 2
 

@@ -45,7 +45,7 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
-CSV_HEADER = "alpha,beta,gamma,theta,a,b,c,phi,weight"
+CSV_HEADER = ",".join((*COORD_NAMES, "weight"))
 
 
 def sample_csv_lines(angles_rows, weights):

@@ -1,11 +1,14 @@
 """Identity checks: every structural claim the library rests on, runnable.
 
-Four suites (algebra, frames, forms, measure) return lists of
-:class:`CheckResult`; the CLI renders them and exit-codes on failures.
-The closed-form tables are compared entrywise against the constructive
-frames/coframes, and persistent mismatches are collected into a
-:class:`TableDiff` typo report: the constructive route is ground truth,
-the transcribed tables are the document under test.
+Four suites (algebra, frames, forms, measure) are generators that yield
+their :class:`CheckResult` objects one at a time; ``run_suites`` collects
+them, and the CLI renders them and exit-codes on failures.  ``ROUTES``
+holds the two functions behind each frame and coframe, the constructive
+one and the transcribed closed-form table, and every request for one by
+name goes through it.  The tables are compared entrywise against the
+constructive frames/coframes, and persistent mismatches are collected
+into a :class:`TableDiff` typo report: the constructive route is ground
+truth, the transcribed tables are the document under test.
 """
 
 from __future__ import annotations
@@ -46,6 +49,27 @@ COMMUTATOR_TABLE = {
 }
 for _i in range(1, 9):
     COMMUTATOR_TABLE[(_i, _i)] = {}
+
+#: (constructive, transcribed) functions of each frame ("field") and
+#: coframe ("form") table, keyed by (table, chirality).
+ROUTES = {
+    ("field", "left"): (left_field_frame, left_field_frame_closed),
+    ("field", "right"): (right_field_frame, right_field_frame_closed),
+    ("form", "left"): (left_coframe, left_coframe_closed),
+    ("form", "right"): (right_coframe, right_coframe_closed),
+}
+
+#: Column names of each table: the coordinates, and their differentials.
+_COLUMNS = {"field": COORD_NAMES, "form": tuple("d" + n for n in COORD_NAMES)}
+
+
+def _route(table, chirality):
+    """``ROUTES[(table, chirality)]``; an unknown name is a ValueError."""
+    try:
+        return ROUTES[(table, chirality)]
+    except KeyError:
+        raise ValueError(f"no {table!r} table of chirality {chirality!r}; "
+                         f"expected one of {sorted(ROUTES)}") from None
 
 
 @dataclass(frozen=True)
@@ -137,8 +161,6 @@ def haar_interior_points(n, seed, margin=0.05):
 
 def suite_algebra():
     tol = 1e-12
-    checks = []
-
     worst = 0.0
     n_pairs = 0
     for (i, j), coeffs in sorted(COMMUTATOR_TABLE.items()):
@@ -147,15 +169,15 @@ def suite_algebra():
         got = commutator(gell_mann_matrix(i), gell_mann_matrix(j))
         worst = max(worst, float(np.max(np.abs(got - expected))))
         n_pairs += 1
-    checks.append(CheckResult(
+    yield CheckResult(
         name="algebra.commutator_table", residual=worst, threshold=tol,
-        detail=f"{n_pairs} unordered pairs against the reference table"))
+        detail=f"{n_pairs} unordered pairs against the reference table")
 
     gram = np.einsum("iab,jba->ij", LAMBDA, LAMBDA)
     worst = float(np.max(np.abs(gram - 2 * np.eye(8))))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="algebra.orthogonality", residual=worst, threshold=tol,
-        detail="tr(lam_i lam_j) = 2 delta_ij, all 64 pairs"))
+        detail="tr(lam_i lam_j) = 2 delta_ij, all 64 pairs")
 
     worst = 0.0
     for i in range(8):
@@ -165,28 +187,26 @@ def suite_algebra():
                      + commutator(LAMBDA[j], commutator(LAMBDA[k], LAMBDA[i]))
                      + commutator(LAMBDA[k], commutator(LAMBDA[i], LAMBDA[j])))
                 worst = max(worst, float(np.max(np.abs(J))))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="algebra.jacobi", residual=worst, threshold=tol,
-        detail="all 512 ordered triples"))
+        detail="all 512 ordered triples")
 
     C = structure_constants().C
     worst = float(np.max(np.abs(C + np.swapaxes(C, 0, 1))))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="algebra.antisymmetry", residual=worst, threshold=tol,
-        detail="C^k_ij = -C^k_ji"))
+        detail="C^k_ij = -C^k_ji")
 
     worst = float(np.max(np.abs(C.real)))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="algebra.imaginary_structure_constants", residual=worst,
-        threshold=tol, detail="C = 2i f with f real"))
+        threshold=tol, detail="C = 2i f with f real")
 
     cartan = verify_cartan_split()
-    checks.append(CheckResult(
+    yield CheckResult(
         name="algebra.cartan_split", residual=cartan.max_leakage,
         threshold=tol,
-        detail=", ".join(f"{k}: {v:.2e}" for k, v in cartan.sector_leakage.items())))
-
-    return checks
+        detail=", ".join(f"{k}: {v:.2e}" for k, v in cartan.sector_leakage.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +220,9 @@ def defining_relation_residual(x, chirality):
     The worst i over one point, (8,), or over all points of an (n, 8) array.
     """
     x = np.asarray(x, dtype=float)
+    frame = _route("field", chirality)[0](x)
     dD = partial_derivatives(x)
     D = compose_many(x.reshape(-1, 8)).reshape(x.shape[:-1] + (1, 3, 3))
-    frame = left_field_frame(x) if chirality == "left" else right_field_frame(x)
     applied = np.einsum("...ik,...kab->...iab", frame.entries, dD)
     target = -(LAMBDA @ D if chirality == "left" else D @ LAMBDA)
     return float(np.max(np.linalg.norm(applied - target, axis=(-2, -1))))
@@ -215,17 +235,7 @@ TABLE_TOL = 1e-9
 
 def compare_table(points, chirality, table):
     """Diff the transcribed table against the constructive one at many points."""
-    if table == "field":
-        closed_fn = (left_field_frame_closed if chirality == "left"
-                     else right_field_frame_closed)
-        constructive_fn = (left_field_frame if chirality == "left"
-                           else right_field_frame)
-        colnames = COORD_NAMES
-    else:
-        closed_fn = (left_coframe_closed if chirality == "left"
-                     else right_coframe_closed)
-        constructive_fn = left_coframe if chirality == "left" else right_coframe
-        colnames = tuple("d" + n for n in COORD_NAMES)
+    constructive_fn, closed_fn = _route(table, chirality)
     n = len(points)
     # the transcribed tables are scalar code, evaluated one point at a time
     closed = np.array([closed_fn(x).entries for x in points])
@@ -239,7 +249,7 @@ def compare_table(points, chirality, table):
             if worst[r, cidx] > TABLE_TOL:
                 report.entries.append(EntryMismatch(
                     table=table, chirality=chirality, row=r + 1,
-                    column=colnames[cidx],
+                    column=_COLUMNS[table][cidx],
                     max_abs_diff=float(worst[r, cidx]),
                     mismatch_fraction=float(frac[r, cidx]),
                     closed_sample=complex(closed[0, r, cidx]),
@@ -301,24 +311,23 @@ def frame_bracket_residuals(points):
 
 
 def suite_frames(n_points, seed):
-    checks = []
     pts = haar_interior_points(n_points, seed)
 
     worst_l = defining_relation_residual(pts, "left")
     worst_r = defining_relation_residual(pts, "right")
-    checks.append(CheckResult(
+    yield CheckResult(
         name="frames.defining_left", residual=worst_l, threshold=1e-9,
-        detail=f"sum_k a_ik d_k D = -lam_i D at {n_points} points"))
-    checks.append(CheckResult(
+        detail=f"sum_k a_ik d_k D = -lam_i D at {n_points} points")
+    yield CheckResult(
         name="frames.defining_right", residual=worst_r, threshold=1e-9,
-        detail=f"sum_k ar_ik d_k D = -D lam_i at {n_points} points"))
+        detail=f"sum_k ar_ik d_k D = -D lam_i at {n_points} points")
 
     for chir in ("left", "right"):
         diff = compare_table(pts, chir, "field")
-        checks.append(CheckResult(
+        yield CheckResult(
             name=f"frames.closed_table_{chir}",
             residual=diff.unexplained_residual, threshold=TABLE_TOL,
-            detail=diff.describe()))
+            detail=diff.describe())
 
     sub = pts[:20]
     c = maurer_cartan_coefficients(sub, "left").c
@@ -333,9 +342,9 @@ def suite_frames(n_points, seed):
         np.max(np.abs(cr[:, 6] - e[2])),    # c row: lam_3
         np.max(np.abs(cr[:, 7] - e[7])),    # phi row: lam_8
     ))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="frames.maurer_cartan_rows", residual=worst_row, threshold=1e-12,
-        detail="alpha/beta rows (left) and c/phi rows (right) in closed form"))
+        detail="alpha/beta rows (left) and c/phi rows (right) in closed form")
 
     # adjoint representation
     pairs = compose_many(haar.sample_angles(40, haar.sub_seed(seed, 1)))
@@ -349,31 +358,29 @@ def suite_frames(n_points, seed):
     R = adjoint_matrix(compose_many(sub))
     worst_link = float(np.max(np.abs(right_field_frame(sub).entries
                                      - np.swapaxes(R, 1, 2) @ left_field_frame(sub).entries)))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="frames.adjoint_orthogonal", residual=worst_orth, threshold=1e-10,
-        detail="R R^T = I and det R = +1 on random elements"))
-    checks.append(CheckResult(
+        detail="R R^T = I and det R = +1 on random elements")
+    yield CheckResult(
         name="frames.adjoint_homomorphism", residual=worst_hom,
-        threshold=1e-10, detail="R(UV) = R(U) R(V)"))
-    checks.append(CheckResult(
+        threshold=1e-10, detail="R(UV) = R(U) R(V)")
+    yield CheckResult(
         name="frames.adjoint_links_frames", residual=worst_link,
         threshold=1e-9,
-        detail="right frame = R(U)^T @ left frame (global sign +1)"))
+        detail="right frame = R(U)^T @ left frame (global sign +1)")
 
     bpts = haar_interior_points(4, haar.sub_seed(seed, 2), margin=0.2)
     wl, wr, wc = frame_bracket_residuals(bpts)
-    checks.append(CheckResult(
+    yield CheckResult(
         name="frames.brackets_left", residual=wl, threshold=1e-6,
         detail=f"[L_i, L_j] = C^k_ij L_k by nested differentiation "
-               f"at {len(bpts)} points"))
-    checks.append(CheckResult(
+               f"at {len(bpts)} points")
+    yield CheckResult(
         name="frames.brackets_right", residual=wr, threshold=1e-6,
-        detail="[R_i, R_j] = -C^k_ij R_k"))
-    checks.append(CheckResult(
+        detail="[R_i, R_j] = -C^k_ij R_k")
+    yield CheckResult(
         name="frames.brackets_cross", residual=wc, threshold=1e-6,
-        detail="[L_i, R_j] = 0"))
-
-    return checks
+        detail="[L_i, R_j] = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +390,8 @@ def suite_frames(n_points, seed):
 
 def duality_residual(x, chirality):
     """|| b @ (real frame)^T - I ||_max at one point, (8,), or over (n, 8)."""
-    if chirality == "left":
-        b = left_coframe(x).entries
-        frame = left_field_frame(x)
-    else:
-        b = right_coframe(x).entries
-        frame = right_field_frame(x)
+    b = _route("form", chirality)[0](x).entries
+    frame = _route("field", chirality)[0](x)
     pairing = b @ np.swapaxes(frame.real_frame(), -1, -2)
     return float(np.max(np.abs(pairing - np.eye(8))))
 
@@ -401,9 +404,9 @@ def divergence_residual(points, chirality):
     non-constant factor fails this.  Central differences, with the frames
     of the whole (n * 16, 8) stencil evaluated in one call.
     """
+    frame = _route("field", chirality)[0]
     points = np.asarray(points, dtype=float)
     stencil = (points[:, None, :] + _central_steps()).reshape(-1, 8)
-    frame = left_field_frame if chirality == "left" else right_field_frame
     rho_x = (haar.density(stencil)[:, None, None]
              * frame(stencil).real_frame()).reshape(len(points), 2, 8, 8, 8)
     # rho_x[p, side, k, i, k'] at x_p +- h e_k; the divergence takes k' = k
@@ -448,39 +451,38 @@ def _translation_pullback_residual(x, g, side):
 
 
 def suite_forms(n_points, seed):
-    checks = []
     pts = haar_interior_points(n_points, seed)
 
     worst_l = duality_residual(pts, "left")
     worst_r = duality_residual(pts, "right")
-    checks.append(CheckResult(
+    yield CheckResult(
         name="forms.duality_left", residual=worst_l, threshold=1e-9,
-        detail=f"<omega^l, X_i> = delta at {n_points} points"))
-    checks.append(CheckResult(
+        detail=f"<omega^l, X_i> = delta at {n_points} points")
+    yield CheckResult(
         name="forms.duality_right", residual=worst_r, threshold=1e-9,
-        detail=f"<omega_r^l, X_r,i> = delta at {n_points} points"))
+        detail=f"<omega_r^l, X_r,i> = delta at {n_points} points")
 
     sub = pts[:20]
     worst = max(maurer_cartan_coefficients(sub, "left").max_imag,
                 maurer_cartan_coefficients(sub, "right").max_imag)
-    checks.append(CheckResult(
+    yield CheckResult(
         name="forms.reality", residual=worst, threshold=1e-12,
-        detail="coframe entries real after the i convention"))
+        detail="coframe entries real after the i convention")
 
     for chir in ("left", "right"):
         diff = compare_table(pts, chir, "form")
-        checks.append(CheckResult(
+        yield CheckResult(
             name=f"forms.closed_table_{chir}",
             residual=diff.unexplained_residual, threshold=TABLE_TOL,
-            detail=diff.describe()))
+            detail=diff.describe())
 
     for chir in ("left", "right"):
         worst = divergence_residual(sub, chir)
-        checks.append(CheckResult(
+        yield CheckResult(
             name=f"forms.divergence_free_{chir}", residual=worst,
             threshold=1e-8,
             detail=f"sum_k d_k(rho X_i^k) = 0 for the real {chir} frame and "
-                   f"the Haar density, at {len(sub)} points"))
+                   f"the Haar density, at {len(sub)} points")
 
     rho = haar.density(pts)
     ratios_l = haar.density_from_coframe(pts) / rho
@@ -488,13 +490,13 @@ def suite_forms(n_points, seed):
     spread = float(max(np.ptp(ratios_l) / ratios_l.mean(),
                        np.ptp(ratios_r) / ratios_r.mean()))
     same = float(abs(ratios_l.mean() - ratios_r.mean()) / ratios_l.mean())
-    checks.append(CheckResult(
+    yield CheckResult(
         name="forms.density_ratio_constant", residual=spread, threshold=1e-8,
         detail=f"|det coframe| / density = {ratios_l.mean():.12f} "
-               f"at {n_points} points (left chirality)"))
-    checks.append(CheckResult(
+               f"at {n_points} points (left chirality)")
+    yield CheckResult(
         name="forms.density_ratio_left_right", residual=same, threshold=1e-8,
-        detail="left and right determinants give the same constant"))
+        detail="left and right determinants give the same constant")
 
     # invariance under translation: the defining property, via pullback,
     # at the first 10 of 200 (point, element) pairs whose stencils stay
@@ -513,17 +515,15 @@ def suite_forms(n_points, seed):
         done += 1
         if done == 10:
             break
-    checks.append(CheckResult(
+    yield CheckResult(
         name="forms.invariance_right_translation", residual=worst_inv,
         threshold=1e-6,
         detail=f"pullback of the coframe under x -> decompose(compose(x) g) "
-               f"equals the coframe, {done} points"))
-    checks.append(CheckResult(
+               f"equals the coframe, {done} points")
+    yield CheckResult(
         name="forms.covariance_left_translation", residual=worst_cov,
         threshold=1e-6,
-        detail="pullback under x -> decompose(g compose(x)) mixes by R(g)"))
-
-    return checks
+        detail="pullback under x -> decompose(g compose(x)) mixes by R(g)")
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +618,11 @@ def invariance_deviations(n, seed):
 
 
 def suite_measure(n_mc, seed):
-    checks = []
-
     x0 = EulerAngles(0.0, math.pi / 4, 0.0, math.pi / 4, 0.0, math.pi / 4, 0.0, 0.0)
     v = float(haar.density(x0))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.density_value", residual=abs(v - 0.5), threshold=1e-15,
-        detail="density(beta=b=theta=pi/4) = 1/2"))
+        detail="density(beta=b=theta=pi/4) = 1/2")
 
     # group-layer spot checks: closed-form factors, the SU(2) block element,
     # canonical folding, sample materialization, character values
@@ -644,10 +642,10 @@ def suite_measure(n_mc, seed):
     worst = max(worst, unitarity_defect(compose_many(haar.sample_angles(3, seed)))[0])
     worst = max(worst, abs(haar.character(np.eye(3), "fundamental") - 3.0),
                 abs(haar.character(np.eye(3), "adjoint") - 8.0))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.group_ops", residual=worst, threshold=1e-12,
         detail="factor exponentials, SU(2) block, canonicalize, sample "
-               "materialization, character values"))
+               "materialization, character values")
 
     # decompose puts every element in the cover box (decompose_roundtrip);
     # if the box's coframe volume is vol SU(3), the mean number of preimages
@@ -661,18 +659,18 @@ def suite_measure(n_mc, seed):
     pts = haar_interior_points(20, haar.sub_seed(seed, 30))
     ratio = float(np.mean(haar.density_from_coframe(pts) / haar.density(pts)))
     vol = ratio * haar.group_volume(haar.RANGES_COVER)
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.cover_volume", residual=abs(vol - riemannian) / riemannian,
         threshold=1e-12,
         detail=f"coframe volume of the cover box {vol:.10f} vs Macdonald's "
-               f"vol SU(3) = sqrt(3) pi^5 = {riemannian:.10f}"))
+               f"vol SU(3) = sqrt(3) pi^5 = {riemannian:.10f}")
 
     vol = haar.group_volume()
     err = abs(vol - math.pi ** 5) / math.pi ** 5
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.volume_stated_ranges", residual=err, threshold=1e-10,
         detail=f"analytic separable volume {vol:.10f} vs pi^5 "
-               f"{math.pi ** 5:.10f}; sphere-product target is 2 pi^5"))
+               f"{math.pi ** 5:.10f}; sphere-product target is 2 pi^5")
 
     xs = haar.sample_angles(n_mc, seed)
     worst = 0.0
@@ -684,10 +682,10 @@ def suite_measure(n_mc, seed):
     target = math.sin(0.5) ** 2
     se_b = math.sqrt(target * (1 - target) / n_mc)
     worst = max(worst, abs(beta_cdf - target) / (4 * se_b))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.sampler_marginals", residual=worst, threshold=1.0,
         detail="E[sin^2 theta] = 2/3 and P[beta <= 1/2] = sin^2(1/2), "
-               "in units of 4 sigma"))
+               "in units of 4 sigma")
 
     worst = 0.0
     detail = []
@@ -695,25 +693,25 @@ def suite_measure(n_mc, seed):
         dev = abs(val - tgt) / (4 * se)
         worst = max(worst, dev)
         detail.append(f"{nm} = {val.real:+.4f}{val.imag:+.4f}i (se {se:.1e})")
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.characters_mc", residual=worst, threshold=1.0,
-        detail="; ".join(detail)))
+        detail="; ".join(detail))
 
     r = haar.integrate_quadrature(schur_integrands, 5)
     worst = float(np.max(np.abs(r.estimate - SCHUR_TARGETS)))
     detail = [f"{nm} = {val.real:+.5f}{val.imag:+.5f}i"
               for nm, val in zip(SCHUR_NAMES, r.estimate)]
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.characters_quadrature", residual=worst, threshold=1e-12,
         detail=f"{r.n} nodes (5 per flat axis), exact for these degree-2 "
-               "integrands: " + "; ".join(detail)))
+               "integrands: " + "; ".join(detail))
 
     worst = invariance_deviations(min(n_mc, 200_000), haar.sub_seed(seed, 5))
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.translation_invariance", residual=worst, threshold=1.0,
         detail="averages over gU of Re tr, |tr|^2 and Re tr M^2, and over "
                "gU and Ug of |M_11|^2 and Re M_12, vs untranslated, for 5 "
-               "elements g, in units of 4 sigma"))
+               "elements g, in units of 4 sigma")
 
     worst = 0.0
     for n_round in range(3):
@@ -723,12 +721,10 @@ def suite_measure(n_mc, seed):
             worst = max(worst, rep.residual)
             if not rep.angles.is_canonical():
                 worst = max(worst, 1.0)
-    checks.append(CheckResult(
+    yield CheckResult(
         name="measure.decompose_roundtrip", residual=worst, threshold=1e-9,
         detail="||compose(decompose(U)) - U||_F on 150 sampled elements, "
-               "each inside the cover box"))
-
-    return checks
+               "each inside the cover box")
 
 
 #: Each suite, called as (points, seed), with its default and its smallest
@@ -754,5 +750,5 @@ def run_suites(which="all", points=None, seed=7):
     out = {}
     for name in names:
         suite, default, _ = SUITES[name]
-        out[name] = suite(default if points is None else points, seed)
+        out[name] = list(suite(default if points is None else points, seed))
     return out

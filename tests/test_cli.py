@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import su3geom
+from su3geom import cli
 from su3geom.serialize import dumps, matrix_from_json, matrix_to_json
 from su3geom.verify import CheckResult
 
@@ -247,6 +248,42 @@ def test_frames_closed_variant_runs():
     proc = run_cli("frames", "--point", *pt, "--chirality", "right", "--closed")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "frame_closed"
+
+
+@pytest.mark.parametrize("chirality", ["left", "right"])
+@pytest.mark.parametrize("forms", [False, True], ids=["field", "form"])
+@pytest.mark.parametrize("closed", [False, True], ids=["constructive", "closed"])
+def test_frames_serves_the_matching_function(capsys, chirality, forms, closed):
+    # named by hand, so the test does not read the CLI's own routing
+    kind = ("coframe" if forms else "frame") + ("_closed" if closed else "")
+    name = f"{chirality}_" + ("" if forms else "field_") + kind
+    pt = [0.4, 0.6, 1.1, 0.7, 0.9, 0.5, 0.3, 2.0]
+    flags = ["--forms"] * forms + ["--closed"] * closed
+    code = cli.main(["frames", "--point", *map(str, pt), "--chirality", chirality,
+                     *flags])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    expected = getattr(su3geom, name)(np.array(pt)).entries
+    got = np.array(payload["matrix"]["re"]) + 1j * np.array(payload["matrix"]["im"])
+    assert np.array_equal(got, expected)
+    assert payload["kind"] == kind
+    names = ["alpha", "beta", "gamma", "theta", "a", "b", "c", "phi"]
+    assert payload["basis_order"] == (["d" + n for n in names] if forms else names)
+    assert payload["chirality"] == chirality
+
+
+def test_closed_stdout_exits_141():
+    # the reader takes one line and goes; the writer stops without a traceback
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "su3geom.cli", "sample", "--n", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.readline().startswith(b"alpha,")
+    proc.stdout.close()
+    assert proc.wait(timeout=600) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_integrate_abstr2_mc():

@@ -11,8 +11,9 @@ from su3geom.invariant_forms import (left_coframe, left_coframe_closed,
                                      right_coframe, right_coframe_closed)
 from su3geom.tangent_frames import (ChartSingularityError,
                                     maurer_cartan_coefficients)
-from su3geom.verify import (compare_table, divergence_residual,
-                            duality_residual, _translation_pullback_residual,
+from su3geom.verify import (compare_table, defining_relation_residual,
+                            divergence_residual, duality_residual,
+                            _translation_pullback_residual,
                             haar_interior_points)
 
 
@@ -20,6 +21,17 @@ def test_duality_both_chiralities(interior_points):
     for x in interior_points[:30]:
         assert duality_residual(x, "left") <= 1e-9
         assert duality_residual(x, "right") <= 1e-9
+
+
+@pytest.mark.parametrize("check", [
+    lambda p: compare_table(p, "left", "frame"),
+    lambda p: duality_residual(p, "lft"),
+    lambda p: defining_relation_residual(p, "Left"),
+    lambda p: divergence_residual(p, "up"),
+], ids=["compare_table", "duality", "defining_relation", "divergence"])
+def test_unknown_table_or_chirality_is_rejected(interior_points, check):
+    with pytest.raises(ValueError):
+        check(interior_points[:4])
 
 
 def test_left_coframe_row3_dalpha(interior_points):

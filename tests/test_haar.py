@@ -37,6 +37,12 @@ def test_density_batch():
     assert np.all(d >= 0.0)
 
 
+@pytest.mark.parametrize("x", [np.zeros(7), np.ones((4, 6))], ids=["7", "4x6"])
+def test_density_rejects_wrong_shapes(x):
+    with pytest.raises(ValueError):
+        density(x)
+
+
 # ---------------------------------------------------------------------------
 # sampler
 # ---------------------------------------------------------------------------

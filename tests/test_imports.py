@@ -10,8 +10,8 @@ package module loads, on any ``seed + k`` written by hand in the
 package (such a sum can leave [0, 2^64)), on any use of
 ``numpy.random`` in the package outside ``haar._sample_rows``, the one
 Philox stream that the sampler draws from, and on any load of
-``EXIT_USAGE`` or ``EXIT_NUMERIC`` or use of ``sys.stderr`` in
-``cli.py`` outside ``main``.
+``EXIT_USAGE``, ``EXIT_NUMERIC`` or ``EXIT_BROKEN_PIPE`` or use of
+``sys.stderr`` in ``cli.py`` outside ``main``.
 """
 
 import ast
@@ -159,12 +159,12 @@ def test_randomness_only_in_sample_rows(path):
 
 
 def exit_policy_uses(source):
-    """Lines of source that load ``EXIT_USAGE`` or ``EXIT_NUMERIC`` or name
-    ``sys.stderr``, outside the body of ``main``."""
+    """Lines of source that load ``EXIT_USAGE``, ``EXIT_NUMERIC`` or
+    ``EXIT_BROKEN_PIPE`` or name ``sys.stderr``, outside the body of ``main``."""
     found = []
     for n in nodes_outside(source, "main"):
         if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-                and n.id in ("EXIT_USAGE", "EXIT_NUMERIC")
+                and n.id in ("EXIT_USAGE", "EXIT_NUMERIC", "EXIT_BROKEN_PIPE")
                 or isinstance(n, ast.Attribute) and n.attr == "stderr"
                 and isinstance(n.value, ast.Name) and n.value.id == "sys"):
             found.append(n.lineno)
@@ -176,8 +176,9 @@ def test_exit_policy_uses_are_found():
               "def main():\n    print(file=sys.stderr)\n    return EXIT_USAGE\n"
               "def cmd(args):\n    return EXIT_NUMERIC\n"
               "def cmd2(args):\n    sys.stderr.write('x')\n    return EXIT_OK\n"
-              "codes = (EXIT_USAGE, sys.stdout)\n")
-    assert exit_policy_uses(source) == [7, 9, 11]
+              "codes = (EXIT_USAGE, sys.stdout)\n"
+              "def cmd3(args):\n    return EXIT_BROKEN_PIPE\n")
+    assert exit_policy_uses(source) == [7, 9, 11, 13]
 
 
 def test_only_main_maps_errors_to_exit_codes():

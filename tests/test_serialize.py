@@ -54,7 +54,7 @@ def test_json_emission_is_stable():
 def test_csv_lines():
     xs = sample_angles(3, 9)
     lines = list(sample_csv_lines(xs, density(xs)))
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == "alpha,beta,gamma,theta,a,b,c,phi,weight"
     assert len(lines) == 4
     for line in lines[1:]:
         parts = line.split(",")
