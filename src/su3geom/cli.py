@@ -163,6 +163,9 @@ def _integrand(args):
 def cmd_integrate(args):
     if args.function == "entrypoly" and not args.entrypoly:
         raise ValueError("--function entrypoly needs a spec argument")
+    if args.function != "entrypoly" and args.entrypoly is not None:
+        raise ValueError(f"--function {args.function} takes no spec argument, "
+                         f"got {args.entrypoly!r}")
     fn = _integrand(args)
     if args.method == "mc":
         result = haar.integrate_mc(fn, args.n, args.seed)

@@ -27,8 +27,8 @@ An ``AngleRanges`` is a box of eight coordinate intervals.  Three matter:
     factor has period 2 sqrt(3) pi, and the (alpha, gamma) pair only
     reaches half of its SU(2) subgroup, so half, respectively an
     irrational fraction, of the group is unreachable.  Averaging over it
-    is measurably biased (``test_quadrature_over_stated_ranges_is_biased``:
-    |E[tr U]| comes out 0.071 at 5 and 6 nodes instead of 0).
+    is measurably biased (``test_samples_over_stated_ranges_are_biased``:
+    Haar samples restricted to it give |E[tr U]| = 0.0717, se 0.0042).
 
 ``RANGES_COVER``
     Same but gamma in [0, 2 pi) and phi in [0, 2 sqrt(3) pi); density
@@ -43,7 +43,7 @@ An ``AngleRanges`` is a box of eight coordinate intervals.  Three matter:
     All four flat SU(2) phases widened to [0, 2 pi), phi the full period.
     Covers the group uniformly eight times (the constant cancels in
     normalized integrals) and makes every flat coordinate a full circle,
-    so midpoint nodes integrate its harmonics exactly.  Default box for
+    so midpoint nodes integrate its harmonics exactly.  The box of
     ``haar.integrate_quadrature``.
 
 ``decompose`` flags results with gamma or phi past the stated box; within

@@ -8,7 +8,6 @@ structure constants C = 2i f (f real and totally antisymmetric).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,57 +70,32 @@ def expand_in_basis(M):
     return np.einsum("ab,jba->j", M, LAMBDA) / 2.0
 
 
-@dataclass(frozen=True)
-class StructureTensor:
-    """Structure constants C^k_ij of [lam_i, lam_j] = C^k_ij lam_k.
-
-    ``C[i, j, k]`` (0-based indices) is the coefficient of lam_{k+1} in
-    [lam_{i+1}, lam_{j+1}].  Entries are purely imaginary; ``f`` exposes the
-    real antisymmetric constants of the physics convention C = 2i f.
-    """
-
-    C: np.ndarray
-
-    @property
-    def f(self):
-        """Real structure constants with [lam_i, lam_j] = 2i f_ijk lam_k."""
-        return (self.C / 2j).real
-
-
 @lru_cache(maxsize=1)
 def structure_constants():
-    """Compute the full structure tensor from the explicit matrices."""
+    """The read-only (8, 8, 8) structure tensor C^k_ij of [lam_i, lam_j] = C^k_ij lam_k.
+
+    ``C[i, j, k]`` (0-based indices) is the coefficient of lam_{k+1} in
+    [lam_{i+1}, lam_{j+1}], computed from the explicit matrices.  Entries
+    are purely imaginary: C = 2i f with f real and antisymmetric.
+    """
     C = np.empty((8, 8, 8), dtype=complex)
     for i in range(8):
         for j in range(8):
             C[i, j] = expand_in_basis(commutator(LAMBDA[i], LAMBDA[j]))
     C.setflags(write=False)
-    return StructureTensor(C)
-
-
-@dataclass(frozen=True)
-class CartanReport:
-    """Result of the Cartan-split check: k = span{1,2,3,8}, p = span{4,5,6,7}."""
-
-    ok: bool
-    max_leakage: float
-    sector_leakage: dict
+    return C
 
 
 def verify_cartan_split():
-    """Check [k,k] in k, [p,p] in k and [k,p] in p componentwise.
+    """Leakage of [k,k] in k, [p,p] in k and [k,p] in p, by sector.
 
     A sector's leakage is the largest structure constant C^c_ij with i, j
     in that sector and c outside its target subspace: the coefficient mass
-    of the commutator outside the target.  ``ok`` when the largest is at
-    most 1e-12.
+    of the commutator outside the target.  Returns {sector: leakage}.
     """
-    C = np.abs(structure_constants().C)
+    C = np.abs(structure_constants())
     k = np.isin(np.arange(1, 9), K_INDICES)
     p = ~k
     outside = {"[k,k] -> k": C[np.ix_(k, k, p)], "[p,p] -> k": C[np.ix_(p, p, p)],
                "[k,p] -> p": C[k[:, None] != k][:, k]}
-    leakage = {sector: float(c.max()) for sector, c in outside.items()}
-    worst = max(leakage.values())
-    return CartanReport(ok=worst <= 1e-12, max_leakage=worst,
-                        sector_leakage=leakage)
+    return {sector: float(c.max()) for sector, c in outside.items()}

@@ -7,10 +7,10 @@ The invariant volume element factorizes over the coordinates,
 
 so exact inverse-CDF sampling, separable quadrature weights and the
 volume in closed form over any box that ``AngleRanges`` accepts are
-available.  The boxes are described in euler.py: the sampler and all
-normalized integrals use ``RANGES_COVER``, and ``integrate_quadrature``
-defaults to ``RANGES_QUAD``, exact with 2d + 1 nodes per flat axis on
-every polynomial of degree <= d in U and in conj U.  It composes each
+available.  The boxes are described in euler.py: the sampler uses
+``RANGES_COVER``, and ``integrate_quadrature`` always runs over
+``RANGES_QUAD``, where 2d + 1 nodes per flat axis make it exact on every
+polynomial of degree <= d in U and in conj U.  It composes each
 half-grid once, and ``NODE_CAP`` bounds its run time.
 
 Both integrators average functions on the group, not on the chart: the
@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, _FLAT_PERIOD,
-                    _SIN2_POWER, _as_angle_points, _as_group_elements,
-                    compose_many)
+from .euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, _SIN2_POWER,
+                    _as_angle_points, _as_group_elements, compose_many)
 from .invariant_forms import left_coframe
 
 
@@ -240,17 +239,18 @@ def _axis_nodes(dim, degree):
     return 2 * degree + 1
 
 
-def _quad_axis(dim, lo, hi, degree):
-    """Nodes and density-folded weights that integrate one axis to ``degree``.
+def _quad_axis(dim, degree):
+    """Nodes and density-folded weights exact to ``degree`` on one ``RANGES_QUAD`` axis.
 
-    A flat axis takes 2 degree + 1 nodes: midpoint nodes on a whole number
-    of periods, exact on e^{ikx} unless 2 degree + 1 divides k != 0, else
-    Gauss-Legendre nodes in x.  A weighted axis puts (degree + 2 + p) // 2
-    Gauss-Legendre nodes in s = sin^2 x on [sin^2 lo, sin^2 hi], at
-    x = arcsin(sqrt(s)) with s^p in the weights: m nodes are exact for
-    polynomials in s of degree up to 2m - 1 - p >= degree.  ``AngleRanges``
-    keeps the range in [0, pi/2], where s is monotone.
+    A flat axis, a whole period, takes 2 degree + 1 midpoint nodes, exact
+    on e^{ikx} unless 2 degree + 1 divides k != 0.  A weighted axis puts
+    (degree + 2 + p) // 2 Gauss-Legendre nodes in s = sin^2 x on
+    [sin^2 lo, sin^2 hi], at x = arcsin(sqrt(s)) with s^p in the weights:
+    m nodes are exact for polynomials in s of degree up to 2m - 1 - p >=
+    degree.  ``AngleRanges`` keeps the range in [0, pi/2], where s is
+    monotone.
     """
+    lo, hi = RANGES_QUAD.as_tuples()[dim]
     nodes = _axis_nodes(dim, degree)
     if dim in _SIN2_POWER:
         p = _SIN2_POWER[dim]
@@ -259,11 +259,7 @@ def _quad_axis(dim, lo, hi, degree):
         s = (s_hi - s_lo) / 2 * glx + (s_hi + s_lo) / 2
         return np.arcsin(np.sqrt(s)), glw * (s_hi - s_lo) / 2 * s ** p
     span = hi - lo
-    periods = span / _FLAT_PERIOD[dim]
-    if abs(periods - round(periods)) < 1e-12:
-        return lo + (np.arange(nodes) + 0.5) * span / nodes, np.full(nodes, span / nodes)
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
-    return span / 2 * glx + (hi + lo) / 2, glw * span / 2
+    return lo + (np.arange(nodes) + 0.5) * span / nodes, np.full(nodes, span / nodes)
 
 
 def _half_grid(xs, ws, axes):
@@ -273,8 +269,8 @@ def _half_grid(xs, ws, axes):
     return compose_many(X), np.prod(np.meshgrid(*ws[axes], indexing="ij"), axis=0).ravel()
 
 
-def integrate_quadrature(f, nodes_per_dim, ranges=None):
-    """Haar average of f by a separable product rule with the density weight.
+def integrate_quadrature(f, nodes_per_dim):
+    """Haar average of f by a separable product rule over ``RANGES_QUAD``.
 
     ``f`` maps an (m, 3, 3) stack of group elements to values of shape
     (m,) or (m, ...); every trailing entry is averaged with the same
@@ -286,9 +282,8 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     Each thread forms its blocks in one reused stack and hands ``f`` a
     read-only view of it, so ``f`` must not keep its argument, or a view
     of it, after it returns.  The sum is normalized by f == 1 under the
-    same rule, so any constant covering multiplicity of the range box
-    cancels.  Default box is ``RANGES_QUAD``.  The result's ``n`` is the
-    node count and its ``std_error`` is None.
+    same rule, so the box's covering multiplicity, 8, cancels.  The
+    result's ``n`` is the node count and its ``std_error`` is None.
 
     Exactness: over ``RANGES_QUAD`` the rule integrates, up to roundoff,
     every polynomial f of degree <= d in U and <= d in conj U, where
@@ -309,13 +304,11 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     (d + 2 + p) // 2 Gauss nodes in s are exact to degree
     2 ((d + 2 + p) // 2) - 1 - p >= d: 2 each at d = 2, so
     5^5 * 2^3 = 25 000 nodes at 5 (or 6) per flat axis.  Not covered:
-    other boxes and higher degrees (at 3 or 4 nodes, d = 1, and
-    E|tr U|^4 comes out 2.5534 instead of 2).
+    higher degrees (at 3 or 4 nodes, d = 1, and E|tr U|^4 comes out
+    2.5534 instead of 2).
     """
     if nodes_per_dim < 2:
         raise ValueError(f"need at least 2 nodes per flat axis, got {nodes_per_dim}")
-    if ranges is None:
-        ranges = RANGES_QUAD
     start_s = time.perf_counter()
     degree = (nodes_per_dim - 1) // 2
     # counted before any axis is built: a weighted axis of m nodes solves
@@ -323,8 +316,7 @@ def integrate_quadrature(f, nodes_per_dim, ranges=None):
     total_nodes = math.prod(_axis_nodes(dim, degree) for dim in range(8))
     if total_nodes > NODE_CAP:
         raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
-    xs, ws = zip(*(_quad_axis(dim, lo, hi, degree)
-                   for dim, (lo, hi) in enumerate(ranges.as_tuples())))
+    xs, ws = zip(*(_quad_axis(dim, degree) for dim in range(8)))
     (left, w_left), (right, w_right) = (_half_grid(xs, ws, slice(h, h + 4)) for h in (0, 4))
     right_cols = right.transpose(1, 0, 2).reshape(3, -1)
     m = len(right)
@@ -427,19 +419,17 @@ def volume_report(ranges=None):
 # Characters
 # ---------------------------------------------------------------------------
 
-_REPS = ("fundamental", "antifundamental", "adjoint")
+_REPS = ("fundamental", "adjoint")
 
 
 def character(U, rep="fundamental"):
-    """Character in the fundamental, antifundamental or adjoint rep.
+    """Character in the fundamental or the adjoint rep.
 
     (3, 3) -> complex and (n, 3, 3) -> (n,) complex.
     """
     tr = np.einsum("...ii->...", _as_group_elements(U))
     if rep == "fundamental":
         return tr
-    if rep == "antifundamental":
-        return np.conj(tr)
     if rep == "adjoint":
         return (np.abs(tr) ** 2 - 1.0).astype(complex)
     raise ValueError(f"unknown representation {rep!r}; expected one of {_REPS}")

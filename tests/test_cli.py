@@ -203,6 +203,10 @@ def test_verify_too_few_points_usage_error(suite, points):
     ("volume", "--phi-range", "0"),
     ("volume", "--phi-range", "-1"),
     ("integrate", "--function", "tr", "--method", "quad", "--nodes", "1000001"),
+    # a spec that only entrypoly reads, given with another function
+    ("integrate", "--function", "tr", "1,1,conj,1", "--method", "quad"),
+    ("integrate", "--function", "abstr2", "1,1,conj,1", "--method", "quad"),
+    ("integrate", "--function", "adjchar", "1,1,conj,1", "--method", "quad"),
 ])
 def test_bad_input_usage_error(args):
     proc = run_cli(*args)

@@ -13,6 +13,7 @@ from su3geom.tangent_frames import (ChartSingularityError,
                                     maurer_cartan_coefficients)
 from su3geom.verify import (compare_table, defining_relation_residual,
                             divergence_residual, duality_residual,
+                            frame_bracket_residuals,
                             _translation_pullback_residual,
                             haar_interior_points)
 
@@ -32,6 +33,21 @@ def test_duality_both_chiralities(interior_points):
 def test_unknown_table_or_chirality_is_rejected(interior_points, check):
     with pytest.raises(ValueError):
         check(interior_points[:4])
+
+
+@pytest.mark.parametrize("residual", [
+    lambda p: defining_relation_residual(p, "left"),
+    lambda p: defining_relation_residual(p, "right"),
+    lambda p: duality_residual(p, "left"),
+    lambda p: duality_residual(p, "right"),
+    lambda p: divergence_residual(p, "left"),
+    lambda p: divergence_residual(p, "right"),
+    frame_bracket_residuals,
+], ids=["defining_left", "defining_right", "duality_left", "duality_right",
+        "divergence_left", "divergence_right", "brackets"])
+def test_residuals_take_one_point_or_a_batch(interior_points, residual):
+    # one input contract: an (8,) point is a batch of one
+    assert residual(interior_points[0]) == residual(interior_points[:1])
 
 
 def test_left_coframe_row3_dalpha(interior_points):

@@ -218,7 +218,6 @@ def test_batched_objects_reject_other_shapes(name):
 ELEMENTWISE = {
     "adjoint_matrix": adjoint_matrix,
     "character_fundamental": partial(character, rep="fundamental"),
-    "character_antifundamental": partial(character, rep="antifundamental"),
     "character_adjoint": partial(character, rep="adjoint"),
 }
 

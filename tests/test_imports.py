@@ -1,7 +1,9 @@
 """Every imported name is used somewhere in its module, every private
 name of the package is used somewhere in the package, every derived
 seed goes through ``haar.sub_seed``, all randomness comes from
-``haar._sample_rows``, and only ``cli.main`` maps errors to exit codes.
+``haar._sample_rows``, only ``cli.main`` maps errors to exit codes, and
+every defaulted parameter of a public function has a caller that passes
+it.
 
 No linter ships with the project, so this parses the package modules
 and the tests with ``ast`` and fails on any imported name that the
@@ -11,7 +13,9 @@ package (such a sum can leave [0, 2^64)), on any use of
 ``numpy.random`` in the package outside ``haar._sample_rows``, the one
 Philox stream that the sampler draws from, and on any load of
 ``EXIT_USAGE``, ``EXIT_NUMERIC`` or ``EXIT_BROKEN_PIPE`` or use of
-``sys.stderr`` in ``cli.py`` outside ``main``.
+``sys.stderr`` in ``cli.py`` outside ``main``, and on any defaulted
+parameter of a public package function that no call in the package or
+in ``benchmark/`` passes.
 """
 
 import ast
@@ -183,3 +187,77 @@ def test_exit_policy_uses_are_found():
 
 def test_only_main_maps_errors_to_exit_codes():
     assert exit_policy_uses((ROOT / "src" / "su3geom" / "cli.py").read_text()) == []
+
+
+def _called_name(func):
+    """The name a call's function expression ends in, or None."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def defaults_never_passed(defining, calling, exempt=()):
+    """"function.parameter" for every defaulted parameter of a public
+    module-level function of the ``defining`` sources that no call in the
+    ``calling`` sources passes, by position or keyword.  Functions match by
+    name; ``ops.call(fn, ...)`` counts as a call of ``fn``, and a ``*`` or
+    ``**`` argument passes every position or keyword from it on."""
+    defaults = {}
+    for source in defining:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                taken = defaults.setdefault(node.name, {})
+                for index in range(len(positional) - len(a.defaults), len(positional)):
+                    taken[positional[index]] = index
+                taken.update((p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                             if d is not None)
+    passed = set()
+    for source in calling:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name, args = _called_name(call.func), call.args
+            if name == "call" and args and _called_name(args[0]) is not None:
+                name, args = _called_name(args[0]), args[1:]
+            if name not in defaults:
+                continue
+            starred = [i for i, arg in enumerate(args) if isinstance(arg, ast.Starred)]
+            reach = min(starred) if starred else len(args)
+            keywords = {k.arg for k in call.keywords}
+            for param, index in defaults[name].items():
+                if (None in keywords or param in keywords
+                        or index is not None and (index < reach or starred)):
+                    passed.add((name, param))
+    return sorted(f"{fn}.{param}" for fn, params in defaults.items() for param in params
+                  if (fn, param) not in passed and f"{fn}.{param}" not in exempt)
+
+
+def test_never_passed_defaults_are_found():
+    defining = ("def f(x, y=1, *, z=2, w=3):\n    pass\n"
+                "def g(a=0, b=1):\n    pass\n"
+                "def h(c=0):\n    pass\n"
+                "def _private(d=0):\n    pass\n"
+                "class K:\n    def method(self, e=0):\n        pass\n",)
+    calling = ("f(0, w=4)\nm.g(*rest)\nops.call(h, 1)\nf(0, **options)\n",
+               "f(1)\n")
+    assert defaults_never_passed(defining, calling) == []
+    calling = ("f(0, w=4)\nf(1)\ng(a=1)\nops.call(h)\nh\n",)
+    assert defaults_never_passed(defining, calling) == ["f.y", "f.z", "g.b", "h.c"]
+    assert defaults_never_passed(defining, calling, exempt=("f.z",)) == [
+        "f.y", "g.b", "h.c"]
+
+
+#: Defaulted parameters that only the tests pass.  ``cli.main(argv)`` is
+#: the tests' in-process entry point; the console script passes nothing.
+ONLY_TESTS_PASS = ("main.argv",)
+
+
+def test_every_default_has_a_caller():
+    # a parameter that no caller passes is a branch that only the tests reach
+    defining = [p.read_text() for p in SEED_FILES]
+    calling = defining + [p.read_text() for p in sorted((ROOT / "benchmark").glob("*.py"))]
+    assert defaults_never_passed(defining, calling, exempt=ONLY_TESTS_PASS) == []
