@@ -140,12 +140,18 @@ def _parse_entrypoly(spec):
 
 
 def _integrand(args):
+    """The function of ``args`` on (m, 3, 3) stacks, and its degree.
+
+    The degree is the larger of its degrees in U and in conj U: 1 for the
+    characters, and the power sums of the two kinds of factors of a
+    monomial.
+    """
     if args.function == "tr":
-        return lambda us: haar.character(us, "fundamental")
+        return (lambda us: haar.character(us, "fundamental")), 1
     if args.function == "abstr2":
-        return lambda us: (np.abs(np.einsum("nii->n", us)) ** 2).astype(complex)
+        return (lambda us: (np.abs(np.einsum("nii->n", us)) ** 2).astype(complex)), 1
     if args.function == "adjchar":
-        return lambda us: haar.character(us, "adjoint")
+        return (lambda us: haar.character(us, "adjoint")), 1
     terms = _parse_entrypoly(args.entrypoly)
 
     def fn(us):
@@ -157,7 +163,8 @@ def _integrand(args):
             vals = vals * e ** power
         return vals
 
-    return fn
+    return fn, max(sum(power for *_, conj, power in terms if conj),
+                   sum(power for *_, conj, power in terms if not conj))
 
 
 def cmd_integrate(args):
@@ -166,11 +173,18 @@ def cmd_integrate(args):
     if args.function != "entrypoly" and args.entrypoly is not None:
         raise ValueError(f"--function {args.function} takes no spec argument, "
                          f"got {args.entrypoly!r}")
-    fn = _integrand(args)
+    fn, degree = _integrand(args)
     if args.method == "mc":
         result = haar.integrate_mc(fn, args.n, args.seed)
     else:
-        result = haar.integrate_quadrature(fn, args.nodes)
+        # the product rule at N nodes is exact to degree (N - 1) // 2
+        needed = 2 * degree + 1
+        nodes = max(5, needed) if args.nodes is None else args.nodes
+        if nodes < needed:
+            raise ValueError(f"--nodes {nodes} is exact only to degree "
+                             f"{(nodes - 1) // 2}; this integrand has degree "
+                             f"{degree} and needs --nodes {needed} or more")
+        result = haar.integrate_quadrature(fn, nodes)
     print(dumps({
         "estimate_re": result.estimate.real,
         "estimate_im": result.estimate.imag,
@@ -238,8 +252,10 @@ def build_parser():
                         "--function entrypoly (1-based entry indices)")
     p.add_argument("--method", default="mc", choices=["mc", "quad"])
     p.add_argument("--n", type=int, default=100_000, help="MC sample count")
-    p.add_argument("--nodes", type=int, default=5,
-                   help="quadrature nodes N per flat axis; sets degree (N - 1) // 2")
+    p.add_argument("--nodes", type=int, default=None,
+                   help="quadrature nodes N per flat axis, exact to degree "
+                        "(N - 1) // 2 (default: 5, or what the integrand's "
+                        "degree needs)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_integrate)
 

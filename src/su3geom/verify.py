@@ -14,7 +14,8 @@ truth, the transcribed tables are the document under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,10 +76,18 @@ def _route(table, chirality):
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's residual against its threshold.
+
+    ``elapsed_s`` is the wall time ``run_suites`` measured from the previous
+    check of the suite (or the suite's start) to this one; None for a
+    result made outside it.
+    """
+
     name: str
     residual: float
     threshold: float
     detail: str = ""
+    elapsed_s: float | None = None
 
     @property
     def passed(self):
@@ -88,7 +97,7 @@ class CheckResult:
     def as_dict(self):
         return {"name": self.name, "passed": self.passed,
                 "residual": self.residual, "threshold": self.threshold,
-                "detail": self.detail}
+                "detail": self.detail, "elapsed_s": self.elapsed_s}
 
 
 @dataclass(frozen=True)
@@ -234,8 +243,10 @@ TABLE_TOL = 1e-9
 
 
 def compare_table(points, chirality, table):
-    """Diff the transcribed table against the constructive one at many points."""
+    """Diff the transcribed table against the constructive one at one point,
+    (8,), or at every point of an (n, 8) array."""
     constructive_fn, closed_fn = _route(table, chirality)
+    points = _as_angle_points(points).reshape(-1, 8)
     n = len(points)
     # the transcribed tables are scalar code, evaluated one point at a time
     closed = np.array([closed_fn(x).entries for x in points])
@@ -741,7 +752,12 @@ SUITES = {
 
 
 def run_suites(which="all", points=None, seed=7):
-    """Run one suite or all of them; returns an ordered {suite: [CheckResult]}."""
+    """Run one suite or all of them; returns an ordered {suite: [CheckResult]}.
+
+    Each result carries in ``elapsed_s`` the time since the suite's previous
+    yield: the cost of that check, set-up it shares with later checks
+    included.
+    """
     names = list(SUITES) if which == "all" else [which]
     for name in names:
         if name not in SUITES:
@@ -753,5 +769,10 @@ def run_suites(which="all", points=None, seed=7):
     out = {}
     for name in names:
         suite, default, _ = SUITES[name]
-        out[name] = list(suite(default if points is None else points, seed))
+        out[name] = []
+        start = time.perf_counter()
+        for check in suite(default if points is None else points, seed):
+            now = time.perf_counter()
+            out[name].append(replace(check, elapsed_s=now - start))
+            start = now
     return out

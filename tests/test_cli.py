@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import su3geom
 from su3geom import cli
 from su3geom.serialize import dumps, matrix_from_json, matrix_to_json
-from su3geom.verify import CheckResult
+from su3geom.verify import CheckResult, run_suites
 
 #: The directory holding the su3geom package under test; the CLI
 #: subprocesses import from it too.
@@ -52,6 +53,20 @@ def test_verify_measure_json_output():
     assert payload["passed"] is True
     assert all(c["passed"] is True for c in payload["measure"])
     assert "measure.cover_volume" in {c["name"] for c in payload["measure"]}
+    assert all(c["elapsed_s"] >= 0 for c in payload["measure"])
+
+
+def test_run_suites_stamps_each_check_with_its_time():
+    # the time since the previous yield: none negative, and together no
+    # more than the wall time of the run
+    start = time.perf_counter()
+    results = run_suites("all", points=20, seed=3)
+    wall = time.perf_counter() - start
+    elapsed = [c.elapsed_s for checks in results.values() for c in checks]
+    assert list(results) == ["algebra", "frames", "forms", "measure"]
+    assert all(e >= 0 for e in elapsed)
+    assert sum(elapsed) <= wall
+    assert CheckResult(name="bare", residual=0.0, threshold=1.0).as_dict()["elapsed_s"] is None
 
 
 def test_check_result_passed_is_residual_within_threshold():
@@ -312,6 +327,28 @@ def test_integrate_quadrature_tr():
     payload = json.loads(proc.stdout)
     assert abs(complex(payload["estimate_re"], payload["estimate_im"])) <= 0.02
     assert payload["std_error"] is None
+
+
+def test_integrate_quadrature_refuses_too_few_nodes():
+    # E|U_11|^6 = 1/10 has degree 3, past the 5-node rule's degree 2
+    spec = ("integrate", "--function", "entrypoly", "1,1,noconj,3;1,1,conj,3",
+            "--method", "quad")
+    proc = run_cli(*spec, "--nodes", "5")
+    assert proc.returncode == 2
+    assert "--nodes 7" in proc.stderr
+
+
+def test_integrate_quadrature_default_nodes_follow_the_degree():
+    spec = ("integrate", "--function", "entrypoly", "1,1,noconj,3;1,1,conj,3",
+            "--method", "quad")
+    payload = json.loads(run_cli(*spec).stdout)
+    assert abs(complex(payload["estimate_re"], payload["estimate_im"]) - 0.1) <= 1e-12
+
+
+def test_integrate_quadrature_runs_tr_at_the_fewest_nodes():
+    proc = run_cli("integrate", "--function", "tr", "--method", "quad", "--nodes", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(proc.stdout)["estimate_re"]) <= 1e-12
 
 
 def test_integrate_reports_elapsed_time():

@@ -138,6 +138,38 @@ def test_compose_many_matches_scalar():
         assert np.max(np.abs(u - compose(row))) <= 16 * np.finfo(float).eps
 
 
+def _ordered_product(row):
+    return functools.reduce(np.matmul, [factor_exponential(g, t)
+                                        for g, t in zip(GENERATOR_SLOTS, row)])
+
+
+def test_compose_at_poles_of_the_half_angle_tangent():
+    # the closed form reads cos u and sin u off tan(u / 2), which is
+    # infinite where u is an odd multiple of pi: alpha + gamma = +-pi,
+    # a - c = 3 pi, phi / sqrt3 = pi, 3 pi, -pi, and beta, theta, b = pi
+    base = np.array([0.3, 0.7, 1.9, 0.4, 2.6, 1.1, 0.8, 4.2])
+    poles = [{2: math.pi - 0.3}, {2: -math.pi - 0.3}, {6: 2.6 - 3 * math.pi},
+             {7: SQRT3 * math.pi}, {7: 3 * SQRT3 * math.pi}, {7: -SQRT3 * math.pi},
+             {1: math.pi}, {3: math.pi}, {5: math.pi},
+             {2: math.pi - 0.3, 6: 2.6 - 3 * math.pi, 7: SQRT3 * math.pi}]
+    xs = np.array([base] * len(poles))
+    for row, pole in zip(xs, poles):
+        row[list(pole)] = list(pole.values())
+    for row, u in zip(xs, compose_many(xs)):
+        assert np.max(np.abs(u - _ordered_product(row))) <= 1e-15
+        assert np.max(np.abs(compose(row) - _ordered_product(row))) <= 1e-15
+
+
+def test_compose_at_large_angles():
+    # tan(u / 2) reduces its argument as cos and sin do; an angle of 1e6
+    # carries about 1e-10 of its own rounding into the ordered product
+    xs = np.random.default_rng(31).uniform(-1e6, 1e6, (500, 8))
+    us = compose_many(xs)
+    assert max(unitarity_defect(us)) <= 1e-12
+    for row, u in zip(xs, us):
+        assert np.max(np.abs(u - _ordered_product(row))) <= 1e-9
+
+
 def test_compose_many_splits_into_half_products():
     # D(x) = D(alpha, beta, gamma, theta, 0, 0, 0, 0) D(0, 0, 0, 0, a, b, c, phi),
     # the identity the product rule composes its two half-grids on; checked

@@ -43,8 +43,11 @@ def test_unknown_table_or_chirality_is_rejected(interior_points, check):
     lambda p: divergence_residual(p, "left"),
     lambda p: divergence_residual(p, "right"),
     frame_bracket_residuals,
+    lambda p: compare_table(p, "left", "field"),
+    lambda p: compare_table(p, "right", "form"),
 ], ids=["defining_left", "defining_right", "duality_left", "duality_right",
-        "divergence_left", "divergence_right", "brackets"])
+        "divergence_left", "divergence_right", "brackets", "compare_table_field",
+        "compare_table_form"])
 def test_residuals_take_one_point_or_a_batch(interior_points, residual):
     # one input contract: an (8,) point is a batch of one
     assert residual(interior_points[0]) == residual(interior_points[:1])
