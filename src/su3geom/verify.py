@@ -189,16 +189,12 @@ def suite_algebra():
         name="algebra.orthogonality", residual=worst, threshold=tol,
         detail="tr(lam_i lam_j) = 2 delta_ij, all 64 pairs")
 
-    worst = 0.0
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                J = (commutator(LAMBDA[i], commutator(LAMBDA[j], LAMBDA[k]))
-                     + commutator(LAMBDA[j], commutator(LAMBDA[k], LAMBDA[i]))
-                     + commutator(LAMBDA[k], commutator(LAMBDA[i], LAMBDA[j])))
-                worst = max(worst, float(np.max(np.abs(J))))
+    # nested[i, j, k] = [lam_i, [lam_j, lam_k]]; J adds its cyclic transposes
+    nested = commutator(LAMBDA[:, None, None],
+                        commutator(LAMBDA[:, None], LAMBDA[None])[None])
+    J = nested + nested.transpose(1, 2, 0, 3, 4) + nested.transpose(2, 0, 1, 3, 4)
     yield CheckResult(
-        name="algebra.jacobi", residual=worst, threshold=tol,
+        name="algebra.jacobi", residual=float(np.max(np.abs(J))), threshold=tol,
         detail="all 512 ordered triples")
 
     C = structure_constants()
@@ -268,13 +264,31 @@ def compare_table(points, chirality, table):
     return report
 
 
+def _closed_table_checks(suite, points, table):
+    """The ``{suite}.closed_table_{left,right}`` checks of one table."""
+    for chir in ("left", "right"):
+        diff = compare_table(points, chir, table)
+        yield CheckResult(
+            name=f"{suite}.closed_table_{chir}",
+            residual=diff.unexplained_residual, threshold=TABLE_TOL,
+            detail=diff.describe())
+
+
 #: Step h of the central differences in the bracket and divergence checks.
 _STEP = 1e-5
 
 
-def _central_steps():
-    """Rows +h e_m, then -h e_m, m = 0..7: a central-difference stencil."""
-    return np.concatenate([_STEP * np.eye(8), -_STEP * np.eye(8)])
+def _stencil(points, h):
+    """(n, 8) points -> (n * 17, 8) rows: each point, then the point + h e_m,
+    then the point - h e_m, for m = 0..7."""
+    steps = np.concatenate([np.zeros((1, 8)), h * np.eye(8), -h * np.eye(8)])
+    return (points[:, None, :] + steps).reshape(-1, 8)
+
+
+def _central_difference(values, h):
+    """(n, 17, ...) values on the rows of ``_stencil`` -> (n, 8, ...)
+    central differences along e_0, ..., e_7."""
+    return (values[:, 1:9] - values[:, 9:]) / (2 * h)
 
 
 def frame_bracket_residuals(points):
@@ -290,17 +304,15 @@ def frame_bracket_residuals(points):
     C = structure_constants()
     points = _as_angle_points(points).reshape(-1, 8)
     n = len(points)
-    # per point: x, then x + h e_m and x - h e_m for m = 0..7
-    steps = np.concatenate([np.zeros((1, 8)), _central_steps()])
-    stencil = (points[:, None, :] + steps).reshape(-1, 8)
+    stencil = _stencil(points, _STEP)
     dD = partial_derivatives(stencil).reshape(n, 17, 8, 3, 3)
     aL_all = left_field_frame(stencil).entries.reshape(n, 17, 8, 8)
     aR_all = right_field_frame(stencil).entries.reshape(n, 17, 8, 8)
     GL = np.einsum("psik,pskab->psiab", aL_all, dD)
     GR = np.einsum("psik,pskab->psiab", aR_all, dD)
     GL0, GR0 = GL[:, 0], GR[:, 0]
-    dGL = (GL[:, 1:9] - GL[:, 9:]) / (2 * _STEP)
-    dGR = (GR[:, 1:9] - GR[:, 9:]) / (2 * _STEP)
+    dGL = _central_difference(GL, _STEP)
+    dGR = _central_difference(GR, _STEP)
 
     aL, aR = aL_all[:, 0], aR_all[:, 0]
     LL = np.einsum("pim,pmjab->pijab", aL, dGL)
@@ -324,21 +336,14 @@ def frame_bracket_residuals(points):
 def suite_frames(n_points, seed):
     pts = haar_interior_points(n_points, seed)
 
-    worst_l = defining_relation_residual(pts, "left")
-    worst_r = defining_relation_residual(pts, "right")
-    yield CheckResult(
-        name="frames.defining_left", residual=worst_l, threshold=1e-9,
-        detail=f"sum_k a_ik d_k D = -lam_i D at {n_points} points")
-    yield CheckResult(
-        name="frames.defining_right", residual=worst_r, threshold=1e-9,
-        detail=f"sum_k ar_ik d_k D = -D lam_i at {n_points} points")
-
-    for chir in ("left", "right"):
-        diff = compare_table(pts, chir, "field")
+    for chir, relation in (("left", "a_ik d_k D = -lam_i D"),
+                           ("right", "ar_ik d_k D = -D lam_i")):
         yield CheckResult(
-            name=f"frames.closed_table_{chir}",
-            residual=diff.unexplained_residual, threshold=TABLE_TOL,
-            detail=diff.describe())
+            name=f"frames.defining_{chir}",
+            residual=defining_relation_residual(pts, chir), threshold=1e-9,
+            detail=f"sum_k {relation} at {n_points} points")
+
+    yield from _closed_table_checks("frames", pts, "field")
 
     sub = pts[:20]
     c = maurer_cartan_coefficients(sub, "left").c
@@ -360,21 +365,21 @@ def suite_frames(n_points, seed):
     # adjoint representation
     pairs = compose_many(haar.sample_angles(40, haar.sub_seed(seed, 1)))
     U, V = pairs[0::2], pairs[1::2]
-    R_u, R_v = adjoint_matrix(U), adjoint_matrix(V)
+    R_u = adjoint_matrix(U)
     worst_orth = float(max(
         np.linalg.norm(R_u @ np.swapaxes(R_u, 1, 2) - np.eye(8), axis=(1, 2)).max(),
         np.abs(np.linalg.det(R_u) - 1.0).max()))
-    worst_hom = float(np.linalg.norm(adjoint_matrix(U @ V) - R_u @ R_v,
-                                     axis=(1, 2)).max())
-    R = adjoint_matrix(compose_many(sub))
-    worst_link = float(np.max(np.abs(right_field_frame(sub).entries
-                                     - np.swapaxes(R, 1, 2) @ left_field_frame(sub).entries)))
     yield CheckResult(
         name="frames.adjoint_orthogonal", residual=worst_orth, threshold=1e-10,
         detail="R R^T = I and det R = +1 on random elements")
+    worst_hom = float(np.linalg.norm(adjoint_matrix(U @ V) - R_u @ adjoint_matrix(V),
+                                     axis=(1, 2)).max())
     yield CheckResult(
         name="frames.adjoint_homomorphism", residual=worst_hom,
         threshold=1e-10, detail="R(UV) = R(U) R(V)")
+    R = adjoint_matrix(compose_many(sub))
+    worst_link = float(np.max(np.abs(right_field_frame(sub).entries
+                                     - np.swapaxes(R, 1, 2) @ left_field_frame(sub).entries)))
     yield CheckResult(
         name="frames.adjoint_links_frames", residual=worst_link,
         threshold=1e-9,
@@ -415,16 +420,16 @@ def divergence_residual(points, chirality):
     The invariant fields preserve the Haar volume, so rho X_i is
     divergence-free in the Euler coordinates; a density off by any
     non-constant factor fails this.  Central differences, with the frames
-    of the whole (n * 16, 8) stencil evaluated in one call.
+    of the whole (n * 17, 8) stencil evaluated in one call.
     """
     frame = _route("field", chirality)[0]
     points = _as_angle_points(points).reshape(-1, 8)
-    stencil = (points[:, None, :] + _central_steps()).reshape(-1, 8)
+    stencil = _stencil(points, _STEP)
     rho_x = (haar.density(stencil)[:, None, None]
-             * frame(stencil).real_frame()).reshape(len(points), 2, 8, 8, 8)
-    # rho_x[p, side, k, i, k'] at x_p +- h e_k; the divergence takes k' = k
-    flux = np.einsum("pskik->psi", rho_x)
-    return float(np.max(np.abs(flux[:, 0] - flux[:, 1]) / (2 * _STEP)))
+             * frame(stencil).real_frame()).reshape(len(points), 17, 8, 8)
+    # d_rho_x[p, m, i, k] = d_m (rho X_i^k) at x_p; the divergence takes k = m
+    d_rho_x = _central_difference(rho_x, _STEP)
+    return float(np.max(np.abs(np.einsum("pkik->pi", d_rho_x))))
 
 
 def _translation_pullback_residual(x, g, side):
@@ -438,42 +443,26 @@ def _translation_pullback_residual(x, g, side):
     stencil; returns None when the canonical box wraps inside it.
     """
     h = 1e-6
-
-    def ymap(x_):
-        U = compose(x_)
-        W = U @ g if side == "right" else g @ U
-        return decompose(W).as_array()
-
-    y0 = ymap(x)
-    J = np.empty((8, 8))
-    for m in range(8):
-        xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
-        xp[m] += h
-        xm[m] -= h
-        yp, ym = ymap(xp), ymap(xm)
-        if np.max(np.abs(yp - y0)) > 0.1 or np.max(np.abs(ym - y0)) > 0.1:
-            return None  # canonical-box wrap inside the stencil
-        J[:, m] = (yp - ym) / (2 * h)
+    us = compose_many(_stencil(_as_angle_points(x).reshape(1, 8), h))
+    ws = us @ g if side == "right" else g @ us
+    ys = np.array([decompose(w).as_array() for w in ws])
+    if np.max(np.abs(ys[1:] - ys[0])) > 0.1:
+        return None  # canonical-box wrap inside the stencil
+    J = _central_difference(ys[None], h)[0].T  # J[:, m] = d_m y
     b_here = left_coframe(x).entries
-    b_there = left_coframe(y0).entries
-    if side == "right":
-        target = b_here
-    else:
-        target = adjoint_matrix(g) @ b_here
-    return float(np.max(np.abs(b_there @ J - target)))
+    target = b_here if side == "right" else adjoint_matrix(g) @ b_here
+    return float(np.max(np.abs(left_coframe(ys[0]).entries @ J - target)))
 
 
 def suite_forms(n_points, seed):
     pts = haar_interior_points(n_points, seed)
 
-    worst_l = duality_residual(pts, "left")
-    worst_r = duality_residual(pts, "right")
-    yield CheckResult(
-        name="forms.duality_left", residual=worst_l, threshold=1e-9,
-        detail=f"<omega^l, X_i> = delta at {n_points} points")
-    yield CheckResult(
-        name="forms.duality_right", residual=worst_r, threshold=1e-9,
-        detail=f"<omega_r^l, X_r,i> = delta at {n_points} points")
+    for chir, pairing in (("left", "<omega^l, X_i>"),
+                          ("right", "<omega_r^l, X_r,i>")):
+        yield CheckResult(
+            name=f"forms.duality_{chir}",
+            residual=duality_residual(pts, chir), threshold=1e-9,
+            detail=f"{pairing} = delta at {n_points} points")
 
     sub = pts[:20]
     worst = max(maurer_cartan_coefficients(sub, "left").max_imag,
@@ -482,12 +471,7 @@ def suite_forms(n_points, seed):
         name="forms.reality", residual=worst, threshold=1e-12,
         detail="coframe entries real after the i convention")
 
-    for chir in ("left", "right"):
-        diff = compare_table(pts, chir, "form")
-        yield CheckResult(
-            name=f"forms.closed_table_{chir}",
-            residual=diff.unexplained_residual, threshold=TABLE_TOL,
-            detail=diff.describe())
+    yield from _closed_table_checks("forms", pts, "form")
 
     for chir in ("left", "right"):
         worst = divergence_residual(sub, chir)
@@ -755,8 +739,12 @@ def run_suites(which="all", points=None, seed=7):
     """Run one suite or all of them; returns an ordered {suite: [CheckResult]}.
 
     Each result carries in ``elapsed_s`` the time since the suite's previous
-    yield: the cost of that check, set-up it shares with later checks
-    included.
+    yield: the cost of that check alone, except where checks share one
+    computation, whose cost the first of them carries.
+    ``frames.brackets_right`` and ``frames.brackets_cross`` (computed with
+    ``frames.brackets_left``), ``forms.density_ratio_left_right`` (with
+    ``forms.density_ratio_constant``) and ``forms.covariance_left_translation``
+    (with ``forms.invariance_right_translation``) read about 0.
     """
     names = list(SUITES) if which == "all" else [which]
     for name in names:

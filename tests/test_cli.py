@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import su3geom
-from su3geom import cli
+from su3geom import cli, verify
 from su3geom.serialize import dumps, matrix_from_json, matrix_to_json
 from su3geom.verify import CheckResult, run_suites
 
@@ -67,6 +67,72 @@ def test_run_suites_stamps_each_check_with_its_time():
     assert all(e >= 0 for e in elapsed)
     assert sum(elapsed) <= wall
     assert CheckResult(name="bare", residual=0.0, threshold=1.0).as_dict()["elapsed_s"] is None
+
+
+def test_each_check_carries_its_own_time(monkeypatch):
+    # a right-chirality residual that sleeps shows on its own check, not on
+    # the left check yielded before it
+    for name in ("defining_relation_residual", "duality_residual"):
+        def slow_on_right(x, chirality, residual=getattr(verify, name)):
+            if chirality == "right":
+                time.sleep(0.05)
+            return residual(x, chirality)
+        monkeypatch.setattr(verify, name, slow_on_right)
+    elapsed = {c.name: c.elapsed_s
+               for suite in ("frames", "forms")
+               for c in run_suites(suite, points=4)[suite]}
+    for pair in ("frames.defining", "forms.duality"):
+        assert elapsed[f"{pair}_right"] >= 0.05
+        assert elapsed[f"{pair}_left"] < 0.05
+
+
+#: Every check of ``run_suites("all")`` and its threshold, in order.
+PINNED_CHECKS = [
+    ("algebra.commutator_table", 1e-12),
+    ("algebra.orthogonality", 1e-12),
+    ("algebra.jacobi", 1e-12),
+    ("algebra.antisymmetry", 1e-12),
+    ("algebra.imaginary_structure_constants", 1e-12),
+    ("algebra.cartan_split", 1e-12),
+    ("frames.defining_left", 1e-09),
+    ("frames.defining_right", 1e-09),
+    ("frames.closed_table_left", 1e-09),
+    ("frames.closed_table_right", 1e-09),
+    ("frames.maurer_cartan_rows", 1e-12),
+    ("frames.adjoint_orthogonal", 1e-10),
+    ("frames.adjoint_homomorphism", 1e-10),
+    ("frames.adjoint_links_frames", 1e-09),
+    ("frames.brackets_left", 1e-06),
+    ("frames.brackets_right", 1e-06),
+    ("frames.brackets_cross", 1e-06),
+    ("forms.duality_left", 1e-09),
+    ("forms.duality_right", 1e-09),
+    ("forms.reality", 1e-12),
+    ("forms.closed_table_left", 1e-09),
+    ("forms.closed_table_right", 1e-09),
+    ("forms.divergence_free_left", 1e-08),
+    ("forms.divergence_free_right", 1e-08),
+    ("forms.density_ratio_constant", 1e-08),
+    ("forms.density_ratio_left_right", 1e-08),
+    ("forms.invariance_right_translation", 1e-06),
+    ("forms.covariance_left_translation", 1e-06),
+    ("measure.density_value", 1e-15),
+    ("measure.group_ops", 1e-12),
+    ("measure.cover_volume", 1e-12),
+    ("measure.volume_stated_ranges", 1e-10),
+    ("measure.sampler_marginals", 1.0),
+    ("measure.characters_mc", 1.0),
+    ("measure.characters_quadrature", 1e-12),
+    ("measure.translation_invariance", 1.0),
+    ("measure.decompose_roundtrip", 1e-09),
+]
+
+
+def test_suites_yield_the_pinned_checks():
+    # no rework of the suites drops, renames, reorders or loosens a check
+    results = run_suites("all", points=4)
+    assert [(c.name, c.threshold) for checks in results.values()
+            for c in checks] == PINNED_CHECKS
 
 
 def test_check_result_passed_is_residual_within_threshold():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from su3geom import haar
+from su3geom import haar, verify
 from su3geom.euler import compose
 from su3geom.gellmann import SQRT3
 from su3geom.haar import density, density_from_coframe, sample_angles
@@ -11,7 +11,8 @@ from su3geom.invariant_forms import (left_coframe, left_coframe_closed,
                                      right_coframe, right_coframe_closed)
 from su3geom.tangent_frames import (ChartSingularityError,
                                     maurer_cartan_coefficients)
-from su3geom.verify import (compare_table, defining_relation_residual,
+from su3geom.verify import (_STEP, _central_difference, _stencil,
+                            compare_table, defining_relation_residual,
                             divergence_residual, duality_residual,
                             frame_bracket_residuals,
                             _translation_pullback_residual,
@@ -178,6 +179,28 @@ def test_divergence_check_rejects_a_wrong_density(interior_points, monkeypatch):
                         lambda x: density(x) * (1 + 0.1 * np.cos(x[..., 3])))
     for chirality in ("left", "right"):
         assert divergence_residual(interior_points[:20], chirality) > 1e-8
+
+
+def test_central_difference_of_a_quadratic_is_its_gradient():
+    # f(x) = x . A x with A symmetric has gradient 2 A x; a central
+    # difference is exact on it up to roundoff
+    rng = np.random.default_rng(2024)
+    A = rng.normal(size=(8, 8))
+    A = A + A.T
+    points = rng.normal(size=(3, 8))
+    rows = _stencil(points, _STEP)
+    values = np.einsum("ri,ij,rj->r", rows, A, rows).reshape(3, 17)
+    grad = _central_difference(values, _STEP)
+    assert np.max(np.abs(grad - 2 * points @ A)) <= 1e-8
+
+
+def test_covariance_check_needs_the_adjoint_mixing(monkeypatch):
+    # without R(g) the left-translation law fails; the right-translation
+    # law does not read R and still holds
+    monkeypatch.setattr(verify, "adjoint_matrix", lambda g: np.eye(8))
+    checks = {c.name: c for c in verify.run_suites("forms", points=4)["forms"]}
+    assert not checks["forms.covariance_left_translation"].passed
+    assert checks["forms.invariance_right_translation"].passed
 
 
 def test_pullback_invariance_right_translation():

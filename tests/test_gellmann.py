@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from su3geom.gellmann import (LAMBDA, SQRT3, commutator, expand_in_basis,
                               gell_mann_matrix, structure_constants,
                               verify_cartan_split)
+from su3geom import verify
 from su3geom.verify import COMMUTATOR_TABLE
 
 
@@ -123,6 +124,14 @@ def test_jacobi_identity():
                      + commutator(LAMBDA[k], commutator(LAMBDA[i], LAMBDA[j])))
                 worst = max(worst, np.max(np.abs(J)))
     assert worst <= 1e-12
+
+
+def test_jacobi_check_rejects_the_anticommutator(monkeypatch):
+    # the anticommutator is no Lie bracket; the broadcast check must see it
+    monkeypatch.setattr(verify, "commutator",
+                        lambda A, B: np.asarray(A) @ B + np.asarray(B) @ A)
+    checks = {c.name: c for c in verify.suite_algebra()}
+    assert not checks["algebra.jacobi"].passed
 
 
 def test_cartan_split():
