@@ -190,6 +190,7 @@ def cmd_integrate(args):
         "estimate_im": result.estimate.imag,
         "std_error": result.std_error,
         "n": result.n,
+        "degree": result.degree,
         "elapsed_s": result.elapsed_s,
         "method": result.method,
     }))

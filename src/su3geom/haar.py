@@ -123,14 +123,16 @@ class IntegrationResult:
     ``estimate`` has the integrand's dtype and trailing shape: a scalar for
     (m,) values, an array for (m, ...).  ``std_error`` has the same shape
     (real), or is None for the product rule.  ``n`` counts the samples or
-    grid nodes, ``method`` is "mc" or "quadrature", and ``elapsed_s`` is
-    the wall time of the call.
+    grid nodes, ``method`` is "mc" or "quadrature", ``degree`` is the
+    degree d = (nodes_per_dim - 1) // 2 to which the product rule is exact
+    (None for Monte Carlo), and ``elapsed_s`` is the wall time of the call.
     """
 
     estimate: np.ndarray | complex
     std_error: np.ndarray | float | None
     n: int
     method: str
+    degree: int | None
     elapsed_s: float
 
 
@@ -223,7 +225,7 @@ def integrate_mc(f, n, seed, *, vectorized=True):
     mean = total / n
     se = np.sqrt(np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0) / n)
     return IntegrationResult(estimate=mean, std_error=se, n=n, method="mc",
-                             elapsed_s=time.perf_counter() - start_s)
+                             degree=None, elapsed_s=time.perf_counter() - start_s)
 
 
 #: Cap on the total quadrature grid size, set by run time: 11 and 12 nodes per
@@ -355,7 +357,8 @@ def integrate_quadrature(f, nodes_per_dim):
 
     acc, w_sum = _ordered_sums(block_sums, range(0, len(left), rows))
     return IntegrationResult(estimate=acc / w_sum, std_error=None, n=total_nodes,
-                             method="quadrature", elapsed_s=time.perf_counter() - start_s)
+                             method="quadrature", degree=degree,
+                             elapsed_s=time.perf_counter() - start_s)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,8 @@ class CheckResult:
 
     ``elapsed_s`` is the wall time ``run_suites`` measured from the previous
     check of the suite (or the suite's start) to this one; None for a
-    result made outside it.
+    result made outside it.  ``as_dict`` adds the margin, residual /
+    threshold: at most 1 for a check that passes, NaN for a NaN residual.
     """
 
     name: str
@@ -97,6 +98,7 @@ class CheckResult:
     def as_dict(self):
         return {"name": self.name, "passed": self.passed,
                 "residual": self.residual, "threshold": self.threshold,
+                "margin": self.residual / self.threshold,
                 "detail": self.detail, "elapsed_s": self.elapsed_s}
 
 
@@ -535,10 +537,14 @@ SCHUR_TARGETS = (1.0, 0.0, 1.0, 0.0)
 
 
 def schur_integrands(us):
-    """(m, 3, 3) elements -> (m, 4) integrands of the four Schur integrals."""
-    tr = np.einsum("nii->n", us)
-    adj = np.abs(tr) ** 2 - 1.0
-    return np.stack([np.abs(tr) ** 2, tr, adj * adj, tr * tr], axis=1)
+    """(m, 3, 3) elements -> (m, 4) integrands of the four Schur integrals,
+    as the transpose of a (4, m) array, so each column is contiguous."""
+    out = np.empty((4, len(us)), dtype=complex)
+    tr = us[:, 0, 0] + us[:, 1, 1] + us[:, 2, 2]
+    abs2 = np.abs(tr) ** 2
+    adj = abs2 - 1.0
+    out[0], out[1], out[2], out[3] = abs2, tr, adj * adj, tr * tr
+    return out.T
 
 
 def character_integrals_mc(n, seed):
@@ -575,32 +581,38 @@ def invariance_deviations(n, seed):
     n_entry = 2 * (1 + 2 * _N_TRANSLATIONS)
 
     def values(us):
-        # column-contiguous, so each column is written in one sweep
-        out = np.empty((n_class + n_entry, len(us))).T
+        # entry-major: u[3 b + c] = U_bc and out[j], column j, are contiguous
+        # (m,) rows, so each product is a vector multiply-add.  Broadcasts
+        # over a trailing axis of length 3, matmul and einsum each took
+        # 3.2-3.4 ms per g on an 8192-row block, and this whole integrand,
+        # all five g, takes 4.4-6.1 ms; BLAS threads would also contend
+        # with the threads that run it
+        u = np.ascontiguousarray(us.reshape(len(us), 9).T)
+        out = np.empty((n_class + n_entry, len(us)))
 
-        def put_entries(t, row):
-            c = n_class + 2 * t
-            out[:, c] = np.abs(row[:, 0]) ** 2
-            out[:, c + 1] = row[:, 1].real
+        def put_entries(t, m00, m01):
+            out[n_class + 2 * t] = np.abs(m00) ** 2
+            out[n_class + 2 * t + 1] = m01.real
 
         def put_left(t, m):
-            # m = U or gU; called with a temporary, so at most one
-            # translated stack is alive at a time
-            tr = np.einsum("nii->n", m)
-            out[:, 3 * t] = tr.real
-            out[:, 3 * t + 1] = np.abs(tr) ** 2
-            out[:, 3 * t + 2] = np.einsum("nab,nba->n", m, m).real
-            put_entries(t, m[:, 0, :2])
+            # m[3 a + b] = M_ab for M = U or gU; Re tr M^2 is
+            # sum_a M_aa^2 + 2 sum_{a<b} M_ab M_ba
+            tr = m[0] + m[4] + m[8]
+            out[3 * t] = tr.real
+            out[3 * t + 1] = np.abs(tr) ** 2
+            out[3 * t + 2] = (m[0] * m[0] + m[4] * m[4] + m[8] * m[8]
+                              + 2 * (m[1] * m[3] + m[2] * m[6] + m[5] * m[7])).real
+            put_entries(t, m[0], m[1])
 
-        put_left(0, us)
+        put_left(0, u)
         for k, g in enumerate(gs, start=1):
-            # gU and the first row of Ug (without forming Ug) as broadcast
-            # multiply-adds: BLAS and einsum products slow down when
-            # several chunks run them on threads at once
-            put_left(k, sum(g[:, b, None] * us[:, b, None, :] for b in range(3)))
+            # gU, and the first row of Ug without forming Ug
+            put_left(k, [g[a, 0] * u[c] + g[a, 1] * u[3 + c] + g[a, 2] * u[6 + c]
+                         for a in range(3) for c in range(3)])
             put_entries(_N_TRANSLATIONS + k,
-                        sum(us[:, 0, b, None] * g[b, :2] for b in range(3)))
-        return out
+                        *(u[0] * g[0, c] + u[1] * g[1, c] + u[2] * g[2, c]
+                          for c in range(2)))
+        return out.T
 
     r = haar.integrate_mc(values, n, seed)
     worst = 0.0

@@ -54,6 +54,7 @@ def test_verify_measure_json_output():
     assert all(c["passed"] is True for c in payload["measure"])
     assert "measure.cover_volume" in {c["name"] for c in payload["measure"]}
     assert all(c["elapsed_s"] >= 0 for c in payload["measure"])
+    assert all(c["margin"] <= 1 for c in payload["measure"])
 
 
 def test_run_suites_stamps_each_check_with_its_time():
@@ -143,6 +144,15 @@ def test_check_result_passed_is_residual_within_threshold():
     assert edge.passed is True
     assert json.loads(dumps(edge.as_dict()))["passed"] is True
     assert CheckResult(name="over", residual=1.5, threshold=1.0).passed is False
+
+
+def test_check_result_as_dict_keys_and_margin():
+    check = CheckResult(name="half", residual=0.5, threshold=2.0)
+    assert set(check.as_dict()) == {"name", "passed", "residual", "threshold",
+                                    "margin", "detail", "elapsed_s"}
+    assert check.as_dict()["margin"] == 0.25
+    nan = CheckResult(name="nan", residual=float("nan"), threshold=1.0).as_dict()
+    assert math.isnan(nan["margin"]) and nan["passed"] is False
 
 
 def test_verify_unknown_suite_usage_error():
@@ -415,6 +425,16 @@ def test_integrate_quadrature_runs_tr_at_the_fewest_nodes():
     proc = run_cli("integrate", "--function", "tr", "--method", "quad", "--nodes", "3")
     assert proc.returncode == 0, proc.stderr
     assert abs(json.loads(proc.stdout)["estimate_re"]) <= 1e-12
+
+
+def test_integrate_reports_the_degree_of_the_rule():
+    # an even node count gets the degree of the odd count below it
+    payload = json.loads(run_cli("integrate", "--function", "tr", "--method", "quad",
+                                 "--nodes", "6").stdout)
+    assert payload["degree"] == 2 and payload["n"] == 25_000
+    payload = json.loads(run_cli("integrate", "--function", "tr", "--method", "mc",
+                                 "--n", "1000").stdout)
+    assert payload["degree"] is None
 
 
 def test_integrate_reports_elapsed_time():

@@ -151,7 +151,7 @@ def test_mc_constant():
     r = integrate_mc(lambda us: np.ones(len(us), dtype=complex), 1000, 4)
     assert r.estimate == pytest.approx(1.0)
     assert r.std_error == pytest.approx(0.0, abs=1e-12)
-    assert r.method == "mc" and r.n == 1000
+    assert r.method == "mc" and r.n == 1000 and r.degree is None
 
 
 def test_mc_fundamental_character():
@@ -498,6 +498,21 @@ def test_angle_ranges_rejects_nonfinite_or_empty_range(ranges):
         AngleRanges(**ranges)
 
 
+@pytest.mark.parametrize("size", [1000, 1], ids=["stack", "one"])
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+def test_schur_integrands_match_a_trace_reference(size, writeable):
+    us = compose_many(sample_angles(size, 14))
+    us.flags.writeable = writeable
+    before = us.copy()
+    got = verify.schur_integrands(us)
+    tr = np.trace(us, axis1=1, axis2=2)
+    expected = (np.abs(tr) ** 2, tr, (np.abs(tr) ** 2 - 1.0) ** 2, tr ** 2)
+    assert got.shape == (size, 4) and got.dtype == complex
+    for k, column in enumerate(expected):
+        np.testing.assert_allclose(got[:, k], column, rtol=1e-13, atol=0)
+    assert np.array_equal(us, before)
+
+
 def test_quadrature_columns_match_single_integrands():
     schur = verify.schur_integrands
     r = integrate_quadrature(schur, 3)
@@ -615,7 +630,8 @@ def test_quadrature_node_count(nodes, grid):
     # alone sets the grid: 2d + 1 midpoint nodes on alpha, gamma, a, c and
     # phi and only the Gauss nodes that d needs on beta, b and theta, so an
     # even count builds the grid of the odd count below it
-    assert integrate_quadrature(lambda us: np.ones(len(us)), nodes).n == grid
+    r = integrate_quadrature(lambda us: np.ones(len(us)), nodes)
+    assert (r.n, r.degree) == (grid, (nodes - 1) // 2)
 
 
 def test_quadrature_node_cap(monkeypatch):
@@ -864,11 +880,28 @@ def test_quadrature_bi_invariance_needs_sin2_theta(monkeypatch):
     assert _quadrature_translation_gaps(0) > 0.1
 
 
+def test_invariance_deviations_span_a_partial_last_block():
+    # the last block holds 3 rows; at these seeds the worst ratio falls,
+    # in turn, on each class function of gU and each entry function of gU
+    # and of Ug
+    n = haar._BLOCK_ROWS + 3
+    worst_at = set()
+    for seed in (13, 1, 35, 2, 10, 3, 9):
+        ratios = _invariance_reference(n, seed)
+        key = max(ratios, key=ratios.get)
+        worst_at.add(key)
+        assert verify.invariance_deviations(n, seed) == pytest.approx(
+            ratios[key], rel=1e-12, abs=0)
+    assert len(worst_at) == 7
+
+
 def test_invariance_deviations_memory_peak():
-    # one translated stack at a time and one (m, 40) real block per
-    # block, one block at a time per thread: about 13 MB on two cores (26
-    # with 16 384-row blocks, the caller idle and two more threads); the
-    # bound keeps haar_mc's peak RSS from growing
+    # per block and thread, one at a time: an entry-major copy of the
+    # block (9 (m,) complex rows), one translated element's 9 entries at a
+    # time and one (40, m) real array, about 13.7 MB on two cores (12.9
+    # with (m, 3, 3) translated stacks; 26 with 16 384-row blocks, the
+    # caller idle and two more threads); the bound keeps haar_mc's peak
+    # RSS from growing
     tracemalloc.start()
     try:
         verify.invariance_deviations(100_000, 5)
