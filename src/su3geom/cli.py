@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,11 +32,17 @@ EXIT_NUMERIC = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
+def _check_json(check):
+    """``check.as_dict()`` with a non-finite residual or margin as None: JSON has no NaN."""
+    return {k: None if k in ("residual", "margin") and not math.isfinite(v) else v
+            for k, v in check.as_dict().items()}
+
+
 def cmd_verify(args):
     results = verify.run_suites(args.suite, points=args.points, seed=args.seed)
     all_ok = all(c.passed for checks in results.values() for c in checks)
     if args.json:
-        payload = {suite: [c.as_dict() for c in checks]
+        payload = {suite: [_check_json(c) for c in checks]
                    for suite, checks in results.items()}
         payload["passed"] = all_ok
         print(dumps(payload))

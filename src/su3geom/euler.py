@@ -77,6 +77,7 @@ GENERATOR_SLOTS = (3, 2, 3, 5, 3, 2, 3, 8)
 _SIN2_POWER = {1: 0, 3: 1, 5: 0}
 #: Natural period of each flat coordinate.
 _FLAT_PERIOD = {0: 2 * math.pi, 2: 2 * math.pi, 4: 2 * math.pi, 6: 2 * math.pi, 7: PHI_PERIOD}
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -297,7 +298,8 @@ def _as_group_elements(U):
 def unitarity_defect(U):
     """Frobenius norms of (U+U - I, det U - 1), the largest over a stack, as a pair."""
     U = np.asarray(U, dtype=complex)
-    du = np.linalg.norm(np.swapaxes(U.conj(), -1, -2) @ U - np.eye(3), axis=(-2, -1))
+    g = (np.swapaxes(U.conj(), -1, -2) @ U - _EYE3).reshape(-1, 9)
+    du = np.sqrt((g.real ** 2 + g.imag ** 2).sum(axis=1))
     dd = np.abs(np.linalg.det(U) - 1.0)
     return float(du.max(initial=0.0)), float(dd.max(initial=0.0))
 
@@ -379,7 +381,7 @@ def _analytic_decompose(U):
           + r2 * math.sin(theta))
     k1 = r1 * x2 - r0 * y2
     al, be, ga = _su2_angles_free_gamma(k0, k1)
-    return np.array([al, be, ga, theta, a, b, c, phi])
+    return [al, be, ga, theta, a, b, c, phi]
 
 
 def decompose(U, full_output=False):
@@ -400,11 +402,12 @@ def decompose(U, full_output=False):
     if U.shape != (3, 3):
         raise ValueError(f"decompose takes one (3, 3) element, got shape {U.shape}")
     x = _fold_into_box(_analytic_decompose(U))
-    residual = float(np.linalg.norm(compose(x) - U))
+    # angles read off a validated U are finite: compose's checks are skipped
+    residual = float(np.linalg.norm(_closed_form(np.array(x)) - U))
     if residual > 1e-9:
         raise DecompositionError(
             f"factorization residual {residual:.3e} exceeds 1e-9")
-    angles = EulerAngles.from_array(x)
+    angles = EulerAngles(*x)
     if not full_output:
         return angles
     return DecompositionReport(
@@ -416,7 +419,7 @@ def decompose(U, full_output=False):
 
 
 def _fold_into_box(x):
-    """Fold angles into ``RANGES_COVER`` by exact product symmetries only.
+    """Fold a list of angles into ``RANGES_COVER`` by exact product symmetries only.
 
     Applied to every extraction, which leaves c in [0, 2 pi) and, where a
     phase sits exactly on a branch cut, alpha or a at pi or gamma at 2 pi.
@@ -426,7 +429,7 @@ def _fold_into_box(x):
     otherwise fall back to ``decompose``, which moves the angles.
     """
     # Python floats round like float64 scalars and cost less per operation
-    x = np.array(x, dtype=float).tolist()
+    x = list(x)
     box = RANGES_COVER.as_tuples()
     for k, period in _FLAT_PERIOD.items():
         x[k] %= period
@@ -442,7 +445,7 @@ def _fold_into_box(x):
         if x[k] >= box[k][1]:
             x[k] -= _FLAT_PERIOD[k] / 2
             x[partner] = (x[partner] + _FLAT_PERIOD[partner] / 2) % _FLAT_PERIOD[partner]
-    return np.array(x)
+    return x
 
 
 def canonicalize(x):
@@ -454,8 +457,8 @@ def canonicalize(x):
     which changes the element by at most the decompose residual.
     """
     arr = _as_angle_array(x)
-    folded = _fold_into_box(arr)
-    cand = EulerAngles.from_array(folded)
+    folded = _fold_into_box(arr.tolist())
+    cand = EulerAngles(*folded)
     if (cand.is_canonical()
             and np.linalg.norm(compose(folded) - compose(arr)) <= 1e-12):
         return cand

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import (GENERATOR_SLOTS, _as_angle_array, _as_angle_points,
-                    compose_many, ensure_group_element)
+                    _closed_form, ensure_group_element)
 from .gellmann import LAMBDA, SQRT3
 
 #: Threshold on the singular chart factors.
@@ -68,15 +68,21 @@ _SUFFIX = np.triu(np.ones((8, 8)))
 #: lam_g for the generator g of each factor, in order.
 _GENERATORS = LAMBDA[np.array(GENERATOR_SLOTS) - 1]
 
+#: Row j is the row-major vec(lam_j), so tr(lam_i M) = conj(row i) . vec(M).
+_LAMBDA_VEC = LAMBDA.reshape(8, 9)
+#: vec(M) @ _LAMBDA_VEC_H is tr(M lam_j) / 2 for each j, as lam_j is hermitian.
+_LAMBDA_VEC_H = _LAMBDA_VEC.conj().T / 2
+_EYE8 = np.eye(8)
+
 
 def _partial_products(x, mask):
     """Row k of ``mask`` picks the factors of product k: (..., 8) -> (..., 8, 3, 3).
 
     A factor at angle 0 is the identity, so zeroing the other angles leaves
-    the ordered product of the picked factors, which ``compose_many`` fills
-    in closed form.
+    the ordered product of the picked factors, which ``euler._closed_form``
+    fills in.  The callers have validated x through ``_as_angle_points``.
     """
-    return compose_many((x[..., None, :] * mask).reshape(-1, 8)).reshape(
+    return _closed_form((x[..., None, :] * mask).reshape(-1, 8)).reshape(
         x.shape[:-1] + (8, 3, 3))
 
 
@@ -159,7 +165,7 @@ def maurer_cartan_coefficients(x, chirality="left"):
     else:
         S = _partial_products(x, _SUFFIX)
         A = np.conj(np.swapaxes(S, -1, -2)) @ _GENERATORS @ S
-    raw = np.einsum("...kab,jba->...kj", A, LAMBDA) / 2
+    raw = A.reshape(A.shape[:-2] + (9,)) @ _LAMBDA_VEC_H
     max_imag = float(np.max(np.abs(raw.imag)))
     return MaurerCartanCoefficients(c=raw.real, max_imag=max_imag)
 
@@ -367,9 +373,6 @@ def right_field_frame_closed(x):
 #: Unitarity and orthogonality tolerance of ``adjoint_matrix``.
 _ADJOINT_TOL = 1e-10
 
-#: Row j is the row-major vec(lam_j), so tr(lam_i M) = conj(row i) . vec(M).
-_LAMBDA_VEC = LAMBDA.reshape(8, 9)
-
 
 def adjoint_matrix(U):
     """Adjoint representation R(U)_ij = tr(lam_i U lam_j U^dag) / 2.
@@ -385,11 +388,11 @@ def adjoint_matrix(U):
     U = ensure_group_element(U, tol=_ADJOINT_TOL)
     kron = (U[..., :, None, :, None] * U.conj()[..., None, :, None, :]).reshape(
         U.shape[:-2] + (9, 9))
-    raw = _LAMBDA_VEC.conj() @ kron @ _LAMBDA_VEC.T / 2.0
+    raw = _LAMBDA_VEC_H.T @ kron @ _LAMBDA_VEC.T
     if np.max(np.abs(raw.imag), initial=0.0) > 1e-12:
         raise ValueError("adjoint matrix has non-real entries; input not unitary?")
     R = raw.real
-    orth = np.linalg.norm(R @ np.swapaxes(R, -1, -2) - np.eye(8), axis=(-2, -1))
+    orth = np.linalg.norm(R @ np.swapaxes(R, -1, -2) - _EYE8, axis=(-2, -1))
     if np.max(orth, initial=0.0) > _ADJOINT_TOL:
         raise ValueError("adjoint matrix failed the orthogonality check")
     return R

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -153,6 +154,30 @@ def test_check_result_as_dict_keys_and_margin():
     assert check.as_dict()["margin"] == 0.25
     nan = CheckResult(name="nan", residual=float("nan"), threshold=1.0).as_dict()
     assert math.isnan(nan["margin"]) and nan["passed"] is False
+
+
+@pytest.mark.parametrize("residual", [math.nan, math.inf])
+def test_verify_json_writes_a_nonfinite_residual_as_null(monkeypatch, capsys, residual):
+    # JSON has no NaN or infinity: the check reads null and fails, and the
+    # exit code is the plain form's 1, not a usage error from the encoder
+    algebra, default, minimum = verify.SUITES["algebra"]
+
+    def broken_jacobi(points, seed):
+        for check in algebra(points, seed):
+            yield (dataclasses.replace(check, residual=residual)
+                   if check.name == "algebra.jacobi" else check)
+
+    monkeypatch.setitem(verify.SUITES, "algebra", (broken_jacobi, default, minimum))
+    assert cli.main(["verify", "--suite", "algebra"]) == 1
+    assert "FAIL  algebra.jacobi" in capsys.readouterr().out
+    assert cli.main(["verify", "--suite", "algebra", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    for check in payload["algebra"]:
+        broken = check["name"] == "algebra.jacobi"
+        assert check["passed"] is not broken
+        assert (check["residual"] is None) is broken
+        assert (check["margin"] is None) is broken
 
 
 def test_verify_unknown_suite_usage_error():

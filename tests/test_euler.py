@@ -350,6 +350,42 @@ def test_decompose_rejects_non_unitary():
         decompose(bad_det)
 
 
+def defect_reference(us):
+    """The largest Frobenius norm of U+U - I and |det U - 1|, element by element."""
+    du = [np.linalg.norm(u.conj().T @ u - np.eye(3), "fro") for u in us]
+    dd = [abs(np.linalg.det(u) - 1.0) for u in us]
+    return max(du, default=0.0), max(dd, default=0.0)
+
+
+def test_unitarity_defect_matches_a_per_element_reference():
+    rng = np.random.default_rng(61)
+    us = references.qr_haar_su3(200, rng)
+    scaled = us * (1.0 + 1e-3 * rng.standard_normal((200, 1, 1)))
+    phased = us.copy()
+    phased[:, :, 2] *= np.exp(1j * rng.uniform(-1e-3, 1e-3, (200, 1)))
+    one_bad = us.copy()
+    one_bad[137] *= 1.0 + 1e-6
+    stacks = {"haar": us, "scaled": scaled, "phased": phased, "one_bad": one_bad}
+    for name, stack in stacks.items():
+        want = defect_reference(stack)
+        assert unitarity_defect(stack) == pytest.approx(want, rel=1e-12, abs=1e-15), name
+    assert unitarity_defect(us[0]) == pytest.approx(defect_reference(us[:1]),
+                                                    rel=1e-12, abs=1e-15)
+    assert unitarity_defect(np.empty((0, 3, 3), complex)) == (0.0, 0.0)
+    assert unitarity_defect(phased)[0] <= 1e-14 < 1e-5 <= unitarity_defect(phased)[1]
+
+
+def test_decompose_tolerance_edges():
+    # ensure_group_element's tol is 1e-12 on ||U+U - I|| and on |det U - 1|
+    U = references.qr_haar_su3(1, np.random.default_rng(62))[0]
+    assert decompose(U * (1 + 1e-13), full_output=True).residual <= 1e-12
+    with pytest.raises(ValueError, match="unitary"):
+        decompose(U * (1 + 1e-12))
+    assert decompose(np.diag([1.0, 1.0, np.exp(5e-13j)]), full_output=True).residual <= 1e-12
+    with pytest.raises(ValueError, match="det"):
+        decompose(np.diag([1.0, 1.0, np.exp(5e-12j)]))
+
+
 def test_decompose_rejects_nonfinite_and_stacks():
     with pytest.raises(ValueError, match="finite"):
         decompose(np.full((3, 3), np.nan))

@@ -1,5 +1,5 @@
 import math
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -92,6 +92,41 @@ def test_maurer_cartan_right_rows():
         e8[7] = 1.0
         assert np.max(np.abs(c[6] - e3)) <= 1e-13  # c-row: diagonal generator
         assert np.max(np.abs(c[7] - e8)) <= 1e-13  # phi-row: hypercharge
+
+
+def maurer_cartan_reference(x, chirality):
+    """c_kj = tr(A_k lam_j) / 2 from the factor matrices, one trace at a time.
+
+    A_k = P_k lam_{g_k} P_k^dag (left) or S_k^dag lam_{g_k} S_k (right),
+    with P_k the product of the factors before k and S_k of those from k on.
+    """
+    factors = [factor_exponential(g, t) for g, t in zip(GEN_SLOTS, x)]
+    c = np.empty((8, 8), dtype=complex)
+    for k, g in enumerate(GEN_SLOTS):
+        if chirality == "left":
+            P = reduce(np.matmul, factors[:k], np.eye(3))
+            A = P @ gell_mann_matrix(g) @ P.conj().T
+        else:
+            S = reduce(np.matmul, factors[k:], np.eye(3))
+            A = S.conj().T @ gell_mann_matrix(g) @ S
+        for j in range(8):
+            c[k, j] = np.trace(A @ gell_mann_matrix(j + 1)) / 2
+    return c
+
+
+@pytest.mark.parametrize("chirality", ["left", "right"])
+def test_maurer_cartan_coefficients_match_traces(chirality):
+    xs = haar_interior_points(50, seed=91)
+    want = np.array([maurer_cartan_reference(x, chirality) for x in xs])
+    assert np.max(np.abs(want.imag)) <= 1e-14
+    one = maurer_cartan_coefficients(xs[0], chirality)
+    assert one.c.shape == (8, 8)
+    assert np.max(np.abs(one.c - want[0].real)) <= 1e-14
+    assert one.max_imag <= 1e-12
+    batch = maurer_cartan_coefficients(xs, chirality)
+    assert batch.c.shape == (50, 8, 8)
+    assert np.max(np.abs(batch.c - want.real)) <= 1e-14
+    assert batch.max_imag <= 1e-12
 
 
 def test_maurer_cartan_real(interior_points):
