@@ -156,7 +156,7 @@ def _integrand(args):
     if args.function == "tr":
         return (lambda us: haar.character(us, "fundamental")), 1
     if args.function == "abstr2":
-        return (lambda us: (np.abs(np.einsum("nii->n", us)) ** 2).astype(complex)), 1
+        return (lambda us: (np.abs(haar.character(us, "fundamental")) ** 2).astype(complex)), 1
     if args.function == "adjchar":
         return (lambda us: haar.character(us, "adjoint")), 1
     terms = _parse_entrypoly(args.entrypoly)

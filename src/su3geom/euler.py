@@ -141,13 +141,6 @@ class EulerAngles:
              self.a, self.b, self.c, self.phi]
         )
 
-    @classmethod
-    def from_array(cls, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (8,):
-            raise ValueError(f"expected 8 angles, got shape {x.shape}")
-        return cls(*x)
-
     def is_canonical(self):
         """True if inside ``RANGES_COVER``: flat axes half-open, weighted axes closed."""
         return all(lo <= v < hi or v == hi and dim in _SIN2_POWER

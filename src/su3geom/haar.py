@@ -374,7 +374,7 @@ def _axis_volume(dim, lo, hi):
     return hi - lo
 
 
-def group_volume(ranges=None):
+def group_volume(ranges=RANGES_STATED):
     """Unnormalized integral of the density over the given ranges.
 
     The closed form: the product of the eight exact one-dimensional
@@ -383,13 +383,11 @@ def group_volume(ranges=None):
     ``measure.volume_stated_ranges`` (pi^5) and ``measure.cover_volume``
     (Macdonald's sqrt(3) pi^5), and a Gauss-Legendre rule in the tests.
     """
-    if ranges is None:
-        ranges = RANGES_STATED
     return math.prod(_axis_volume(dim, lo, hi)
                      for dim, (lo, hi) in enumerate(ranges.as_tuples()))
 
 
-def volume_report(ranges=None):
+def volume_report(ranges=RANGES_STATED):
     """The volume over the given ranges, with the sphere-product comparison.
 
     The classic heuristic equates the group volume with
@@ -398,8 +396,6 @@ def volume_report(ranges=None):
     actually tiles the group once (gamma and phi extended) gives
     2 sqrt(3) pi^5.  Normalized integrals are unaffected by any constant.
     """
-    if ranges is None:
-        ranges = RANGES_STATED
     analytic = group_volume(ranges)
     pi5 = math.pi ** 5
     return {

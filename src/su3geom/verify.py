@@ -560,70 +560,71 @@ def character_integrals_quadrature(nodes):
             for nm, m, tg in zip(SCHUR_NAMES, means, SCHUR_TARGETS)]
 
 
+def _worst_4_sigma(estimate, se, target=0.0):
+    """The worst |estimate - target| / (4 se) over the entries; an entry
+    whose se is 0 reads 0.  Every Monte Carlo gate of the measure suite."""
+    dev = np.abs(np.asarray(estimate) - target)
+    se4 = 4.0 * np.asarray(se)
+    return float(np.divide(dev, se4, out=np.zeros_like(dev), where=se4 > 0).max())
+
+
 _N_TRANSLATIONS = 5
 
 
 def invariance_deviations(n, seed):
-    """Translated vs untranslated sample averages, in units of 4 sigma.
+    """Sample averages of f(gU) - f(U) and f(Ug) - f(U), in units of 4 sigma.
 
-    For five fixed group elements g, compares MC[f(gU)] with MC[f] for
-    the class functions Re tr M, |tr M|^2 and Re tr M^2, and MC[f(gU)] and
-    MC[f(Ug)] with MC[f] for the entry functions |M_11|^2 and Re M_12
-    (Haar means 1/3 and 0).  A class function takes the same value on gU
-    and Ug = g^-1 (gU) g, so only the entry functions test right
-    invariance.  Returns the worst deviation / (4 * combined standard
-    error) over all (g, side, f).
+    For five fixed group elements g, averages the paired differences
+    f(gU) - f(U) for the class functions Re tr M, |tr M|^2 and Re tr M^2,
+    and f(gU) - f(U) and f(Ug) - f(U) for the entry functions |M_11|^2 and
+    Re M_12 (Haar means 1/3 and 0), each over the same samples U.  A class
+    function takes the same value on gU and Ug = g^-1 (gU) g, so only the
+    entry functions test right invariance.  Haar invariance makes each
+    mean 0; returns the worst |mean| / (4 * its standard error) over the
+    35 (g, side, f).
     """
     gs = compose_many(haar.sample_angles(_N_TRANSLATIONS, haar.sub_seed(seed, 17)))
-    # columns: 3 class functions of U, g_1 U, ..., g_5 U, then 2 entry
-    # functions of U, g_1 U, ..., g_5 U, U g_1, ..., U g_5
-    n_class = 3 * (1 + _N_TRANSLATIONS)
-    n_entry = 2 * (1 + 2 * _N_TRANSLATIONS)
 
     def values(us):
-        # entry-major: u[3 b + c] = U_bc and out[j], column j, are contiguous
+        # entry-major: u[3 b + c] = U_bc and each row of out are contiguous
         # (m,) rows, so each product is a vector multiply-add.  Broadcasts
         # over a trailing axis of length 3, matmul and einsum each took
         # 3.2-3.4 ms per g on an 8192-row block, and this whole integrand,
         # all five g, takes 4.4-6.1 ms; BLAS threads would also contend
         # with the threads that run it
         u = np.ascontiguousarray(us.reshape(len(us), 9).T)
-        out = np.empty((n_class + n_entry, len(us)))
+        # out[k]: the class and entry functions of g_k U, then the entry
+        # functions of U g_k, each less its value at U
+        out = np.empty((_N_TRANSLATIONS, 7, len(us)))
 
-        def put_entries(t, m00, m01):
-            out[n_class + 2 * t] = np.abs(m00) ** 2
-            out[n_class + 2 * t + 1] = m01.real
+        def put_entries(rows, m00, m01):
+            rows[0] = np.abs(m00) ** 2
+            rows[1] = m01.real
 
-        def put_left(t, m):
+        def put_all(rows, m):
             # m[3 a + b] = M_ab for M = U or gU; Re tr M^2 is
             # sum_a M_aa^2 + 2 sum_{a<b} M_ab M_ba
             tr = m[0] + m[4] + m[8]
-            out[3 * t] = tr.real
-            out[3 * t + 1] = np.abs(tr) ** 2
-            out[3 * t + 2] = (m[0] * m[0] + m[4] * m[4] + m[8] * m[8]
-                              + 2 * (m[1] * m[3] + m[2] * m[6] + m[5] * m[7])).real
-            put_entries(t, m[0], m[1])
+            rows[0] = tr.real
+            rows[1] = np.abs(tr) ** 2
+            rows[2] = (m[0] * m[0] + m[4] * m[4] + m[8] * m[8]
+                       + 2 * (m[1] * m[3] + m[2] * m[6] + m[5] * m[7])).real
+            put_entries(rows[3:], m[0], m[1])
 
-        put_left(0, u)
-        for k, g in enumerate(gs, start=1):
+        base = np.empty((5, len(us)))
+        put_all(base, u)
+        for g, rows in zip(gs, out):
             # gU, and the first row of Ug without forming Ug
-            put_left(k, [g[a, 0] * u[c] + g[a, 1] * u[3 + c] + g[a, 2] * u[6 + c]
-                         for a in range(3) for c in range(3)])
-            put_entries(_N_TRANSLATIONS + k,
-                        *(u[0] * g[0, c] + u[1] * g[1, c] + u[2] * g[2, c]
-                          for c in range(2)))
-        return out.T
+            put_all(rows, [g[a, 0] * u[c] + g[a, 1] * u[3 + c] + g[a, 2] * u[6 + c]
+                           for a in range(3) for c in range(3)])
+            put_entries(rows[5:], *(u[0] * g[0, c] + u[1] * g[1, c] + u[2] * g[2, c]
+                                    for c in range(2)))
+            rows[:5] -= base
+            rows[5:] -= base[3:]
+        return out.reshape(-1, len(us)).T
 
     r = haar.integrate_mc(values, n, seed)
-    worst = 0.0
-    for cols, width in ((slice(0, n_class), 3), (slice(n_class, None), 2)):
-        m, s = r.estimate[cols].reshape(-1, width), r.std_error[cols].reshape(-1, width)
-        dev = np.abs(m[1:] - m[0])
-        combined = 4.0 * np.hypot(s[1:], s[0])
-        ratio = np.divide(dev, combined, out=np.zeros_like(dev),
-                          where=combined > 0)
-        worst = max(worst, float(ratio.max()))
-    return worst
+    return _worst_4_sigma(r.estimate, r.std_error)
 
 
 def suite_measure(n_mc, seed):
@@ -682,29 +683,23 @@ def suite_measure(n_mc, seed):
                f"{math.pi ** 5:.10f}; sphere-product target is 2 pi^5")
 
     xs = haar.sample_angles(n_mc, seed)
-    worst = 0.0
-    m_sin2theta = float(np.mean(np.sin(xs[:, 3]) ** 2))
-    se = float(np.std(np.sin(xs[:, 3]) ** 2) / math.sqrt(n_mc))
-    dev = abs(m_sin2theta - 2.0 / 3.0) / (4 * se)
-    worst = max(worst, dev)
-    beta_cdf = float(np.mean(xs[:, 1] <= 0.5))
-    target = math.sin(0.5) ** 2
-    se_b = math.sqrt(target * (1 - target) / n_mc)
-    worst = max(worst, abs(beta_cdf - target) / (4 * se_b))
+    sin2theta = np.sin(xs[:, 3]) ** 2
+    p_beta = math.sin(0.5) ** 2
+    worst = _worst_4_sigma(
+        [np.mean(sin2theta), np.mean(xs[:, 1] <= 0.5)],
+        [np.std(sin2theta) / math.sqrt(n_mc), math.sqrt(p_beta * (1 - p_beta) / n_mc)],
+        [2.0 / 3.0, p_beta])
     yield CheckResult(
         name="measure.sampler_marginals", residual=worst, threshold=1.0,
         detail="E[sin^2 theta] = 2/3 and P[beta <= 1/2] = sin^2(1/2), "
                "in units of 4 sigma")
 
-    worst = 0.0
-    detail = []
-    for nm, val, se, tgt in character_integrals_mc(n_mc, seed):
-        dev = abs(val - tgt) / (4 * se)
-        worst = max(worst, dev)
-        detail.append(f"{nm} = {val.real:+.4f}{val.imag:+.4f}i (se {se:.1e})")
+    names, vals, ses, tgts = zip(*character_integrals_mc(n_mc, seed))
     yield CheckResult(
-        name="measure.characters_mc", residual=worst, threshold=1.0,
-        detail="; ".join(detail))
+        name="measure.characters_mc", residual=_worst_4_sigma(vals, ses, tgts),
+        threshold=1.0,
+        detail="; ".join(f"{nm} = {val.real:+.4f}{val.imag:+.4f}i (se {se:.1e})"
+                         for nm, val, se in zip(names, vals, ses)))
 
     worst = 0.0
     detail = []
@@ -719,9 +714,10 @@ def suite_measure(n_mc, seed):
     worst = invariance_deviations(min(n_mc, 200_000), haar.sub_seed(seed, 5))
     yield CheckResult(
         name="measure.translation_invariance", residual=worst, threshold=1.0,
-        detail="averages over gU of Re tr, |tr|^2 and Re tr M^2, and over "
-               "gU and Ug of |M_11|^2 and Re M_12, vs untranslated, for 5 "
-               "elements g, in units of 4 sigma")
+        detail="paired differences f(gU) - f(U) for Re tr, |tr|^2 and Re tr "
+               "M^2, and f(gU) - f(U) and f(Ug) - f(U) for |M_11|^2 and Re "
+               "M_12, averaged over the same samples for 5 elements g, in "
+               "units of 4 sigma of each difference")
 
     worst = 0.0
     for n_round in range(3):

@@ -433,7 +433,7 @@ def test_is_canonical_matches_cover_box_at_every_edge(dim):
                       (np.nextafter(hi, -np.inf), True), (np.nextafter(hi, np.inf), False)):
         x = BOUNDARY_BASE.copy()
         x[dim] = v
-        assert EulerAngles.from_array(x).is_canonical() == inside, v
+        assert EulerAngles(*x).is_canonical() == inside, v
 
 
 def test_decompose_flags_at_the_stated_box_edge(monkeypatch):

@@ -297,7 +297,7 @@ def test_single_point_functions_reject_batches_and_nonfinite(fn):
         with pytest.raises(ValueError, match="finite"):
             fn(bad)
         with pytest.raises(ValueError, match="finite"):
-            fn(EulerAngles.from_array(bad))
+            fn(EulerAngles(*bad))
 
 
 def test_adjoint_identity():
