@@ -19,8 +19,8 @@ from .haar import (IntegrationResult, character, density, density_from_coframe,
 from .invariant_forms import (CoFrameMatrix, left_coframe, left_coframe_closed,
                               right_coframe, right_coframe_closed)
 from .tangent_frames import (ChartSingularityError, FrameMatrix,
-                             MaurerCartanCoefficients, adjoint_matrix,
-                             left_field_frame, left_field_frame_closed,
+                             adjoint_matrix, left_field_frame,
+                             left_field_frame_closed,
                              maurer_cartan_coefficients, partial_derivatives,
                              right_field_frame, right_field_frame_closed)
 

@@ -39,8 +39,8 @@ class CoFrameMatrix:
 
 def _constructive_coframe(x, chirality):
     check_interior(x)
-    mc = maurer_cartan_coefficients(x, chirality)
-    return CoFrameMatrix(entries=np.swapaxes(mc.c, -1, -2))
+    c = maurer_cartan_coefficients(x, chirality).real
+    return CoFrameMatrix(entries=np.swapaxes(c, -1, -2))
 
 
 def left_coframe(x):

@@ -126,15 +126,6 @@ def check_interior(x):
 
 
 @dataclass(frozen=True)
-class MaurerCartanCoefficients:
-    """Real coefficients c with (d_k D) D^-1 = i sum_j c_kj lam_j (left)
-    or D^-1 (d_k D) = i sum_j c_kj lam_j (right); rows k = coordinates."""
-
-    c: np.ndarray
-    max_imag: float
-
-
-@dataclass(frozen=True)
 class FrameMatrix:
     """Vector-field coefficients; rows = field index, columns = coordinates."""
 
@@ -151,10 +142,12 @@ def maurer_cartan_coefficients(x, chirality="left"):
     c_kj = tr(P_k lam_{g_k} P_k^dag lam_j) / 2    for the left chirality,
     c_kj = tr(S_k^dag lam_{g_k} S_k lam_j) / 2    for the right,
 
-    which equal -(i/2) tr((d_k D) D^-1 lam_j) and -(i/2) tr(D^-1 (d_k D) lam_j).
-    Both are real to machine precision because they are traces of products
-    of two hermitian matrices; ``max_imag`` is the largest imaginary part
-    over all points.
+    which equal -(i/2) tr((d_k D) D^-1 lam_j) and -(i/2) tr(D^-1 (d_k D) lam_j),
+    so (d_k D) D^-1 = i sum_j c_kj lam_j (left) or D^-1 (d_k D) = i sum_j
+    c_kj lam_j (right); rows k = coordinates.  Returns the complex traces,
+    (8,) -> (8, 8) and (n, 8) -> (n, 8, 8).  They are real up to roundoff,
+    as traces of products of two hermitian matrices; callers take ``.real``,
+    and the check ``forms.reality`` reports the imaginary part.
     """
     if chirality not in ("left", "right"):
         raise ValueError(f"chirality must be 'left' or 'right', got {chirality!r}")
@@ -165,21 +158,19 @@ def maurer_cartan_coefficients(x, chirality="left"):
     else:
         S = _partial_products(x, _SUFFIX)
         A = np.conj(np.swapaxes(S, -1, -2)) @ _GENERATORS @ S
-    raw = A.reshape(A.shape[:-2] + (9,)) @ _LAMBDA_VEC_H
-    max_imag = float(np.max(np.abs(raw.imag)))
-    return MaurerCartanCoefficients(c=raw.real, max_imag=max_imag)
+    return A.reshape(A.shape[:-2] + (9,)) @ _LAMBDA_VEC_H
 
 
 def _constructive_frame(x, chirality):
     check_interior(x)
-    mc = maurer_cartan_coefficients(x, chirality)
-    cond = np.linalg.cond(mc.c).reshape(-1)
+    c = maurer_cartan_coefficients(x, chirality).real
+    cond = np.linalg.cond(c).reshape(-1)
     # not (cond <= limit) also catches an infinite or NaN condition number
     ill = ~(cond <= CONDITION_LIMIT)
     if ill.any():
         raise ChartSingularityError("cond(maurer_cartan_coefficients)",
                                     1.0 / cond[ill][0])
-    return FrameMatrix(entries=1j * np.linalg.inv(mc.c))
+    return FrameMatrix(entries=1j * np.linalg.inv(c))
 
 
 def left_field_frame(x):
@@ -380,7 +371,9 @@ def adjoint_matrix(U):
     (3, 3) -> (8, 8) and (n, 3, 3) -> (n, 8, 8).  R is the matrix of
     X -> U X U^dag in the Gell-Mann basis: real, orthogonal with det +1, and
     a homomorphism R(UV) = R(U) R(V).  As vec(U X U^dag) = (U kron conj U)
-    vec(X), R = Re(Lam^H (U kron conj U) Lam) / 2 with Lam = _LAMBDA_VEC^T.
+    vec(X), R = Re(Lam^H (U kron conj U) Lam) / 2 with Lam = _LAMBDA_VEC^T;
+    the dropped imaginary part is roundoff for any complex U, as the
+    conjugate of tr(lam_i U lam_j U^dag) is the same trace by cyclicity.
     The two constructive frames are linked row-wise by  right = R(U)^T @ left
     at U = compose(x) (transpose because the frames realize translations,
     not conjugation; the sign is +1).
@@ -388,10 +381,7 @@ def adjoint_matrix(U):
     U = ensure_group_element(U, tol=_ADJOINT_TOL)
     kron = (U[..., :, None, :, None] * U.conj()[..., None, :, None, :]).reshape(
         U.shape[:-2] + (9, 9))
-    raw = _LAMBDA_VEC_H.T @ kron @ _LAMBDA_VEC.T
-    if np.max(np.abs(raw.imag), initial=0.0) > 1e-12:
-        raise ValueError("adjoint matrix has non-real entries; input not unitary?")
-    R = raw.real
+    R = (_LAMBDA_VEC_H.T @ kron @ _LAMBDA_VEC.T).real
     orth = np.linalg.norm(R @ np.swapaxes(R, -1, -2) - _EYE8, axis=(-2, -1))
     if np.max(orth, initial=0.0) > _ADJOINT_TOL:
         raise ValueError("adjoint matrix failed the orthogonality check")

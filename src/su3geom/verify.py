@@ -348,8 +348,8 @@ def suite_frames(n_points, seed):
     yield from _closed_table_checks("frames", pts, "field")
 
     sub = pts[:20]
-    c = maurer_cartan_coefficients(sub, "left").c
-    cr = maurer_cartan_coefficients(sub, "right").c
+    c = maurer_cartan_coefficients(sub, "left").real
+    cr = maurer_cartan_coefficients(sub, "right").real
     e = np.eye(8)
     expect_beta = np.zeros((len(sub), 8))
     expect_beta[:, 0] = np.sin(2 * sub[:, 0])
@@ -368,12 +368,11 @@ def suite_frames(n_points, seed):
     pairs = compose_many(haar.sample_angles(40, haar.sub_seed(seed, 1)))
     U, V = pairs[0::2], pairs[1::2]
     R_u = adjoint_matrix(U)
-    worst_orth = float(max(
-        np.linalg.norm(R_u @ np.swapaxes(R_u, 1, 2) - np.eye(8), axis=(1, 2)).max(),
-        np.abs(np.linalg.det(R_u) - 1.0).max()))
+    worst_det = float(np.abs(np.linalg.det(R_u) - 1.0).max())
     yield CheckResult(
-        name="frames.adjoint_orthogonal", residual=worst_orth, threshold=1e-10,
-        detail="R R^T = I and det R = +1 on random elements")
+        name="frames.adjoint_orthogonal", residual=worst_det, threshold=1e-10,
+        detail="det R = +1 on random elements (adjoint_matrix itself raises "
+               "unless R R^T = I to 1e-10)")
     worst_hom = float(np.linalg.norm(adjoint_matrix(U @ V) - R_u @ adjoint_matrix(V),
                                      axis=(1, 2)).max())
     yield CheckResult(
@@ -467,8 +466,8 @@ def suite_forms(n_points, seed):
             detail=f"{pairing} = delta at {n_points} points")
 
     sub = pts[:20]
-    worst = max(maurer_cartan_coefficients(sub, "left").max_imag,
-                maurer_cartan_coefficients(sub, "right").max_imag)
+    worst = max(float(np.abs(maurer_cartan_coefficients(sub, chir).imag).max())
+                for chir in ("left", "right"))
     yield CheckResult(
         name="forms.reality", residual=worst, threshold=1e-12,
         detail="coframe entries real after the i convention")

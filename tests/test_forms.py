@@ -136,18 +136,18 @@ def test_left_closed_evaluates_omega8():
 def test_maurer_cartan_coefficients_determinant(interior_points):
     ratios = []
     for x in interior_points[:20]:
-        c = maurer_cartan_coefficients(x, "left").c
+        c = maurer_cartan_coefficients(x, "left").real
         ratios.append(abs(np.linalg.det(c)) / density(x))
     ratios = np.array(ratios)
     assert np.ptp(ratios) / ratios.mean() <= 1e-10
-    c_r = maurer_cartan_coefficients(interior_points[0], "right").c
+    c_r = maurer_cartan_coefficients(interior_points[0], "right").real
     assert abs(abs(np.linalg.det(c_r)) / density(interior_points[0])
                - ratios.mean()) <= 1e-10
 
 
 def test_maurer_cartan_coefficients_near_identity():
     x = np.full(8, 1e-3)
-    c = maurer_cartan_coefficients(x, "right").c
+    c = maurer_cartan_coefficients(x, "right").real
     slots = (3, 2, 3, 5, 3, 2, 3, 8)
     for k, g in enumerate(slots):
         row = np.abs(c[k])

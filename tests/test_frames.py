@@ -16,6 +16,7 @@ from su3geom.tangent_frames import (ChartSingularityError, adjoint_matrix,
                                     maurer_cartan_coefficients,
                                     partial_derivatives, right_field_frame,
                                     right_field_frame_closed)
+from su3geom import tangent_frames, verify
 from su3geom.verify import (compare_table, defining_relation_residual,
                             frame_bracket_residuals, haar_interior_points)
 
@@ -68,7 +69,7 @@ def test_partials_antihermitian_translate():
 
 def test_maurer_cartan_alpha_row():
     for x in sample_angles(5, 12):
-        c = maurer_cartan_coefficients(x, "left").c
+        c = maurer_cartan_coefficients(x, "left").real
         expected = np.zeros(8)
         expected[2] = 1.0
         assert np.max(np.abs(c[0] - expected)) <= 1e-13
@@ -76,7 +77,7 @@ def test_maurer_cartan_alpha_row():
 
 def test_maurer_cartan_beta_row():
     for x in sample_angles(5, 13):
-        c = maurer_cartan_coefficients(x, "left").c
+        c = maurer_cartan_coefficients(x, "left").real
         expected = np.zeros(8)
         expected[0] = math.sin(2 * x[0])
         expected[1] = math.cos(2 * x[0])
@@ -85,7 +86,7 @@ def test_maurer_cartan_beta_row():
 
 def test_maurer_cartan_right_rows():
     for x in sample_angles(5, 14):
-        c = maurer_cartan_coefficients(x, "right").c
+        c = maurer_cartan_coefficients(x, "right").real
         e3 = np.zeros(8)
         e3[2] = 1.0
         e8 = np.zeros(8)
@@ -120,19 +121,19 @@ def test_maurer_cartan_coefficients_match_traces(chirality):
     want = np.array([maurer_cartan_reference(x, chirality) for x in xs])
     assert np.max(np.abs(want.imag)) <= 1e-14
     one = maurer_cartan_coefficients(xs[0], chirality)
-    assert one.c.shape == (8, 8)
-    assert np.max(np.abs(one.c - want[0].real)) <= 1e-14
-    assert one.max_imag <= 1e-12
+    assert one.real.shape == (8, 8)
+    assert np.max(np.abs(one.real - want[0].real)) <= 1e-14
+    assert np.max(np.abs(one.imag)) <= 1e-12
     batch = maurer_cartan_coefficients(xs, chirality)
-    assert batch.c.shape == (50, 8, 8)
-    assert np.max(np.abs(batch.c - want.real)) <= 1e-14
-    assert batch.max_imag <= 1e-12
+    assert batch.real.shape == (50, 8, 8)
+    assert np.max(np.abs(batch.real - want.real)) <= 1e-14
+    assert np.max(np.abs(batch.imag)) <= 1e-12
 
 
 def test_maurer_cartan_real(interior_points):
     for x in interior_points[:20]:
-        assert maurer_cartan_coefficients(x, "left").max_imag <= 1e-12
-        assert maurer_cartan_coefficients(x, "right").max_imag <= 1e-12
+        assert np.max(np.abs(maurer_cartan_coefficients(x, "left").imag)) <= 1e-12
+        assert np.max(np.abs(maurer_cartan_coefficients(x, "right").imag)) <= 1e-12
 
 
 def test_left_frame_fixed_rows(interior_points):
@@ -211,6 +212,18 @@ def test_singular_chart_error_names_factor():
         check_interior(np.array([0.3, 0.4, 0.2, 0.6, 0.1, 0.0, 0.2, 0.3]))
 
 
+def test_ill_conditioned_coefficients_raise_past_check_interior():
+    # sin 2beta = sin theta = 1e-6 clear SINGULAR_THRESHOLD, but together
+    # they make cond(c) about 2.6e12, above CONDITION_LIMIT
+    x = np.array([0.3, math.asin(1e-6) / 2, 0.2, math.asin(1e-6),
+                  0.1, 0.5, 0.2, 0.3])
+    check_interior(x)
+    for frame in (left_field_frame, right_field_frame):
+        with pytest.raises(ChartSingularityError) as err:
+            frame(x)
+        assert err.value.factor == "cond(maurer_cartan_coefficients)"
+
+
 def test_check_interior_names_first_singular_point():
     xs = np.tile([0.3, 0.4, 0.2, 0.6, 0.1, 0.5, 0.2, 0.3], (6, 1))
     xs[3, 5] = 0.0   # b = 0 at row 3
@@ -223,8 +236,8 @@ def test_check_interior_names_first_singular_point():
 
 BATCHED = {
     "partial_derivatives": partial_derivatives,
-    "maurer_cartan_left": lambda x: maurer_cartan_coefficients(x, "left").c,
-    "maurer_cartan_right": lambda x: maurer_cartan_coefficients(x, "right").c,
+    "maurer_cartan_left": lambda x: maurer_cartan_coefficients(x, "left").real,
+    "maurer_cartan_right": lambda x: maurer_cartan_coefficients(x, "right").real,
     "left_field_frame": lambda x: left_field_frame(x).entries,
     "right_field_frame": lambda x: right_field_frame(x).entries,
     "left_coframe": lambda x: left_coframe(x).entries,
@@ -313,6 +326,18 @@ def test_adjoint_orthogonal_and_homomorphism():
         assert np.linalg.norm(R_u @ R_u.T - np.eye(8)) <= 1e-10
         assert abs(np.linalg.det(R_u) - 1.0) <= 1e-10
         assert np.linalg.norm(adjoint_matrix(U @ V) - R_u @ R_v) <= 1e-10
+
+
+def test_adjoint_orthogonal_check_fails_on_a_reflection(monkeypatch):
+    # negating lam_1's column negates row 0 of R: still orthogonal, so
+    # adjoint_matrix does not raise, but det R = -1
+    flipped = tangent_frames._LAMBDA_VEC_H.copy()
+    flipped[:, 0] *= -1
+    monkeypatch.setattr(tangent_frames, "_LAMBDA_VEC_H", flipped)
+    checks = {c.name: c for c in verify.run_suites("frames", points=4)["frames"]}
+    check = checks["frames.adjoint_orthogonal"]
+    assert not check.passed
+    assert abs(check.residual - 2.0) <= 1e-10
 
 
 def test_adjoint_links_left_right_frames(interior_points):
