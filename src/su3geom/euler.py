@@ -297,19 +297,20 @@ def unitarity_defect(U):
     return float(du.max(initial=0.0)), float(dd.max(initial=0.0))
 
 
-def ensure_group_element(U, tol=1e-12):
-    """Validate that U is finite and special unitary to within ``tol``.
+def ensure_group_element(U):
+    """Validate that U is finite and special unitary to within 1e-12.
 
     U is one (3, 3) element or an (n, 3, 3) stack; returns it as an ndarray.
+    The one gate of ``decompose`` and ``tangent_frames.adjoint_matrix``.
     """
     U = _as_group_elements(U)
     if not np.isfinite(U).all():
         raise ValueError("matrix entries must be finite")
     du, dd = unitarity_defect(U)
-    if du > tol:
-        raise ValueError(f"matrix is not unitary: ||U+U - I|| = {du:.3e} > {tol:.1e}")
-    if dd > tol:
-        raise ValueError(f"det U != 1: |det U - 1| = {dd:.3e} > {tol:.1e}")
+    if du > 1e-12:
+        raise ValueError(f"matrix is not unitary: ||U+U - I|| = {du:.3e} > 1.0e-12")
+    if dd > 1e-12:
+        raise ValueError(f"det U != 1: |det U - 1| = {dd:.3e} > 1.0e-12")
     return U
 
 

@@ -29,6 +29,11 @@ _LAM.setflags(write=False)
 #: All eight matrices stacked, index 0..7 for lambda_1..lambda_8.
 LAMBDA = _LAM[1:]
 
+#: Row j is the row-major vec(lam_j), so tr(lam_i M) = conj(row i) . vec(M).
+_LAMBDA_VEC = LAMBDA.reshape(8, 9)
+#: vec(M) @ _LAMBDA_VEC_H is tr(M lam_j) / 2 for each j, as lam_j is hermitian.
+_LAMBDA_VEC_H = _LAMBDA_VEC.conj().T / 2
+
 # Cartan split: k = compact su(2) x u(1) part, p = the complement.
 K_INDICES = (1, 2, 3, 8)
 
@@ -67,7 +72,7 @@ def expand_in_basis(M):
         raise ValueError(
             f"matrix is not traceless: |tr M| = {abs(tr):.3e} "
             f"exceeds 1e-12 * max(||M||, 1) = {bound:.3e}")
-    return np.einsum("ab,jba->j", M, LAMBDA) / 2.0
+    return M.reshape(9) @ _LAMBDA_VEC_H
 
 
 @lru_cache(maxsize=1)
@@ -78,10 +83,7 @@ def structure_constants():
     [lam_{i+1}, lam_{j+1}], computed from the explicit matrices.  Entries
     are purely imaginary: C = 2i f with f real and antisymmetric.
     """
-    C = np.empty((8, 8, 8), dtype=complex)
-    for i in range(8):
-        for j in range(8):
-            C[i, j] = expand_in_basis(commutator(LAMBDA[i], LAMBDA[j]))
+    C = commutator(LAMBDA[:, None], LAMBDA[None]).reshape(8, 8, 9) @ _LAMBDA_VEC_H
     C.setflags(write=False)
     return C
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .euler import (GENERATOR_SLOTS, _as_angle_array, _as_angle_points,
                     _closed_form, ensure_group_element)
-from .gellmann import LAMBDA, SQRT3
+from .gellmann import LAMBDA, SQRT3, _LAMBDA_VEC, _LAMBDA_VEC_H
 
 #: Threshold on the singular chart factors.
 SINGULAR_THRESHOLD = 1e-8
@@ -67,12 +67,6 @@ _SUFFIX = np.triu(np.ones((8, 8)))
 
 #: lam_g for the generator g of each factor, in order.
 _GENERATORS = LAMBDA[np.array(GENERATOR_SLOTS) - 1]
-
-#: Row j is the row-major vec(lam_j), so tr(lam_i M) = conj(row i) . vec(M).
-_LAMBDA_VEC = LAMBDA.reshape(8, 9)
-#: vec(M) @ _LAMBDA_VEC_H is tr(M lam_j) / 2 for each j, as lam_j is hermitian.
-_LAMBDA_VEC_H = _LAMBDA_VEC.conj().T / 2
-_EYE8 = np.eye(8)
 
 
 def _partial_products(x, mask):
@@ -361,10 +355,6 @@ def right_field_frame_closed(x):
     return FrameMatrix(entries=_right_table(x))
 
 
-#: Unitarity and orthogonality tolerance of ``adjoint_matrix``.
-_ADJOINT_TOL = 1e-10
-
-
 def adjoint_matrix(U):
     """Adjoint representation R(U)_ij = tr(lam_i U lam_j U^dag) / 2.
 
@@ -377,12 +367,12 @@ def adjoint_matrix(U):
     The two constructive frames are linked row-wise by  right = R(U)^T @ left
     at U = compose(x) (transpose because the frames realize translations,
     not conjugation; the sign is +1).
+
+    U must pass ``ensure_group_element``'s 1e-12 gate, as for ``decompose``.
+    To first order ||R R^T - I||_F <= sqrt(32/3) ||U+U - I||_F, so the check
+    ``frames.adjoint_orthogonal`` tests orthogonality, with det R = +1.
     """
-    U = ensure_group_element(U, tol=_ADJOINT_TOL)
+    U = ensure_group_element(U)
     kron = (U[..., :, None, :, None] * U.conj()[..., None, :, None, :]).reshape(
         U.shape[:-2] + (9, 9))
-    R = (_LAMBDA_VEC_H.T @ kron @ _LAMBDA_VEC.T).real
-    orth = np.linalg.norm(R @ np.swapaxes(R, -1, -2) - _EYE8, axis=(-2, -1))
-    if np.max(orth, initial=0.0) > _ADJOINT_TOL:
-        raise ValueError("adjoint matrix failed the orthogonality check")
-    return R
+    return (_LAMBDA_VEC_H.T @ kron @ _LAMBDA_VEC.T).real

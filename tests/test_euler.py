@@ -12,6 +12,7 @@ from su3geom.euler import (COORD_NAMES, GENERATOR_SLOTS, PHI_PERIOD, RANGES_COVE
                            decompose, factor_exponential, unitarity_defect)
 from su3geom.gellmann import SQRT3
 from su3geom.haar import sample_angles
+from su3geom.tangent_frames import adjoint_matrix
 
 from conftest import references
 
@@ -376,7 +377,8 @@ def test_unitarity_defect_matches_a_per_element_reference():
 
 
 def test_decompose_tolerance_edges():
-    # ensure_group_element's tol is 1e-12 on ||U+U - I|| and on |det U - 1|
+    # ensure_group_element's gate is 1e-12 on ||U+U - I|| and on |det U - 1|,
+    # and adjoint_matrix accepts exactly what decompose accepts
     U = references.qr_haar_su3(1, np.random.default_rng(62))[0]
     assert decompose(U * (1 + 1e-13), full_output=True).residual <= 1e-12
     with pytest.raises(ValueError, match="unitary"):
@@ -384,6 +386,13 @@ def test_decompose_tolerance_edges():
     assert decompose(np.diag([1.0, 1.0, np.exp(5e-13j)]), full_output=True).residual <= 1e-12
     with pytest.raises(ValueError, match="det"):
         decompose(np.diag([1.0, 1.0, np.exp(5e-12j)]))
+    for V in (U * (1 + 1e-13), np.diag([1.0, 1.0, np.exp(5e-13j)])):
+        R = adjoint_matrix(V)
+        assert np.linalg.norm(R @ R.T - np.eye(8)) <= 1e-11
+    with pytest.raises(ValueError, match="unitary"):
+        adjoint_matrix(U * (1 + 1e-12))
+    with pytest.raises(ValueError, match="det"):
+        adjoint_matrix(np.diag([1.0, 1.0, np.exp(5e-12j)]))
 
 
 def test_decompose_rejects_nonfinite_and_stacks():

@@ -219,6 +219,18 @@ def test_pullback_invariance_right_translation():
     assert done == 4
 
 
+def test_pullback_skips_a_stencil_across_the_box_edge():
+    # alpha = 5e-7 puts alpha - h of the h = 1e-6 stencil below 0, where
+    # decompose wraps alpha to near pi; one step further in, nothing wraps
+    x = np.array([5e-7, 0.6, 1.1, 0.7, 0.9, 0.5, 0.3, 2.0])
+    identity = np.eye(3, dtype=complex)
+    for side in ("right", "left"):
+        assert _translation_pullback_residual(x, identity, side) is None
+    x[0] = 0.4
+    for side in ("right", "left"):
+        assert _translation_pullback_residual(x, identity, side) <= 1e-6
+
+
 def test_pullback_covariance_left_translation():
     done = 0
     tries = 0

@@ -340,6 +340,24 @@ def test_adjoint_orthogonal_check_fails_on_a_reflection(monkeypatch):
     assert abs(check.residual - 2.0) <= 1e-10
 
 
+@pytest.mark.parametrize("scale,residual", [
+    # R times s: det R - 1 = s^8 - 1 exceeds ||R R^T - I||_F = (s^2 - 1) sqrt(8)
+    (1.001, 1.001 ** 8 - 1.0),
+    # rows 0 and 1 of R scaled by 1.001 and 1 / 1.001 keep det R = 1, so
+    # only the orthogonality half sees ||diag(s^2) - I||_F
+    (np.r_[1.001, 1 / 1.001, np.ones(6)], math.hypot(1.001 ** 2 - 1, 1.001 ** -2 - 1)),
+], ids=["uniform", "det_preserving"])
+def test_adjoint_orthogonal_check_fails_on_a_scaled_basis(monkeypatch, scale, residual):
+    # a scaled _LAMBDA_VEC_H scales the rows of R; adjoint_matrix does not
+    # raise, so the suite completes and the check reports the defect
+    monkeypatch.setattr(tangent_frames, "_LAMBDA_VEC_H",
+                        tangent_frames._LAMBDA_VEC_H * scale)
+    checks = {c.name: c for c in verify.run_suites("frames", points=4)["frames"]}
+    check = checks["frames.adjoint_orthogonal"]
+    assert not check.passed
+    assert check.residual == pytest.approx(residual, rel=1e-6)
+
+
 def test_adjoint_links_left_right_frames(interior_points):
     for x in interior_points[:20]:
         R = adjoint_matrix(compose(x))

@@ -114,6 +114,12 @@ def test_structure_constants_antisymmetric_imaginary():
     assert abs(f[0, 1, 2] - 1.0) <= 1e-15
 
 
+def test_structure_constants_rebuild_every_commutator():
+    # sum_k C^k_ij lam_k = [lam_i, lam_j], for all 64 ordered pairs
+    rebuilt = np.einsum("ijk,kab->ijab", structure_constants(), LAMBDA)
+    assert np.max(np.abs(rebuilt - commutator(LAMBDA[:, None], LAMBDA[None]))) <= 1e-14
+
+
 def test_jacobi_identity():
     worst = 0.0
     for i in range(8):

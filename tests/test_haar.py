@@ -11,9 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from su3geom import haar, verify
+from su3geom import euler, haar, verify
 from su3geom.euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, AngleRanges,
-                           EulerAngles, PHI_PERIOD, compose_many, decompose)
+                           DecompositionError, EulerAngles, PHI_PERIOD,
+                           compose_many, decompose)
 from su3geom.haar import (character, density,
                           density_from_coframe, group_volume, integrate_mc,
                           integrate_quadrature, sample_angles, volume_report)
@@ -739,6 +740,32 @@ def test_decompose_roundtrip_check_rejects_angles_outside_the_box(monkeypatch):
     assert measure_check("measure.decompose_roundtrip").passed
     monkeypatch.setattr(verify, "decompose", shifted)
     check = measure_check("measure.decompose_roundtrip")
+    assert check.residual == 1.0 and not check.passed
+
+
+def test_decompose_roundtrip_check_fails_on_a_residual_defect(monkeypatch):
+    # alpha off by 1e-6 leaves ||compose(angles) - U||_F ~ 1.4e-6: decompose
+    # raises, and the check reports an infinite residual instead of raising
+    analytic = euler._analytic_decompose
+
+    def off(U):
+        x = analytic(U)
+        x[0] += 1e-6
+        return x
+
+    monkeypatch.setattr(euler, "_analytic_decompose", off)
+    with pytest.raises(DecompositionError, match="exceeds 1e-9"):
+        decompose(compose_many(sample_angles(1, 3))[0])
+    checks = list(verify.suite_measure(2000, 7))
+    assert len(checks) == 9
+    assert [c.name for c in checks if not c.passed] == ["measure.decompose_roundtrip"]
+    assert checks[-1].residual == math.inf
+
+
+def test_group_ops_check_fails_on_a_non_canonical_fold(monkeypatch):
+    # alpha = pi + 0.25 unfolded is the same element outside the cover box
+    monkeypatch.setattr(verify, "canonicalize", lambda x: EulerAngles(*x))
+    check = measure_check("measure.group_ops")
     assert check.residual == 1.0 and not check.passed
 
 
