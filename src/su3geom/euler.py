@@ -199,7 +199,9 @@ def factor_exponential(generator, t):
 
 
 def _closed_form(x):
-    """The closed form of ``compose_many`` on (8,) or (n, 8) angles."""
+    """The closed form of ``compose_many`` on (8,) or (n, 8) angles: a
+    C-contiguous (3, 3) element, or an (n, 3, 3) view of an entry-major
+    (3, 3, n) array, so no entry is written or read through a stride."""
     alpha, beta, gamma, theta, a, b, c, phi = x.T
     # the arguments u: the phases alpha +- gamma, a +- c and phi / sqrt3,
     # then the rotations beta, b and theta.  Stacked by hand: a matmul with
@@ -226,17 +228,18 @@ def _closed_form(x):
     ct, st = cos[7], sin[7]
     e2 = np.conj(e * e)
     x1c, y1c = np.conj(x1), np.conj(y1)
-    U = np.empty(x.shape[:-1] + (3, 3), dtype=complex)
-    U[..., 0, 0] = (x1 * ct * x2 - y1 * np.conj(y2)) * e
-    U[..., 0, 1] = (x1 * ct * y2 + y1 * np.conj(x2)) * e
-    U[..., 0, 2] = x1 * st * e2
-    U[..., 1, 0] = -(y1c * ct * x2 + x1c * np.conj(y2)) * e
-    U[..., 1, 1] = (x1c * np.conj(x2) - y1c * ct * y2) * e
-    U[..., 1, 2] = -y1c * st * e2
-    U[..., 2, 0] = -st * x2 * e
-    U[..., 2, 1] = -st * y2 * e
-    U[..., 2, 2] = ct * e2
-    return U
+    # entry-major: each E[a, b] is one contiguous (n,) row
+    E = np.empty((3, 3) + x.shape[:-1], dtype=complex)
+    E[0, 0] = (x1 * ct * x2 - y1 * np.conj(y2)) * e
+    E[0, 1] = (x1 * ct * y2 + y1 * np.conj(x2)) * e
+    E[0, 2] = x1 * st * e2
+    E[1, 0] = -(y1c * ct * x2 + x1c * np.conj(y2)) * e
+    E[1, 1] = (x1c * np.conj(x2) - y1c * ct * y2) * e
+    E[1, 2] = -y1c * st * e2
+    E[2, 0] = -st * x2 * e
+    E[2, 1] = -st * y2 * e
+    E[2, 2] = ct * e2
+    return E if x.ndim == 1 else E.transpose(2, 0, 1)
 
 
 def compose(x):
@@ -246,6 +249,12 @@ def compose(x):
 
 def compose_many(xs):
     """Vectorized ``compose``: (n, 8) finite angles -> (n, 3, 3) elements.
+
+    The elements are an entry-major view: each ``U[:, a, b]`` is a
+    contiguous (n,) row and ``U.reshape(n, 9).T`` a C-contiguous (9, n)
+    array, for any layout of ``xs``; ``U[i]`` is a strided (3, 3) view,
+    and ``np.ascontiguousarray`` gives C order.  Its angle columns
+    ``xs.T`` are contiguous rows when ``xs`` comes from ``sample_angles``.
 
     The product collapses to K1 R5(theta) K2 R8(phi) with SU(2) blocks
     K1 = [[x1, y1], [-conj(y1), conj(x1)]] and K2 likewise from (x2, y2),

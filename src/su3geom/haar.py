@@ -84,14 +84,17 @@ def _angles_from_uniform(u):
     A flat axis is uniform on [lo, hi).  A weighted axis lies on [0, pi/2],
     where s = sin^2 x carries s^p ds (p from ``_SIN2_POWER``), so s has CDF
     s^(p+1) on [0, 1] and x = arcsin(u^(1 / (2 (p + 1)))).
+
+    (m, 8) uniforms give the (m, 8) transpose of an (8, m) array: each
+    angle column is one contiguous row, which ``euler._closed_form`` reads.
     """
-    x = np.empty_like(u)
+    x = np.empty((8, len(u)))
     for dim, (lo, hi) in enumerate(RANGES_COVER.as_tuples()):
         if dim in _SIN2_POWER:
-            x[:, dim] = np.arcsin(u[:, dim] ** (0.5 / (_SIN2_POWER[dim] + 1)))
+            x[dim] = np.arcsin(u[:, dim] ** (0.5 / (_SIN2_POWER[dim] + 1)))
         else:
-            x[:, dim] = lo + (hi - lo) * u[:, dim]
-    return x
+            x[dim] = lo + (hi - lo) * u[:, dim]
+    return x.T
 
 
 def _sample_rows(seed, start, stop):
@@ -204,10 +207,12 @@ def integrate_mc(f, n, seed, *, vectorized=True):
 
     The elements are ``compose_many(sample_angles(n, seed))`` in blocks of
     ``_BLOCK_ROWS`` rows; ``f`` maps each (m, 3, 3) stack to shape (m,) or
-    (m, ...), and both moments are summed over axis 0.  Samples already
-    follow the Haar density, so the plain mean is the normalized integral;
-    ``std_error`` is the sample standard deviation of f over sqrt(n), entry
-    by entry.
+    (m, ...), and both moments are summed over axis 0.  The stack is
+    entry-major, as ``compose_many`` returns it: ``us[:, a, b]`` is a
+    contiguous row and ``us.reshape(m, 9).T`` a C-contiguous (9, m) array
+    without a copy.  Samples already follow the Haar density, so the plain
+    mean is the normalized integral; ``std_error`` is the sample standard
+    deviation of f over sqrt(n), entry by entry.
     """
     # vectorized stays only because benchmark/workloads.py passes it
     if not vectorized:
@@ -280,12 +285,14 @@ def integrate_quadrature(f, nodes_per_dim):
     element is a left half-grid element (axes 0-3) times a right one (axes
     4-7): ``compose_many`` runs once per half-grid, and ``_ordered_sums``
     forms the nodes by one 3x3 product each, in blocks of whole left rows
-    (about ``_BLOCK_ROWS`` nodes in C order) on several threads at once.
-    Each thread forms its blocks in one reused stack and hands ``f`` a
-    read-only view of it, so ``f`` must not keep its argument, or a view
-    of it, after it returns.  The sum is normalized by f == 1 under the
-    same rule, so the box's covering multiplicity, 8, cancels.  The
-    result's ``n`` is the node count and its ``std_error`` is None.
+    (about ``_BLOCK_ROWS`` nodes, left row major) on several threads at
+    once.  Each thread forms its blocks in one reused entry-major array
+    and hands ``f`` a read-only (m, 3, 3) view of it, laid out as in
+    ``integrate_mc``: ``us.reshape(m, 9).T`` is a C-contiguous (9, m)
+    array.  ``f`` must not keep its argument, or a view of it, after it
+    returns.  The sum is normalized by f == 1 under the same rule, so the
+    box's covering multiplicity, 8, cancels.  The result's ``n`` is the
+    node count and its ``std_error`` is None.
 
     Exactness: over ``RANGES_QUAD`` the rule integrates, up to roundoff,
     every polynomial f of degree <= d in U and <= d in conj U, where
@@ -338,14 +345,14 @@ def integrate_quadrature(f, nodes_per_dim):
         k = len(block)
         if not hasattr(scratch, "work"):
             scratch.work = np.empty(9 * (group + rows) * m, dtype=complex)
-        nodes = scratch.work[9 * group * m:9 * (group + k) * m].reshape(k, m, 3, 3)
+        E = scratch.work[9 * group * m:9 * (group + k) * m].reshape(3, 3, k, m)
         for i in range(0, k, group):
             part = block[i:i + group]
             product = np.matmul(part.reshape(-1, 3), right_cols,
                                 out=scratch.work[:9 * len(part) * m].reshape(-1, 3 * m))
-            # the nodes in C order
-            nodes[i:i + group] = product.reshape(len(part), 3, m, 3).transpose(0, 2, 1, 3)
-        nodes = nodes.reshape(k * m, 3, 3)
+            # entry-major, the nodes of each entry in C order
+            E[:, :, i:i + group] = product.reshape(len(part), 3, m, 3).transpose(1, 3, 0, 2)
+        nodes = E.reshape(3, 3, k * m).transpose(2, 0, 1)
         # f sees a read-only view, since the next block overwrites it
         nodes.flags.writeable = False
         vals = _rows(f(nodes), k * m)

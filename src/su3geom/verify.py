@@ -442,12 +442,16 @@ def _translation_pullback_residual(x, g, side):
     side = 'left':   y(x) = decompose(g compose(x)); the forms mix by the
     adjoint matrix, b(y) J = R(g) b(x).
     Central differences of step h = 1e-6 need y(.) continuous across the
-    stencil; returns None when the canonical box wraps inside it.
+    stencil; returns None when the canonical box wraps inside it, and inf
+    when ``decompose`` raises on a stencil element.
     """
     h = 1e-6
     us = compose_many(_stencil(_as_angle_points(x).reshape(1, 8), h))
     ws = us @ g if side == "right" else g @ us
-    ys = np.array([decompose(w).as_array() for w in ws])
+    try:
+        ys = np.array([decompose(w).as_array() for w in ws])
+    except DecompositionError:  # residual above 1e-9: fail, do not end the run
+        return math.inf
     if np.max(np.abs(ys[1:] - ys[0])) > 0.1:
         return None  # canonical-box wrap inside the stencil
     J = _central_difference(ys[None], h)[0].T  # J[:, m] = d_m y
@@ -538,7 +542,9 @@ SCHUR_TARGETS = (1.0, 0.0, 1.0, 0.0)
 
 def schur_integrands(us):
     """(m, 3, 3) elements -> (m, 4) integrands of the four Schur integrals,
-    as the transpose of a (4, m) array, so each column is contiguous."""
+    as the transpose of a (4, m) array, so each column is contiguous.  On
+    the entry-major stacks the integrators hand it, the three diagonal
+    entries it reads are contiguous rows too."""
     out = np.empty((4, len(us)), dtype=complex)
     tr = us[:, 0, 0] + us[:, 1, 1] + us[:, 2, 2]
     abs2 = np.abs(tr) ** 2
@@ -591,7 +597,9 @@ def invariance_deviations(n, seed):
         # over a trailing axis of length 3, matmul and einsum each took
         # 3.2-3.4 ms per g on an 8192-row block, and this whole integrand,
         # all five g, takes 4.4-6.1 ms; BLAS threads would also contend
-        # with the threads that run it
+        # with the threads that run it.  Both integrators hand over
+        # entry-major stacks, so this is a view, not a copy; any other
+        # stack is copied into entry-major rows
         u = np.ascontiguousarray(us.reshape(len(us), 9).T)
         # out[k]: the class and entry functions of g_k U, then the entry
         # functions of U g_k, each less its value at U

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import su3geom
-from su3geom import cli, verify
+from su3geom import cli, haar, verify
+from su3geom.euler import COORD_NAMES, compose_many
 from su3geom.serialize import dumps, matrix_from_json, matrix_to_json
 from su3geom.verify import CheckResult, run_suites
 
@@ -225,6 +226,28 @@ def test_sample_matrices_unitary_on_reread():
         U = matrix_from_json(rec["matrix"])
         assert np.linalg.norm(U.conj().T @ U - np.eye(3)) <= 1e-12
         assert abs(np.linalg.det(U) - 1.0) <= 1e-12
+
+
+def test_sample_csv_rows_parse_back_to_the_sampler(capsys):
+    # 17 significant digits: every angle and weight reads back exactly
+    assert cli.main(["sample", "--n", "300", "--seed", "5", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "alpha,beta,gamma,theta,a,b,c,phi,weight"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    xs = haar.sample_angles(300, 5)
+    assert np.array_equal(rows[:, :8], xs)
+    assert np.array_equal(rows[:, 8], haar.density(xs))
+
+
+def test_sample_json_matrices_are_compose_many(capsys):
+    assert cli.main(["sample", "--n", "300", "--seed", "5", "--format", "json",
+                     "--emit", "both"]) == 0
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    xs = haar.sample_angles(300, 5)
+    assert np.array_equal([[rec["angles"][k] for k in COORD_NAMES] for rec in samples], xs)
+    assert np.array_equal([rec["weight"] for rec in samples], haar.density(xs))
+    assert np.array_equal([matrix_from_json(rec["matrix"]) for rec in samples],
+                          compose_many(xs))
 
 
 def test_sample_csv_matrices_usage_error():

@@ -139,6 +139,26 @@ def test_compose_many_matches_scalar():
         assert np.max(np.abs(u - compose(row))) <= 16 * np.finfo(float).eps
 
 
+def test_compose_many_is_entry_major():
+    # each entry is one contiguous row, so an integrand reads U[:, a, b], or
+    # all nine as U.reshape(n, 9).T, with no stride and no copy, whatever
+    # the layout of the angles
+    xs = sample_angles(300, 21)
+    us = compose_many(xs)
+    from_c_order = compose_many(np.ascontiguousarray(xs))
+    for stack in (us, from_c_order):
+        rows = stack.reshape(len(xs), 9).T
+        assert rows.flags.c_contiguous and np.shares_memory(rows, stack)
+    assert np.array_equal(from_c_order, us)
+    for i in range(len(xs)):
+        assert np.array_equal(compose_many(xs[i:i + 1])[0], us[i])
+
+
+def test_compose_is_c_contiguous():
+    u = compose(sample_angles(1, 21)[0])
+    assert u.shape == (3, 3) and u.flags.c_contiguous
+
+
 def _ordered_product(row):
     return functools.reduce(np.matmul, [factor_exponential(g, t)
                                         for g, t in zip(GENERATOR_SLOTS, row)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from su3geom import haar, verify
+from su3geom import euler, haar, verify
 from su3geom.euler import compose
 from su3geom.gellmann import SQRT3
 from su3geom.haar import density, density_from_coframe, sample_angles
@@ -201,6 +201,26 @@ def test_covariance_check_needs_the_adjoint_mixing(monkeypatch):
     checks = {c.name: c for c in verify.run_suites("forms", points=4)["forms"]}
     assert not checks["forms.covariance_left_translation"].passed
     assert checks["forms.invariance_right_translation"].passed
+
+
+def test_translation_checks_fail_on_a_decompose_defect(monkeypatch):
+    # alpha off by 1e-6 makes decompose raise on every stencil element; the
+    # two translation checks report an infinite residual instead of ending
+    # the run, and every other forms check still holds
+    analytic = euler._analytic_decompose
+
+    def off(U):
+        x = analytic(U)
+        x[0] += 1e-6
+        return x
+
+    monkeypatch.setattr(euler, "_analytic_decompose", off)
+    checks = list(verify.suite_forms(20, 7))
+    assert len(checks) == 11
+    failed = [c for c in checks if not c.passed]
+    assert [c.name for c in failed] == ["forms.invariance_right_translation",
+                                        "forms.covariance_left_translation"]
+    assert all(c.residual == math.inf for c in failed)
 
 
 def test_pullback_invariance_right_translation():

@@ -79,6 +79,12 @@ def test_sampler_shorter_run_is_prefix(k, n):
     assert np.array_equal(sample_angles(n, 42)[:k], sample_angles(k, 42))
 
 
+def test_sampler_writes_angle_columns():
+    # each angle column is one contiguous row, which compose_many reads
+    xs = sample_angles(1000, 21)
+    assert xs.shape == (1000, 8) and xs.T.flags.c_contiguous
+
+
 def test_sampler_ranges():
     xs = sample_angles(20_000, 3)
     lo = np.array([r[0] for r in RANGES_COVER.as_tuples()])
@@ -569,6 +575,25 @@ def test_quadrature_integrand_gets_a_read_only_stack():
     assert flags == [False]
 
 
+def test_integrands_see_entry_major_stacks():
+    # both integrators hand f an (m, 3, 3) view whose nine entries are the
+    # contiguous rows of us.reshape(m, 9).T; the quadrature stack is
+    # read-only, since the next block overwrites it
+    seen = []
+
+    def spy(us):
+        rows = us.reshape(len(us), 9).T
+        seen.append((rows.flags.c_contiguous, np.shares_memory(rows, us),
+                     us.flags.writeable))
+        return rows[0].real
+
+    integrate_mc(spy, haar._BLOCK_ROWS + 5, 3)
+    assert seen == [(True, True, True)] * 2
+    seen.clear()
+    integrate_quadrature(spy, 5)
+    assert len(seen) > 1 and set(seen) == {(True, True, False)}
+
+
 def whole_grid_mean(f, nodes):
     """The product rule with the whole meshgrid built at once."""
     axes = [haar._quad_axis(dim, (nodes - 1) // 2) for dim in range(8)]
@@ -915,8 +940,9 @@ def test_invariance_deviations_span_a_partial_last_block():
 
 
 def test_invariance_deviations_memory_peak():
-    # per block and thread, one at a time: an entry-major copy of the
-    # block (9 (m,) complex rows), one translated element's 9 entries at a
+    # per block and thread, one at a time: the block as compose_many
+    # returns it (9 entry-major (m,) complex rows, which the integrand
+    # reads as a view, not a copy), one translated element's 9 entries at a
     # time, the (35, m) real paired differences and the (5, m) untranslated
     # values they subtract, about 13.6 MB on two cores (15.1 if the 9 rows
     # of gU stay alive while the first row of Ug is formed; 26 with 16 384-row
