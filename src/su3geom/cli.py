@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import haar, verify
+from . import __version__, haar, verify
 from .euler import (COORD_NAMES, RANGES_STATED, AngleRanges, DecompositionError,
                     compose_many, decompose)
 from .serialize import (angles_to_json, dumps, matrix_from_json,
@@ -45,6 +45,10 @@ def cmd_verify(args):
         payload = {suite: [_check_json(c) for c in checks]
                    for suite, checks in results.items()}
         payload["passed"] = all_ok
+        # what ran: each suite's sample count is --points or its default
+        payload["run"] = {"seed": args.seed, "version": __version__, "points": {
+            suite: verify.SUITES[suite][1] if args.points is None else args.points
+            for suite in results}}
         print(dumps(payload))
     else:
         for suite, checks in results.items():

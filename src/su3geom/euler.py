@@ -13,11 +13,12 @@ The product collapses to K1 R5(theta) K2 R8(phi): two SU(2) blocks
 [[x, y], [-conj(y), conj(x)]] with x = cos(beta) e^{i(alpha+gamma)} and
 y = sin(beta) e^{i(alpha-gamma)} (and the same in a, b, c), one real
 rotation and one diagonal phase, so each of the nine entries has a short
-closed form; ``compose`` and ``compose_many`` both evaluate it, and the
-ordered product of the ``factor_exponential`` matrices is the reference the
-tests check it against.  Every cosine and sine in it comes from one ``np.tan``
-of the eight half angles (see ``compose_many``): numpy vectorizes ``tan``,
-while its ``cos``, ``sin`` and complex ``exp`` run per element.
+closed form; ``compose_many`` evaluates it on (n,) rows and ``compose`` on
+Python numbers, and the ordered product of the ``factor_exponential``
+matrices is the reference the tests check it against.  Every cosine and
+sine in it comes from one ``np.tan`` of the eight half angles (see
+``compose_many``): numpy vectorizes ``tan``, while its ``cos``, ``sin`` and
+complex ``exp`` run per element.
 
 An ``AngleRanges`` is a box of eight coordinate intervals.  Three matter:
 
@@ -77,7 +78,6 @@ GENERATOR_SLOTS = (3, 2, 3, 5, 3, 2, 3, 8)
 _SIN2_POWER = {1: 0, 3: 1, 5: 0}
 #: Natural period of each flat coordinate.
 _FLAT_PERIOD = {0: 2 * math.pi, 2: 2 * math.pi, 4: 2 * math.pi, 6: 2 * math.pi, 7: PHI_PERIOD}
-_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,10 @@ def _closed_form(x):
     """The closed form of ``compose_many`` on (8,) or (n, 8) angles: a
     C-contiguous (3, 3) element, or an (n, 3, 3) view of an entry-major
     (3, 3, n) array, so no entry is written or read through a stride."""
-    alpha, beta, gamma, theta, a, b, c, phi = x.T
+    # one point unpacks its angles, phases and theta rotation as Python
+    # numbers, which round like numpy scalars but skip numpy's dispatch
+    one = x.ndim == 1
+    alpha, beta, gamma, theta, a, b, c, phi = x.tolist() if one else x.T
     # the arguments u: the phases alpha +- gamma, a +- c and phi / sqrt3,
     # then the rotations beta, b and theta.  Stacked by hand: a matmul with
     # the 8 x 8 map goes to BLAS, whose own threads contend with the worker
@@ -224,22 +227,22 @@ def _closed_form(x):
     p[1] *= sin[5]
     p[2] *= cos[6]
     p[3] *= sin[6]
-    x1, y1, x2, y2, e = p
-    ct, st = cos[7], sin[7]
-    e2 = np.conj(e * e)
-    x1c, y1c = np.conj(x1), np.conj(y1)
+    x1, y1, x2, y2, e = p.tolist() if one else p
+    ct, st = (cos[7].item(), sin[7].item()) if one else (cos[7], sin[7])
+    e2 = (e * e).conjugate()
+    x1c, y1c = x1.conjugate(), y1.conjugate()
     # entry-major: each E[a, b] is one contiguous (n,) row
     E = np.empty((3, 3) + x.shape[:-1], dtype=complex)
-    E[0, 0] = (x1 * ct * x2 - y1 * np.conj(y2)) * e
-    E[0, 1] = (x1 * ct * y2 + y1 * np.conj(x2)) * e
+    E[0, 0] = (x1 * ct * x2 - y1 * y2.conjugate()) * e
+    E[0, 1] = (x1 * ct * y2 + y1 * x2.conjugate()) * e
     E[0, 2] = x1 * st * e2
-    E[1, 0] = -(y1c * ct * x2 + x1c * np.conj(y2)) * e
-    E[1, 1] = (x1c * np.conj(x2) - y1c * ct * y2) * e
+    E[1, 0] = -(y1c * ct * x2 + x1c * y2.conjugate()) * e
+    E[1, 1] = (x1c * x2.conjugate() - y1c * ct * y2) * e
     E[1, 2] = -y1c * st * e2
     E[2, 0] = -st * x2 * e
     E[2, 1] = -st * y2 * e
     E[2, 2] = ct * e2
-    return E if x.ndim == 1 else E.transpose(2, 0, 1)
+    return E if one else E.transpose(2, 0, 1)
 
 
 def compose(x):
@@ -266,8 +269,9 @@ def compose_many(xs):
         [-(y1* ct x2 + x1* y2*) e,   (x1* x2* - y1* ct y2) e,    -y1* st e^-2]
         [-st x2 e,                   -st y2 e,                   ct e^-2]
 
-    (z* is the complex conjugate).  ``compose`` evaluates it on numpy scalars,
-    which may round the last bit differently; the ordered product of the
+    (z* is the complex conjugate).  ``compose`` evaluates it on Python
+    numbers, which may round the last bit differently (numpy fuses the
+    complex products of its array loops); the ordered product of the
     ``factor_exponential`` matrices is the reference.
 
     The cosines and sines of the eight arguments alpha +- gamma, a +- c,
@@ -298,11 +302,32 @@ def _as_group_elements(U):
 
 
 def unitarity_defect(U):
-    """Frobenius norms of (U+U - I, det U - 1), the largest over a stack, as a pair."""
-    U = np.asarray(U, dtype=complex)
-    g = (np.swapaxes(U.conj(), -1, -2) @ U - _EYE3).reshape(-1, 9)
-    du = np.sqrt((g.real ** 2 + g.imag ** 2).sum(axis=1))
-    dd = np.abs(np.linalg.det(U) - 1.0)
+    """Frobenius norms of (U+U - I, det U - 1) of one (3, 3) element, or
+    the largest over an (n, 3, 3) stack ((0.0, 0.0) if empty), as floats.
+    One real formula over the entries: Python floats for one element, (n,)
+    rows for a stack (numpy fuses complex products and Python does not)."""
+    U = _as_group_elements(U)
+    one = U.ndim == 2
+    # U_aj = x[j][a] + i y[j][a], column by column
+    x, y = ((U.real.T.tolist(), U.imag.T.tolist()) if one else
+            (U.real.transpose(2, 1, 0), U.imag.transpose(2, 1, 0)))
+    # ||G - I||^2 for the Gram matrix G = U+U, Hermitian: pairs j < k count twice
+    du2 = 0.0
+    for j, k in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = x[j], y[j], x[k], y[k]
+        re = a0 * c0 + b0 * d0 + a1 * c1 + b1 * d1 + a2 * c2 + b2 * d2 - (j == k)
+        im = a0 * d0 - b0 * c0 + a1 * d1 - b1 * c1 + a2 * d2 - b2 * c2
+        du2 = du2 + (1 + (j != k)) * (re * re + im * im)
+    # det U - 1 along column 0: the cofactor of U_k0 is U_p1 U_q2 - U_q1 U_p2
+    a, b, c, d = x[1], y[1], x[2], y[2]
+    re, im = -1.0, 0.0
+    for k, p, q in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        cr = a[p] * c[q] - b[p] * d[q] - a[q] * c[p] + b[q] * d[p]
+        ci = a[p] * d[q] + b[p] * c[q] - a[q] * d[p] - b[q] * c[p]
+        re, im = re + x[0][k] * cr - y[0][k] * ci, im + x[0][k] * ci + y[0][k] * cr
+    du, dd = du2 ** 0.5, (re * re + im * im) ** 0.5
+    if one:
+        return du, dd
     return float(du.max(initial=0.0)), float(dd.max(initial=0.0))
 
 

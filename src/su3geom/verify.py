@@ -700,14 +700,18 @@ def suite_measure(n_mc, seed):
     yield CheckResult(
         name="measure.sampler_marginals", residual=worst, threshold=1.0,
         detail="E[sin^2 theta] = 2/3 and P[beta <= 1/2] = sin^2(1/2), "
-               "in units of 4 sigma")
+               "in units of 4 sigma; 2 two-sided 4-sigma columns, so a "
+               "correct library fails about 2 x 6.3e-5 = 1.3e-4 of runs")
 
     names, vals, ses, tgts = zip(*character_integrals_mc(n_mc, seed))
     yield CheckResult(
         name="measure.characters_mc", residual=_worst_4_sigma(vals, ses, tgts),
         threshold=1.0,
         detail="; ".join(f"{nm} = {val.real:+.4f}{val.imag:+.4f}i (se {se:.1e})"
-                         for nm, val, se in zip(names, vals, ses)))
+                         for nm, val, se in zip(names, vals, ses))
+        + "; 4 columns at 4 sigma: 2 real (chance 6.3e-5 each) and tr U, (tr U)^2"
+          " complex, whose errors the centre makes isotropic (exp(-16) each), so "
+          "a correct library fails about 1.3e-4 of runs (union bound)")
 
     worst = 0.0
     detail = []
@@ -725,7 +729,9 @@ def suite_measure(n_mc, seed):
         detail="paired differences f(gU) - f(U) for Re tr, |tr|^2 and Re tr "
                "M^2, and f(gU) - f(U) and f(Ug) - f(U) for |M_11|^2 and Re "
                "M_12, averaged over the same samples for 5 elements g, in "
-               "units of 4 sigma of each difference")
+               "units of 4 sigma of each difference; 35 two-sided 4-sigma "
+               "columns, so a correct library fails about 35 x 6.3e-5 = "
+               "2.2e-3 of runs")
 
     worst = 0.0
     for n_round in range(3):

@@ -47,6 +47,22 @@ def test_verify_json_output():
     assert dumps(json.loads(proc.stdout)) == proc.stdout.strip()
 
 
+def test_verify_json_states_what_ran(capsys):
+    # one top-level "run" object beside the suites and "passed": the seed,
+    # the version and each suite's sample count, its default or --points
+    assert cli.main(["verify", "--json", "--seed", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"algebra", "frames", "forms", "measure", "passed", "run"}
+    assert payload["run"] == {
+        "seed": 3, "version": su3geom.__version__,
+        "points": {"algebra": 0, "frames": 100, "forms": 100, "measure": 200_000}}
+    assert cli.main(["verify", "--suite", "frames", "--points", "5", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"frames", "passed", "run"}
+    assert payload["run"] == {"seed": 7, "version": su3geom.__version__,
+                              "points": {"frames": 5}}
+
+
 def test_verify_measure_json_output():
     # the Monte Carlo checks compute numpy residuals; passed is still a bool
     proc = run_cli("verify", "--suite", "measure", "--json")

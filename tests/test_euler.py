@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from su3geom import euler
 from su3geom.euler import (COORD_NAMES, GENERATOR_SLOTS, PHI_PERIOD, RANGES_COVER,
                            EulerAngles, canonicalize, compose, compose_many,
-                           decompose, factor_exponential, unitarity_defect)
+                           decompose, ensure_group_element, factor_exponential,
+                           unitarity_defect)
 from su3geom.gellmann import SQRT3
 from su3geom.haar import sample_angles
 from su3geom.tangent_frames import adjoint_matrix
@@ -103,7 +104,7 @@ def test_compose_special_unitary_bulk():
 
 def test_compose_many_matches_scalar():
     # the closed form against the ordered product of the eight factors; it
-    # runs on numpy scalars in compose, where complex products are rounded
+    # runs on Python numbers in compose, where complex products are rounded
     # once per operation, not fused (FMA) as in numpy's array loops, so
     # compose may differ from compose_many by a few ulp
     def product(row):
@@ -300,6 +301,25 @@ def boundary_cases():
     return out
 
 
+def test_compose_runs_the_stack_formula_on_python_numbers():
+    # one point runs the closed form's lines on Python numbers and a stack
+    # on (n,) rows; at every lock of beta, theta and b (0 or pi/2, alone or
+    # together) the two stay within roundoff of each other and of the
+    # ordered product
+    for locks in itertools.product((None, 0.0, math.pi / 2), repeat=3):
+        if locks == (None, None, None):
+            continue
+        x = BOUNDARY_BASE.copy()
+        for slot, v in zip((1, 3, 5), locks):
+            if v is not None:
+                x[slot] = v
+        u = compose(x)
+        assert type(u) is np.ndarray and u.dtype == np.complex128
+        assert u.shape == (3, 3) and u.flags.c_contiguous
+        assert np.max(np.abs(u - _ordered_product(x))) <= 1e-15
+        assert np.max(np.abs(u - compose_many(x[None])[0])) <= 4.5e-16
+
+
 @pytest.mark.parametrize("x", boundary_cases())
 def test_decompose_boundary_elements(x):
     U = compose(x)
@@ -394,6 +414,66 @@ def test_unitarity_defect_matches_a_per_element_reference():
                                                     rel=1e-12, abs=1e-15)
     assert unitarity_defect(np.empty((0, 3, 3), complex)) == (0.0, 0.0)
     assert unitarity_defect(phased)[0] <= 1e-14 < 1e-5 <= unitarity_defect(phased)[1]
+
+
+def defect_families():
+    """Haar, real-rotation, signed-permutation, diagonal and centre elements."""
+    rng = np.random.default_rng(63)
+    phases = rng.uniform(-math.pi, math.pi, (30, 2))
+    return {
+        "haar": references.qr_haar_su3(100, rng),
+        "real_rotation": references.real_rotations(100, rng),
+        "signed_permutation": np.array(signed_permutations()),
+        "diagonal": np.array([np.diag(np.exp(1j * np.array([s, t, -s - t])))
+                              for s, t in phases]),
+        "centre": np.array([np.exp(2j * math.pi * k / 3) * np.eye(3) for k in range(3)]),
+    }
+
+
+@pytest.mark.parametrize("family", list(defect_families()))
+def test_unitarity_defect_of_one_element_is_that_of_a_stack_of_it(family):
+    # one formula, on Python floats for one element and on (n,) rows for a
+    # stack, in real arithmetic so that both round alike.  The reference
+    # rounds its matmul and LU determinant otherwise, by up to 4.4e-16 on
+    # Haar elements
+    for u in defect_families()[family]:
+        one = unitarity_defect(u)
+        assert [type(d) for d in one] == [float, float]
+        assert one == pytest.approx(unitarity_defect(u[None]), rel=1e-12, abs=1e-16)
+        assert one == pytest.approx(defect_reference(u[None]), rel=1e-12, abs=1e-15)
+    assert unitarity_defect(np.empty((0, 3, 3), complex)) == (0.0, 0.0)
+
+
+def planted_defect(U, size, kind):
+    """U with ||U+U - I|| (kind 'unitary') or |det U - 1| (kind 'det') moved
+    to about ``size``, and the other defect left at roundoff."""
+    V = U.copy()
+    if kind == "unitary":
+        # columns 0 and 1 scaled by 1 + e and 1 / (1 + e): det U is kept,
+        # and the Gram diagonal moves by about +-2e
+        e = size / (2 * math.sqrt(2))
+        V[:, 0] *= 1 + e
+        V[:, 1] /= 1 + e
+    else:
+        V[:, 0] *= np.exp(1j * size)
+    return V
+
+
+@pytest.mark.parametrize("kind", ["unitary", "det"])
+@pytest.mark.parametrize("family", list(defect_families()))
+def test_group_element_gate_at_planted_edges(family, kind):
+    # the gate is 1e-12 on both defects, for one element and for a stack
+    stack = defect_families()[family]
+    slot, message = (0, "unitary") if kind == "unitary" else (1, "det")
+    for U in stack[:3]:
+        above, below = planted_defect(U, 1.01e-12, kind), planted_defect(U, 1e-13, kind)
+        for V in (above, np.concatenate([stack, above[None]])):
+            assert 1e-12 < unitarity_defect(V)[slot] <= 1.02e-12
+            with pytest.raises(ValueError, match=message):
+                ensure_group_element(V)
+        for V in (below, np.concatenate([stack, below[None]])):
+            assert unitarity_defect(V)[slot] <= 1.1e-13
+            assert ensure_group_element(V).shape == V.shape
 
 
 def test_decompose_tolerance_edges():
