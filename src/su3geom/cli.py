@@ -45,10 +45,12 @@ def cmd_verify(args):
         payload = {suite: [_check_json(c) for c in checks]
                    for suite, checks in results.items()}
         payload["passed"] = all_ok
-        # what ran: each suite's sample count is --points or its default
+        # what ran: each suite's sample count is --points or its default; a
+        # suite whose default is 0 (algebra) samples nothing, whatever --points is
+        defaults = {suite: verify.SUITES[suite][1] for suite in results}
         payload["run"] = {"seed": args.seed, "version": __version__, "points": {
-            suite: verify.SUITES[suite][1] if args.points is None else args.points
-            for suite in results}}
+            suite: args.points if args.points is not None and default else default
+            for suite, default in defaults.items()}}
         print(dumps(payload))
     else:
         for suite, checks in results.items():

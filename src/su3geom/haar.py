@@ -224,7 +224,12 @@ def integrate_mc(f, n, seed, *, vectorized=True):
     def chunk_moments(start):
         us = compose_many(_sample_rows(seed, start, min(start + _BLOCK_ROWS, n)))
         vals = _rows(f(us), len(us))
-        return vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+        # sum |v|^2 as sums of products, with no block-sized temporary;
+        # einsum without optimize= makes no BLAS call
+        sq = np.einsum("i...,i...->...", vals.real, vals.real)
+        if np.iscomplexobj(vals):
+            sq = sq + np.einsum("i...,i...->...", vals.imag, vals.imag)
+        return vals.sum(axis=0), sq
 
     total, total_sq = _ordered_sums(chunk_moments, range(0, n, _BLOCK_ROWS))
     mean = total / n

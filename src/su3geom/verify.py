@@ -588,43 +588,50 @@ def invariance_deviations(n, seed):
     entry functions test right invariance.  Haar invariance makes each
     mean 0; returns the worst |mean| / (4 * its standard error) over the
     35 (g, side, f).
+
+    The class functions are formed from t = tr M alone.  The eigenvalues
+    of M in SU(3) are unimodular and multiply to det M = 1, so their
+    pairwise products sum to conj(t) and Cayley-Hamilton gives
+    tr M^2 = t^2 - 2 conj(t): Re tr M^2 = Re(t^2) - 2 Re t.  Without
+    det M = 1 the identity fails at order 1 (for e^{i pi/7} M, say), so it
+    holds for U and gU only because ``compose_many`` returns group
+    elements, unitary with det 1 to roundoff.
     """
     gs = compose_many(haar.sample_angles(_N_TRANSLATIONS, haar.sub_seed(seed, 17)))
 
     def values(us):
         # entry-major: u[3 b + c] = U_bc and each row of out are contiguous
-        # (m,) rows, so each product is a vector multiply-add.  Broadcasts
-        # over a trailing axis of length 3, matmul and einsum each took
-        # 3.2-3.4 ms per g on an 8192-row block, and this whole integrand,
-        # all five g, takes 4.4-6.1 ms; BLAS threads would also contend
-        # with the threads that run it.  Both integrators hand over
-        # entry-major stacks, so this is a view, not a copy; any other
-        # stack is copied into entry-major rows
+        # (m,) rows, so each product is a vector multiply-add, with no BLAS
+        # call whose threads would contend with the threads that run this.
+        # Per g it forms only what it reads: the diagonal of gU for the
+        # trace and (gU)_01, 12 scalar-row products, and the first two
+        # entries of Ug, 6 more; all five g take 2.2-3.1 ms on an 8192-row
+        # block.  Both integrators hand over entry-major stacks, so this is
+        # a view, not a copy; any other stack is copied into entry-major rows
         u = np.ascontiguousarray(us.reshape(len(us), 9).T)
         # out[k]: the class and entry functions of g_k U, then the entry
         # functions of U g_k, each less its value at U
         out = np.empty((_N_TRANSLATIONS, 7, len(us)))
 
+        def put_class(rows, t):
+            rows[0] = t.real
+            rows[1] = np.abs(t) ** 2
+            rows[2] = (t * t).real - 2 * rows[0]
+
         def put_entries(rows, m00, m01):
             rows[0] = np.abs(m00) ** 2
             rows[1] = m01.real
 
-        def put_all(rows, m):
-            # m[3 a + b] = M_ab for M = U or gU; Re tr M^2 is
-            # sum_a M_aa^2 + 2 sum_{a<b} M_ab M_ba
-            tr = m[0] + m[4] + m[8]
-            rows[0] = tr.real
-            rows[1] = np.abs(tr) ** 2
-            rows[2] = (m[0] * m[0] + m[4] * m[4] + m[8] * m[8]
-                       + 2 * (m[1] * m[3] + m[2] * m[6] + m[5] * m[7])).real
-            put_entries(rows[3:], m[0], m[1])
-
         base = np.empty((5, len(us)))
-        put_all(base, u)
+        put_class(base, u[0] + u[4] + u[8])
+        put_entries(base[3:], u[0], u[1])
         for g, rows in zip(gs, out):
-            # gU, and the first row of Ug without forming Ug
-            put_all(rows, [g[a, 0] * u[c] + g[a, 1] * u[3 + c] + g[a, 2] * u[6 + c]
-                           for a in range(3) for c in range(3)])
+            # (gU)_aa = sum_b g_ab U_ba
+            m00, m11, m22 = (g[a, 0] * u[a] + g[a, 1] * u[3 + a] + g[a, 2] * u[6 + a]
+                             for a in range(3))
+            put_class(rows, m00 + m11 + m22)
+            put_entries(rows[3:], m00, g[0, 0] * u[1] + g[0, 1] * u[4] + g[0, 2] * u[7])
+            # the first row of Ug without forming Ug
             put_entries(rows[5:], *(u[0] * g[0, c] + u[1] * g[1, c] + u[2] * g[2, c]
                                     for c in range(2)))
             rows[:5] -= base
@@ -723,15 +730,16 @@ def suite_measure(n_mc, seed):
         detail="5 nodes per flat axis, exact for these degree-2 integrands: "
                + "; ".join(detail))
 
-    worst = invariance_deviations(min(n_mc, 200_000), haar.sub_seed(seed, 5))
+    n_inv = min(n_mc, 200_000)
+    worst = invariance_deviations(n_inv, haar.sub_seed(seed, 5))
     yield CheckResult(
         name="measure.translation_invariance", residual=worst, threshold=1.0,
         detail="paired differences f(gU) - f(U) for Re tr, |tr|^2 and Re tr "
                "M^2, and f(gU) - f(U) and f(Ug) - f(U) for |M_11|^2 and Re "
-               "M_12, averaged over the same samples for 5 elements g, in "
-               "units of 4 sigma of each difference; 35 two-sided 4-sigma "
-               "columns, so a correct library fails about 35 x 6.3e-5 = "
-               "2.2e-3 of runs")
+               f"M_12, averaged over the same {n_inv} samples for 5 elements "
+               "g, in units of 4 sigma of each difference; 35 two-sided "
+               "4-sigma columns, so a correct library fails about 35 x "
+               "6.3e-5 = 2.2e-3 of runs")
 
     worst = 0.0
     for n_round in range(3):

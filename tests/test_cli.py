@@ -63,6 +63,18 @@ def test_verify_json_states_what_ran(capsys):
                               "points": {"frames": 5}}
 
 
+def test_verify_json_reports_no_points_for_the_algebra_suite(capsys, monkeypatch):
+    # the algebra suite samples nothing: it reports its default, 0,
+    # whatever --points is, and the other suites report --points
+    assert cli.main(["verify", "--suite", "algebra", "--points", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["points"] == {"algebra": 0}
+    monkeypatch.setattr(verify, "run_suites",
+                        lambda which, points, seed: {suite: [] for suite in verify.SUITES})
+    assert cli.main(["verify", "--points", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["points"] == {
+        "algebra": 0, "frames": 3, "forms": 3, "measure": 3}
+
+
 def test_verify_measure_json_output():
     # the Monte Carlo checks compute numpy residuals; passed is still a bool
     proc = run_cli("verify", "--suite", "measure", "--json")

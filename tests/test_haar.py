@@ -787,6 +787,22 @@ def test_decompose_roundtrip_check_fails_on_a_residual_defect(monkeypatch):
     assert checks[-1].residual == math.inf
 
 
+def test_translation_invariance_detail_names_the_samples_it_averaged(monkeypatch):
+    assert "the same 1000 samples" in measure_check("measure.translation_invariance").detail
+    # above the cap the check averages 200 000 samples, and says so
+    sizes = []
+
+    def recording(n, seed):
+        sizes.append(n)
+        return 0.0
+
+    monkeypatch.setattr(verify, "invariance_deviations", recording)
+    check = next(c for c in verify.suite_measure(300_000, 7)
+                 if c.name == "measure.translation_invariance")
+    assert sizes == [200_000]
+    assert "the same 200000 samples" in check.detail
+
+
 def test_group_ops_check_fails_on_a_non_canonical_fold(monkeypatch):
     # alpha = pi + 0.25 unfolded is the same element outside the cover box
     monkeypatch.setattr(verify, "canonicalize", lambda x: EulerAngles(*x))
@@ -878,6 +894,48 @@ def test_invariance_deviations_match_explicit_translates():
     assert worst_at == ({("class", "gU", k) for k in range(3)}
                         | {("entry", side, k) for side in ("gU", "Ug")
                            for k in range(2)})
+
+
+def test_trace_of_the_square_follows_from_the_trace_on_su3():
+    # Cayley-Hamilton with det M = 1, on which the invariance integrand
+    # forms Re tr M^2 from tr M: tr M^2 = (tr M)^2 - 2 conj(tr M)
+    def miss(ms):
+        t = _trace(ms)
+        return float(np.max(np.abs(_trace(ms @ ms) - (t * t - 2 * np.conj(t)))))
+
+    ms = compose_many(sample_angles(2000, 19))
+    assert miss(ms) <= 1e-13
+    # a phase off the centre makes det M = e^{3 i pi / 7} != 1
+    assert miss(np.exp(1j * PI / 7) * ms) > 0.1
+
+
+@pytest.mark.parametrize("m", [haar._BLOCK_ROWS, 3], ids=["full", "3-row"])
+def test_invariance_integrand_matches_explicit_translates(monkeypatch, m):
+    # every one of the 35 columns, in the integrand's order: for each g,
+    # the class and entry functions of gU, then the entry functions of Ug,
+    # each less its value at U; the integrand is recorded on its way to
+    # integrate_mc
+    integrands = []
+
+    def recording(f, n, seed):
+        integrands.append(f)
+        return integrate_mc(f, n, seed)
+
+    monkeypatch.setattr(haar, "integrate_mc", recording)
+    verify.invariance_deviations(100, 4)
+    (f,) = integrands
+    gs = compose_many(sample_angles(5, 4 + 17))
+    us = compose_many(sample_angles(m, 23))
+    expected = np.stack(
+        [fn(v) - fn(us) for g in gs
+         for v, fns in ((g @ us, _CLASS_REFERENCE + _ENTRY_REFERENCE),
+                        (us @ g, _ENTRY_REFERENCE))
+         for fn in fns], axis=1)
+    # the entry-major stack as the integrators hand it, and a C-order copy
+    for stack in (us, np.ascontiguousarray(us)):
+        vals = f(stack)
+        assert vals.shape == (m, 35)
+        np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-13)
 
 
 def test_invariance_deviations_reject_the_stated_box(monkeypatch):
