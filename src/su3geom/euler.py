@@ -202,8 +202,10 @@ def _closed_form(x):
     """The closed form of ``compose_many`` on (8,) or (n, 8) angles: a
     C-contiguous (3, 3) element, or an (n, 3, 3) view of an entry-major
     (3, 3, n) array, so no entry is written or read through a stride."""
-    # one point unpacks its angles, phases and theta rotation as Python
-    # numbers, which round like numpy scalars but skip numpy's dispatch
+    # one point unpacks its angles, cosines and sines as Python numbers and
+    # builds its five phases as Python complex numbers, which round like
+    # numpy scalars but skip numpy's dispatch; only the tangents stay in
+    # numpy, so that they round as they do in a stack
     one = x.ndim == 1
     alpha, beta, gamma, theta, a, b, c, phi = x.tolist() if one else x.T
     # the arguments u: the phases alpha +- gamma, a +- c and phi / sqrt3,
@@ -220,15 +222,21 @@ def _closed_form(x):
     np.divide(2.0, w, out=w)
     t *= w
     w -= 1.0
-    cos, sin = w, t
-    p = np.empty((5,) + cos.shape[1:], dtype=complex)
-    p.real, p.imag = cos[:5], sin[:5]
+    if one:
+        # a float factor becomes complex(c, 0), so each product rounds
+        # once, as in numpy's complex loop
+        cos, sin = w.tolist(), t.tolist()
+        p = [complex(cu, su) for cu, su in zip(cos[:5], sin[:5])]
+    else:
+        cos, sin = w, t
+        p = np.empty((5,) + cos.shape[1:], dtype=complex)
+        p.real, p.imag = cos[:5], sin[:5]
     p[0] *= cos[5]
     p[1] *= sin[5]
     p[2] *= cos[6]
     p[3] *= sin[6]
-    x1, y1, x2, y2, e = p.tolist() if one else p
-    ct, st = (cos[7].item(), sin[7].item()) if one else (cos[7], sin[7])
+    x1, y1, x2, y2, e = p
+    ct, st = cos[7], sin[7]
     e2 = (e * e).conjugate()
     x1c, y1c = x1.conjugate(), y1.conjugate()
     # entry-major: each E[a, b] is one contiguous (n,) row
@@ -307,10 +315,17 @@ def unitarity_defect(U):
     One real formula over the entries: Python floats for one element, (n,)
     rows for a stack (numpy fuses complex products and Python does not)."""
     U = _as_group_elements(U)
-    one = U.ndim == 2
     # U_aj = x[j][a] + i y[j][a], column by column
-    x, y = ((U.real.T.tolist(), U.imag.T.tolist()) if one else
-            (U.real.transpose(2, 1, 0), U.imag.transpose(2, 1, 0)))
+    if U.ndim == 2:
+        return _defects(U.real.T.tolist(), U.imag.T.tolist())
+    # a non-finite or overflowing entry gives a NaN or inf defect, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        du, dd = _defects(U.real.transpose(2, 1, 0), U.imag.transpose(2, 1, 0))
+    return float(du.max(initial=0.0)), float(dd.max(initial=0.0))
+
+
+def _defects(x, y):
+    """``unitarity_defect`` of the columns x[j][a] + i y[j][a]: floats or rows."""
     # ||G - I||^2 for the Gram matrix G = U+U, Hermitian: pairs j < k count twice
     du2 = 0.0
     for j, k in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
@@ -325,10 +340,7 @@ def unitarity_defect(U):
         cr = a[p] * c[q] - b[p] * d[q] - a[q] * c[p] + b[q] * d[p]
         ci = a[p] * d[q] + b[p] * c[q] - a[q] * d[p] - b[q] * c[p]
         re, im = re + x[0][k] * cr - y[0][k] * ci, im + x[0][k] * ci + y[0][k] * cr
-    du, dd = du2 ** 0.5, (re * re + im * im) ** 0.5
-    if one:
-        return du, dd
-    return float(du.max(initial=0.0)), float(dd.max(initial=0.0))
+    return du2 ** 0.5, (re * re + im * im) ** 0.5
 
 
 def ensure_group_element(U):
@@ -338,12 +350,14 @@ def ensure_group_element(U):
     The one gate of ``decompose`` and ``tangent_frames.adjoint_matrix``.
     """
     U = _as_group_elements(U)
-    if not np.isfinite(U).all():
-        raise ValueError("matrix entries must be finite")
     du, dd = unitarity_defect(U)
-    if du > 1e-12:
-        raise ValueError(f"matrix is not unitary: ||U+U - I|| = {du:.3e} > 1.0e-12")
-    if dd > 1e-12:
+    # a non-finite entry makes a defect NaN or inf, which fails this test,
+    # so finiteness is checked only for an element that fails it
+    if not (du <= 1e-12 and dd <= 1e-12):
+        if not np.isfinite(U).all():
+            raise ValueError("matrix entries must be finite")
+        if not du <= 1e-12:
+            raise ValueError(f"matrix is not unitary: ||U+U - I|| = {du:.3e} > 1.0e-12")
         raise ValueError(f"det U != 1: |det U - 1| = {dd:.3e} > 1.0e-12")
     return U
 
@@ -430,8 +444,10 @@ def decompose(U, full_output=False):
     if U.shape != (3, 3):
         raise ValueError(f"decompose takes one (3, 3) element, got shape {U.shape}")
     x = _fold_into_box(_analytic_decompose(U))
-    # angles read off a validated U are finite: compose's checks are skipped
-    residual = float(np.linalg.norm(_closed_form(np.array(x)) - U))
+    # angles read off a validated U are finite: compose's checks are skipped;
+    # the Frobenius norm as a Python sum skips np.linalg.norm's dispatch
+    residual = math.sqrt(sum(abs(d - u) ** 2 for d, u in zip(
+        _closed_form(np.array(x)).ravel().tolist(), U.ravel().tolist())))
     if residual > 1e-9:
         raise DecompositionError(
             f"factorization residual {residual:.3e} exceeds 1e-9")

@@ -95,12 +95,12 @@ def partial_derivatives(x):
 class ChartSingularityError(ValueError):
     """Coordinate chart degenerates at this point (gimbal-lock analogue)."""
 
-    def __init__(self, factor, value):
+    def __init__(self, factor, value, threshold):
         self.factor = factor
         self.value = value
         super().__init__(
             f"chart is singular here: |{factor}| = {abs(value):.3e} "
-            f"is below the threshold {SINGULAR_THRESHOLD:.1e}"
+            f"is below the threshold {threshold:.1e}"
         )
 
 
@@ -116,7 +116,8 @@ def check_interior(x):
     if singular.any():
         point = np.flatnonzero(singular.any(axis=1))[0]
         k = np.argmax(singular[point])
-        raise ChartSingularityError(_CHART_FACTORS[k], values[point, k])
+        raise ChartSingularityError(_CHART_FACTORS[k], values[point, k],
+                                    SINGULAR_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,15 @@ def maurer_cartan_coefficients(x, chirality="left"):
 def _constructive_frame(x, chirality):
     check_interior(x)
     c = maurer_cartan_coefficients(x, chirality).real
-    cond = np.linalg.cond(c).reshape(-1)
-    # not (cond <= limit) also catches an infinite or NaN condition number
-    ill = ~(cond <= CONDITION_LIMIT)
+    # the singular values that np.linalg.cond divides, without its NaN
+    # patching; not (s_max <= limit s_min) also catches s_min = 0 or NaN
+    s = np.linalg.svd(c, compute_uv=False).reshape(-1, 8)
+    s_max, s_min = s[:, 0], s[:, -1]
+    ill = ~(s_max <= CONDITION_LIMIT * s_min)
     if ill.any():
-        raise ChartSingularityError("cond(maurer_cartan_coefficients)",
-                                    1.0 / cond[ill][0])
+        k = np.flatnonzero(ill)[0]
+        raise ChartSingularityError("1/cond(maurer_cartan_coefficients)",
+                                    s_min[k] / s_max[k], 1.0 / CONDITION_LIMIT)
     return FrameMatrix(entries=1j * np.linalg.inv(c))
 
 

@@ -506,6 +506,46 @@ def test_decompose_rejects_nonfinite_and_stacks():
         decompose(compose_many(sample_angles(2, 5)))
 
 
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_every_nonfinite_entry_is_named(value, part):
+    # the gate tests finiteness only after a defect fails; a non-finite
+    # real or imaginary part of any entry must still be named as such
+    us = compose_many(sample_angles(4, 23))
+    for a, b in itertools.product(range(3), repeat=2):
+        one, stack = us[0].copy(), us.copy()
+        getattr(one, part)[a, b] = value
+        getattr(stack, part)[(3 * a + b) % 4, a, b] = value
+        for fn, U in ((ensure_group_element, one), (adjoint_matrix, one),
+                      (decompose, one), (ensure_group_element, stack),
+                      (adjoint_matrix, stack)):
+            with pytest.raises(ValueError, match="finite"):
+                fn(U)
+
+
+def test_entries_past_overflow_are_not_unitary():
+    # finite entries near 1e200 overflow the defects to inf - inf = NaN,
+    # which the gate must reject, not let through as "not above 1e-12"
+    U = 1e200 * np.array([[1 + 1j, 0, 1j], [-1, -1, -1 + 1j], [-1 + 1j, -1, -1]])
+    du, dd = unitarity_defect(U)
+    assert math.isnan(du) and math.isnan(dd)
+    for fn in (ensure_group_element, adjoint_matrix, decompose):
+        with pytest.raises(ValueError, match="not unitary"):
+            fn(U)
+
+
+@pytest.mark.parametrize("source", ["haar", "boundary"])
+def test_decompose_residual_is_the_frobenius_norm(source):
+    # the residual is a Python sum over the nine entries; it must agree
+    # with np.linalg.norm of the same difference
+    us = (compose_many(sample_angles(2000, 37)) if source == "haar" else
+          [compose(x) for x in boundary_cases()])
+    for U in us:
+        rep = decompose(U, full_output=True)
+        expected = np.linalg.norm(compose(rep.angles) - U)
+        assert abs(rep.residual - expected) <= 1e-15
+
+
 def test_decompose_near_gimbal_lock():
     # beta, b or theta moved to within 1e-6 .. 1e-17 of 0 or pi/2, on
     # either side: the band where the closed-form extraction loses most

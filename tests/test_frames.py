@@ -218,10 +218,16 @@ def test_ill_conditioned_coefficients_raise_past_check_interior():
     x = np.array([0.3, math.asin(1e-6) / 2, 0.2, math.asin(1e-6),
                   0.1, 0.5, 0.2, 0.3])
     check_interior(x)
-    for frame in (left_field_frame, right_field_frame):
+    for frame, chirality in ((left_field_frame, "left"), (right_field_frame, "right")):
         with pytest.raises(ChartSingularityError) as err:
             frame(x)
-        assert err.value.factor == "cond(maurer_cartan_coefficients)"
+        # the gate tests 1/cond against 1/CONDITION_LIMIT, and says so
+        assert err.value.factor == "1/cond(maurer_cartan_coefficients)"
+        assert str(err.value) == (
+            "chart is singular here: |1/cond(maurer_cartan_coefficients)| "
+            "= 3.844e-13 is below the threshold 1.0e-12")
+        cond = np.linalg.cond(maurer_cartan_coefficients(x, chirality).real)
+        assert err.value.value == pytest.approx(1 / cond, rel=1e-12, abs=0)
 
 
 def test_check_interior_names_first_singular_point():

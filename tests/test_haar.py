@@ -998,14 +998,14 @@ def test_invariance_deviations_span_a_partial_last_block():
 
 
 def test_invariance_deviations_memory_peak():
-    # per block and thread, one at a time: the block as compose_many
-    # returns it (9 entry-major (m,) complex rows, which the integrand
-    # reads as a view, not a copy), one translated element's 9 entries at a
-    # time, the (35, m) real paired differences and the (5, m) untranslated
-    # values they subtract, about 13.6 MB on two cores (15.1 if the 9 rows
-    # of gU stay alive while the first row of Ug is formed; 26 with 16 384-row
-    # blocks, the caller idle and two more threads); the bound keeps
-    # haar_mc's peak RSS from growing
+    # per block and thread: the block as compose_many returns it (9
+    # entry-major (m,) complex rows, which the integrand reads as a view,
+    # not a copy), the (35, m) real paired differences and the (5, m)
+    # untranslated values they subtract, and per translating element g, one
+    # at a time, 5 complex rows (the diagonal of gU, its trace and (gU)_01)
+    # and then the 2 first-row entries of Ug; about 10.4 MB on two cores
+    # with 8192-row blocks (tracemalloc peak in a fresh process); the bound
+    # keeps haar_mc's peak RSS from growing
     tracemalloc.start()
     try:
         verify.invariance_deviations(100_000, 5)
