@@ -245,33 +245,37 @@ NODE_CAP = 8 ** 8
 
 
 def _axis_nodes(dim, degree):
-    """The number of nodes ``_quad_axis`` puts on one axis for ``degree``."""
+    """The number of nodes ``_quad_axes`` puts on one axis for ``degree``."""
     if dim in _SIN2_POWER:
         return (degree + 2 + _SIN2_POWER[dim]) // 2
     return 2 * degree + 1
 
 
-def _quad_axis(dim, degree):
-    """Nodes and density-folded weights exact to ``degree`` on one ``RANGES_QUAD`` axis.
+def _quad_axes(degree):
+    """(nodes, weights) of the eight ``RANGES_QUAD`` axes, each exact to ``degree``.
 
     A flat axis, a whole period, takes 2 degree + 1 midpoint nodes, exact
     on e^{ikx} unless 2 degree + 1 divides k != 0.  A weighted axis puts
     (degree + 2 + p) // 2 Gauss-Legendre nodes in s = sin^2 x on
-    [sin^2 lo, sin^2 hi], at x = arcsin(sqrt(s)) with s^p in the weights:
-    m nodes are exact for polynomials in s of degree up to 2m - 1 - p >=
-    degree.  ``AngleRanges`` keeps the range in [0, pi/2], where s is
-    monotone.
+    [sin^2 lo, sin^2 hi], at x = arcsin(sqrt(s)) with s^p in the density-
+    folded weights: m nodes are exact for polynomials in s of degree up to
+    2m - 1 - p >= degree.  ``AngleRanges`` keeps the range in [0, pi/2],
+    where s is monotone.  Each distinct Gauss-Legendre rule is solved once.
     """
-    lo, hi = RANGES_QUAD.as_tuples()[dim]
-    nodes = _axis_nodes(dim, degree)
-    if dim in _SIN2_POWER:
-        p = _SIN2_POWER[dim]
-        glx, glw = np.polynomial.legendre.leggauss(nodes)
-        s_lo, s_hi = math.sin(lo) ** 2, math.sin(hi) ** 2
-        s = (s_hi - s_lo) / 2 * glx + (s_hi + s_lo) / 2
-        return np.arcsin(np.sqrt(s)), glw * (s_hi - s_lo) / 2 * s ** p
-    span = hi - lo
-    return lo + (np.arange(nodes) + 0.5) * span / nodes, np.full(nodes, span / nodes)
+    counts = [_axis_nodes(dim, degree) for dim in range(8)]
+    gauss = {m: np.polynomial.legendre.leggauss(m) for m in {counts[d] for d in _SIN2_POWER}}
+    axes = []
+    for dim, ((lo, hi), nodes) in enumerate(zip(RANGES_QUAD.as_tuples(), counts)):
+        if dim in _SIN2_POWER:
+            glx, glw = gauss[nodes]
+            s_lo, s_hi = math.sin(lo) ** 2, math.sin(hi) ** 2
+            s = (s_hi - s_lo) / 2 * glx + (s_hi + s_lo) / 2
+            axes.append((np.arcsin(np.sqrt(s)),
+                         glw * (s_hi - s_lo) / 2 * s ** _SIN2_POWER[dim]))
+        else:
+            axes.append((lo + (np.arange(nodes) + 0.5) * (hi - lo) / nodes,
+                         np.full(nodes, (hi - lo) / nodes)))
+    return tuple(zip(*axes))
 
 
 def _half_grid(xs, ws, axes):
@@ -302,7 +306,7 @@ def integrate_quadrature(f, nodes_per_dim):
     Exactness: over ``RANGES_QUAD`` the rule integrates, up to roundoff,
     every polynomial f of degree <= d in U and <= d in conj U, where
     d = (nodes_per_dim - 1) // 2 is the one number that sets the grid
-    (``_quad_axis``).  Expanded by the closed form of ``compose_many``, f is
+    (``_quad_axes``).  Expanded by the closed form of ``compose_many``, f is
     a sum of products of one factor per axis, and the rule is exact on each
     product whose factors the axis rules are.  Let n_j count the U factors
     of a monomial in column j minus its conj U factors in column j.  On
@@ -330,7 +334,7 @@ def integrate_quadrature(f, nodes_per_dim):
     total_nodes = math.prod(_axis_nodes(dim, degree) for dim in range(8))
     if total_nodes > NODE_CAP:
         raise ValueError(f"grid of {total_nodes} nodes exceeds the cap {NODE_CAP}")
-    xs, ws = zip(*(_quad_axis(dim, degree) for dim in range(8)))
+    xs, ws = _quad_axes(degree)
     (left, w_left), (right, w_right) = (_half_grid(xs, ws, slice(h, h + 4)) for h in (0, 4))
     right_cols = right.transpose(1, 0, 2).reshape(3, -1)
     m = len(right)

@@ -36,6 +36,25 @@ def gauss_legendre_volume(ranges, nodes=48):
     return vol
 
 
+def table_pair(points, chirality, table):
+    """The transcribed and the constructive table at (n, 8) points, as two
+    (n, 8, 8) arrays, from the two functions themselves."""
+    from su3geom.verify import ROUTES
+
+    constructive, closed = ROUTES[(table, chirality)]
+    return np.array([closed(x).entries for x in points]), constructive(points).entries
+
+
+def mismatched_at_every_point(points, chirality, table):
+    """The (row, column) entries of a transcribed table that differ from the
+    constructive one by more than ``TABLE_TOL`` at every point."""
+    from su3geom.verify import _COLUMNS, TABLE_TOL
+
+    closed, constructive = table_pair(points, chirality, table)
+    rows, cols = np.nonzero((np.abs(closed - constructive) > TABLE_TOL).all(axis=0))
+    return {(int(r) + 1, _COLUMNS[table][c]) for r, c in zip(rows, cols)}
+
+
 @pytest.fixture(scope="session")
 def interior_points():
     from su3geom.verify import haar_interior_points

@@ -15,7 +15,7 @@ from su3geom.euler import compose, compose_many, decompose
 from su3geom.gellmann import gell_mann_matrix
 from su3geom.invariant_forms import right_coframe
 from su3geom.tangent_frames import adjoint_matrix, left_field_frame, right_field_frame
-from su3geom.verify import (COMMUTATOR_TABLE, compare_table,
+from su3geom.verify import (COMMUTATOR_TABLE, KNOWN_TYPOS, compare_table,
                             defining_relation_residual, duality_residual,
                             frame_bracket_residuals, haar_interior_points,
                             character_integrals_mc,
@@ -68,20 +68,16 @@ def test_criterion_02_defining_relations(points100):
 def test_criterion_03_closed_tables(points100):
     t0 = time.perf_counter()
     ok = True
-    n_flagged = 0
-    unexplained = 0.0
+    worst = 0.0
     for chirality in ("left", "right"):
         for table in ("field", "form"):
             diff = compare_table(points100, chirality, table)
-            n_flagged += len(diff.entries)
-            unexplained = max(unexplained, diff.unexplained_residual)
-            ok = ok and diff.stable
-            if diff.entries:
-                print(f"  typo report [{chirality} {table}]: {diff.describe()}")
-    print(f"  {n_flagged} flagged typo entries; largest unexplained "
-          f"mismatch {unexplained:.3e}")
-    report(3, "closed tables vs constructive (agreement or stable typo report)",
-           ok, unexplained, 1e-9, t0, budget=10.0)
+            flagged = {(e.row, e.column) for e in diff.entries}
+            ok = ok and flagged == KNOWN_TYPOS[(table, chirality)]
+            worst = max(worst, diff.residual)
+            print(f"  typo report: {diff.describe()}")
+    report(3, "closed tables vs constructive (mismatches are the known typos)",
+           ok and worst <= 1e-9, worst, 1e-9, t0, budget=10.0)
 
 
 def test_criterion_04_duality(points100):

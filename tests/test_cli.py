@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import su3geom
-from su3geom import cli, haar, verify
+from su3geom import cli, haar, invariant_forms, verify
 from su3geom.euler import COORD_NAMES, compose_many
 from su3geom.serialize import dumps, matrix_from_json, matrix_to_json
 from su3geom.verify import CheckResult, run_suites
@@ -207,6 +207,41 @@ def test_verify_json_writes_a_nonfinite_residual_as_null(monkeypatch, capsys, re
         assert check["passed"] is not broken
         assert (check["residual"] is None) is broken
         assert (check["margin"] is None) is broken
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("defect", ["scaled", "mended"])
+def test_verify_json_reports_a_closed_table_defect(monkeypatch, capsys, defect):
+    # "scaled": the left coframe's (2, dbeta) entry times 1.1, a typo that
+    # KNOWN_TYPOS does not list, reads its diff; "mended": the listed
+    # (3, dphi) typo replaced by the constructive entry reads inf, written
+    # as null.  Either way verify exits 1 and prints strict JSON
+    transcribed = invariant_forms._left_form_table
+
+    def planted(x):
+        entries = transcribed(x).copy()
+        if defect == "scaled":
+            entries[1, 1] *= 1.1
+        else:
+            entries[2, 7] = invariant_forms.left_coframe(x).entries[2, 7]
+        return entries
+
+    monkeypatch.setattr(invariant_forms, "_left_form_table", planted)
+    assert cli.main(["verify", "--suite", "forms", "--json", "--seed", "7"]) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert payload["passed"] is False
+    failed = [c for c in payload["forms"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["forms.closed_table_left"]
+    (check,) = failed
+    if defect == "scaled":
+        assert isinstance(check["residual"], float) and check["residual"] > 1e-9
+        assert "new mismatch (2, dbeta)" in check["detail"]
+    else:
+        assert check["residual"] is None and check["margin"] is None
+        assert "known typo (3, dphi) matches at every point" in check["detail"]
 
 
 def test_verify_unknown_suite_usage_error():

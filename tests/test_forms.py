@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from su3geom import euler, haar, verify
+from su3geom import euler, haar, invariant_forms, tangent_frames, verify
 from su3geom.euler import compose
 from su3geom.gellmann import SQRT3
 from su3geom.haar import density, density_from_coframe, sample_angles
@@ -17,6 +17,8 @@ from su3geom.verify import (_STEP, _central_difference, _stencil,
                             frame_bracket_residuals,
                             _translation_pullback_residual,
                             haar_interior_points)
+
+from conftest import mismatched_at_every_point, table_pair
 
 
 def test_duality_both_chiralities(interior_points):
@@ -91,19 +93,16 @@ def test_coframe_entries_real(interior_points):
 def test_left_closed_table_single_typo(interior_points):
     diff = compare_table(interior_points[:40], "left", "form")
     flagged = {(e.row, e.column) for e in diff.entries}
-    # one stable defect: the dphi term of the third form carries a spurious
-    # factor 1/2 in the transcribed source
+    # one defect at every point: the dphi term of the third form carries a
+    # spurious factor 1/2 in the transcribed source
     assert flagged == {(3, "dphi")}
-    assert diff.stable
-    entry = diff.entries[0]
-    ratio = entry.closed_sample / entry.constructive_sample
-    assert abs(ratio - 0.5) <= 1e-9
+    assert verify.KNOWN_TYPOS[("form", "left")] == {(3, "dphi")}
+    closed, constructive = table_pair(interior_points[:40], "left", "form")
+    assert np.max(np.abs(closed[:, 2, 7] / constructive[:, 2, 7] - 0.5)) <= 1e-9
 
 
 def test_right_closed_table_garbled_but_stable(interior_points):
     diff = compare_table(interior_points[:40], "right", "form")
-    assert not diff.clean
-    assert diff.stable
     # the transcribed right-form table is systematically garbled: these 35
     # entries are wrong at every point, and no other is (dc and dphi are
     # clean in every form)
@@ -112,7 +111,48 @@ def test_right_closed_table_garbled_but_stable(interior_points):
                 | {(row, "dalpha") for row in (1, 4, 7)} | {(1, "db")})
     assert len(expected) == 35
     assert {(e.row, e.column) for e in diff.entries} == expected
-    assert all(e.mismatch_fraction == 1.0 for e in diff.entries)
+    assert verify.KNOWN_TYPOS[("form", "right")] == expected
+    assert mismatched_at_every_point(interior_points[:40], "right", "form") == expected
+
+
+#: Each transcribed table, by the function that holds it, with one entry
+#: ``KNOWN_TYPOS`` does not list and one it does (None for the left frame,
+#: which lists none), as 0-based (row, column) indices.
+TABLE_ENTRIES = {
+    ("field", "left"): (tangent_frames, "_left_table", (2, 0), None),
+    ("field", "right"): (tangent_frames, "_right_table", (2, 6), (3, 7)),
+    ("form", "left"): (invariant_forms, "_left_form_table", (1, 1), (2, 7)),
+    ("form", "right"): (invariant_forms, "_right_form_table", (2, 6), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("key, defect", [
+    *((key, "scaled") for key in TABLE_ENTRIES),
+    *((key, "mended") for key, spec in TABLE_ENTRIES.items() if spec[3] is not None),
+], ids=lambda v: "_".join(v) if isinstance(v, tuple) else v)
+def test_closed_table_check_fails_on_a_table_defect(monkeypatch, key, defect):
+    # "scaled": an entry the set does not list, times 1.1, is a new typo and
+    # reads its own diff; "mended": a listed entry replaced by the
+    # constructive value no longer mismatches, and the check reads inf
+    table, chirality = key
+    module, name, unlisted, listed = TABLE_ENTRIES[key]
+    row, col = unlisted if defect == "scaled" else listed
+    assert ((row + 1, verify._COLUMNS[table][col]) in verify.KNOWN_TYPOS[key]) is (defect == "mended")
+    transcribed, constructive = getattr(module, name), verify.ROUTES[key][0]
+
+    def planted(x):
+        entries = transcribed(x).copy()
+        entries[row, col] = (1.1 * entries[row, col] if defect == "scaled"
+                             else constructive(x).entries[row, col])
+        return entries
+
+    monkeypatch.setattr(module, name, planted)
+    suite = {"field": "frames", "form": "forms"}[table]
+    checks = {c.name: c for c in verify.run_suites(suite, seed=7)[suite]}
+    check = checks[f"{suite}.closed_table_{chirality}"]
+    assert not check.passed
+    assert (check.residual == math.inf) is (defect == "mended")
+    assert [n for n, c in checks.items() if not c.passed] == [check.name]
 
 
 def test_right_closed_good_entries_match(interior_points):

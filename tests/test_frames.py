@@ -20,6 +20,8 @@ from su3geom import tangent_frames, verify
 from su3geom.verify import (compare_table, defining_relation_residual,
                             frame_bracket_residuals, haar_interior_points)
 
+from conftest import mismatched_at_every_point
+
 GEN_SLOTS = (3, 2, 3, 5, 3, 2, 3, 8)
 
 
@@ -181,17 +183,19 @@ def test_left_closed_row1_printed_expression():
 
 def test_left_closed_table_matches_constructive(interior_points):
     diff = compare_table(interior_points[:40], "left", "field")
-    assert diff.clean, diff.describe()
+    assert diff.entries == [], diff.describe()
+    assert verify.KNOWN_TYPOS[("field", "left")] == set()
 
 
 def test_right_closed_table_known_typos(interior_points):
     diff = compare_table(interior_points[:40], "right", "field")
     flagged = {(e.row, e.column) for e in diff.entries}
-    # stable transcription defects: sign-flipped hypercharge tails on rows
-    # 4..7 and the d/da term of row 6 printed without its i
-    assert flagged == {(4, "phi"), (5, "phi"), (6, "phi"), (7, "phi"),
-                       (6, "a")}
-    assert diff.stable
+    # transcription defects at every point: sign-flipped hypercharge tails
+    # on rows 4..7 and the d/da term of row 6 printed without its i
+    expected = {(4, "phi"), (5, "phi"), (6, "phi"), (7, "phi"), (6, "a")}
+    assert flagged == expected
+    assert verify.KNOWN_TYPOS[("field", "right")] == expected
+    assert mismatched_at_every_point(interior_points[:40], "right", "field") == expected
 
 
 def test_right_closed_rows_1238_match(interior_points):

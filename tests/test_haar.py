@@ -596,11 +596,9 @@ def test_integrands_see_entry_major_stacks():
 
 def whole_grid_mean(f, nodes):
     """The product rule with the whole meshgrid built at once."""
-    axes = [haar._quad_axis(dim, (nodes - 1) // 2) for dim in range(8)]
-    X = np.stack([g.ravel() for g in
-                  np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
-    W = np.prod([g.ravel() for g in
-                 np.meshgrid(*[w for _, w in axes], indexing="ij")], axis=0)
+    xs, ws = haar._quad_axes((nodes - 1) // 2)
+    X = np.stack([g.ravel() for g in np.meshgrid(*xs, indexing="ij")], axis=1)
+    W = np.prod([g.ravel() for g in np.meshgrid(*ws, indexing="ij")], axis=0)
     return np.array([np.sum(W * v) for v in f(compose_many(X)).T]) / W.sum()
 
 
@@ -609,7 +607,7 @@ def test_streamed_grid_matches_whole_grid(monkeypatch, nodes):
     schur = verify.schur_integrands
     expected = whole_grid_mean(schur, nodes)
     mean_abs = whole_grid_mean(lambda us: np.abs(schur(us)), nodes)
-    sizes = [len(haar._quad_axis(dim, (nodes - 1) // 2)[0]) for dim in range(8)]
+    sizes = [len(x) for x in haar._quad_axes((nodes - 1) // 2)[0]]
     left, right = math.prod(sizes[:4]), math.prod(sizes[4:])
 
     def bound(blocks):
@@ -671,7 +669,7 @@ def test_quadrature_node_cap(monkeypatch):
         return np.ones(len(us))
 
     def grid(nodes):
-        return math.prod(len(haar._quad_axis(dim, (nodes - 1) // 2)[0]) for dim in range(8))
+        return math.prod(len(x) for x in haar._quad_axes((nodes - 1) // 2)[0])
 
     assert haar.NODE_CAP == 8 ** 8
     assert grid(11) == grid(12) == 5_797_836 <= haar.NODE_CAP < grid(13) == 23_762_752
@@ -679,7 +677,7 @@ def test_quadrature_node_cap(monkeypatch):
     def no_axis(*args):
         raise AssertionError("built an axis of a grid over the cap")
 
-    monkeypatch.setattr(haar, "_quad_axis", no_axis)
+    monkeypatch.setattr(haar, "_quad_axes", no_axis)
     # a weighted axis of 1 000 001 nodes per flat axis alone would be a
     # 250 001 x 250 001 eigenproblem
     for nodes in (13, 1_000_001):
