@@ -13,9 +13,8 @@ from .euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, AngleRanges,
 from .gellmann import (LAMBDA, SQRT3, commutator, expand_in_basis,
                        gell_mann_matrix, structure_constants,
                        verify_cartan_split)
-from .haar import (IntegrationResult, character, density, density_from_coframe,
-                   group_volume, integrate_mc, integrate_quadrature,
-                   sample_angles, volume_report)
+from .haar import (IntegrationResult, character, density, group_volume,
+                   integrate_mc, integrate_quadrature, sample_angles)
 from .invariant_forms import (CoFrameMatrix, left_coframe, left_coframe_closed,
                               right_coframe, right_coframe_closed)
 from .tangent_frames import (ChartSingularityError, FrameMatrix,

@@ -40,7 +40,6 @@ import numpy as np
 
 from .euler import (RANGES_COVER, RANGES_QUAD, RANGES_STATED, _SIN2_POWER,
                     _as_angle_points, _as_group_elements, compose_many)
-from .invariant_forms import left_coframe
 
 
 def density(x):
@@ -51,19 +50,6 @@ def density(x):
     x = _as_angle_points(x)
     beta, theta, b = x[..., 1], x[..., 3], x[..., 5]
     return np.sin(2 * beta) * np.sin(2 * b) * np.sin(2 * theta) * np.sin(theta) ** 2
-
-
-def density_from_coframe(x):
-    """|det| of the left coframe: the volume density measured intrinsically.
-
-    Equals ``density(x) / 2`` at every interior point, and the right
-    coframe gives the same constant (unimodularity).  The value 1/2 is the
-    Riemannian normalization: the coframe is dual to the i lam_k, which are
-    orthonormal under tr(X^+ Y)/2, so ``verify``'s ``measure.cover_volume``
-    compares half the density integral with the volume of SU(3).  Accepts
-    (8,) or (n, 8).
-    """
-    return np.abs(np.linalg.det(left_coframe(x).entries))
 
 
 # ---------------------------------------------------------------------------
@@ -395,39 +381,13 @@ def group_volume(ranges=RANGES_STATED):
 
     The closed form: the product of the eight exact one-dimensional
     integrals of ``_axis_volume``.  Default ranges are the stated ones, for
-    which the value is pi^5.  Independent checks: ``verify``'s
+    which the value is pi^5, half the sphere-product heuristic 2 pi^5; the
+    cover box gives 2 sqrt(3) pi^5.  Independent checks: ``verify``'s
     ``measure.volume_stated_ranges`` (pi^5) and ``measure.cover_volume``
     (Macdonald's sqrt(3) pi^5), and a Gauss-Legendre rule in the tests.
     """
     return math.prod(_axis_volume(dim, lo, hi)
                      for dim, (lo, hi) in enumerate(ranges.as_tuples()))
-
-
-def volume_report(ranges=RANGES_STATED):
-    """The volume over the given ranges, with the sphere-product comparison.
-
-    The classic heuristic equates the group volume with
-    V(S^3) * V(S^5) = 2 pi^2 * pi^3 = 2 pi^5.  Over the stated ranges the
-    density integrates to pi^5 — half that target — while the box that
-    actually tiles the group once (gamma and phi extended) gives
-    2 sqrt(3) pi^5.  Normalized integrals are unaffected by any constant.
-    """
-    analytic = group_volume(ranges)
-    pi5 = math.pi ** 5
-    return {
-        "analytic": analytic,
-        "pi^5": pi5,
-        "sphere_product_target": 2 * pi5,
-        "analytic_over_pi^5": analytic / pi5,
-        "analytic_over_target": analytic / (2 * pi5),
-        "exact_cover_volume": group_volume(RANGES_COVER),
-        "note": (
-            "the stated ranges integrate to pi^5, a factor 2 short of the "
-            "sphere-product target 2 pi^5; the box that tiles the group "
-            "exactly once (gamma < 2 pi, phi < 2 sqrt(3) pi) has volume "
-            "2 sqrt(3) pi^5"
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------

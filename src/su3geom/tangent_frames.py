@@ -122,13 +122,12 @@ def check_interior(x):
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Vector-field coefficients; rows = field index, columns = coordinates."""
+    """Vector-field coefficients; rows = field index, columns = coordinates.
+
+    ``entries.imag`` is the real coefficient matrix of X_i = -i Lambda_i.
+    """
 
     entries: np.ndarray
-
-    def real_frame(self):
-        """The real coefficient matrix of X_i = -i Lambda_i."""
-        return np.real(-1j * self.entries)
 
 
 def maurer_cartan_coefficients(x, chirality="left"):

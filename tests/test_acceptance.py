@@ -13,7 +13,7 @@ import pytest
 from su3geom import haar
 from su3geom.euler import compose, compose_many, decompose
 from su3geom.gellmann import gell_mann_matrix
-from su3geom.invariant_forms import right_coframe
+from su3geom.invariant_forms import left_coframe, right_coframe
 from su3geom.tangent_frames import adjoint_matrix, left_field_frame, right_field_frame
 from su3geom.verify import (COMMUTATOR_TABLE, KNOWN_TYPOS, compare_table,
                             defining_relation_residual, duality_residual,
@@ -91,7 +91,7 @@ def test_criterion_04_duality(points100):
 def test_criterion_05_density_ratio(points100):
     t0 = time.perf_counter()
     rho = haar.density(points100)
-    rl = haar.density_from_coframe(points100) / rho
+    rl = np.abs(np.linalg.det(left_coframe(points100).entries)) / rho
     rr = np.abs(np.linalg.det(right_coframe(points100).entries)) / rho
     spread = max(np.ptp(rl) / rl.mean(), np.ptp(rr) / rr.mean())
     same = abs(rl.mean() - rr.mean()) / rl.mean()
@@ -157,20 +157,11 @@ def test_criterion_08_invariance():
 
 def test_criterion_09_volume():
     t0 = time.perf_counter()
-    rep = haar.volume_report()
+    vol = haar.group_volume()
     pi5 = math.pi ** 5
-    quad_err = abs(rep["analytic"] / gauss_legendre_volume(haar.RANGES_STATED) - 1.0)
-    ok = (abs(rep["analytic"] - pi5) <= 1e-10 * pi5
-          and quad_err <= 1e-10
-          and rep["sphere_product_target"] == pytest.approx(2 * pi5)
-          and rep["analytic_over_target"] == pytest.approx(0.5, rel=1e-12))
-    print(f"  analytic volume over stated ranges = {rep['analytic']:.10f} "
-          f"(pi^5 = {pi5:.10f})")
-    print(f"  sphere-product target 2 pi^5 = {rep['sphere_product_target']:.10f}; "
-          f"observed factor {rep['analytic_over_target']:.3f} (the stated "
-          f"ranges fall short of the target by exactly 2)")
-    print(f"  exact-cover volume = {rep['exact_cover_volume']:.10f} "
-          f"(= 2 sqrt(3) pi^5)")
+    quad_err = abs(vol / gauss_legendre_volume(haar.RANGES_STATED) - 1.0)
+    ok = abs(vol - pi5) <= 1e-10 * pi5 and quad_err <= 1e-10
+    print(f"  analytic volume over stated ranges = {vol:.10f} (pi^5 = {pi5:.10f})")
     report(9, "volume: analytic pi^5, quadrature agreement 1e-10",
            ok, quad_err, 1e-10, t0)
 

@@ -564,10 +564,19 @@ def test_integrate_bad_entrypoly():
 def test_volume_default():
     payload = json.loads(run_cli("volume").stdout)
     assert payload["analytic"] == pytest.approx(math.pi ** 5, rel=1e-12)
-    assert payload["sphere_product_target"] == pytest.approx(2 * math.pi ** 5)
 
 
 def test_volume_phi_range():
     payload = json.loads(run_cli("volume", "--phi-range",
                                  str(4 * math.pi)).stdout)
     assert payload["analytic"] == pytest.approx(2 * math.pi ** 5, rel=1e-12)
+
+
+def test_volume_key_set():
+    # only what --phi-range can change is printed
+    for args, volume, ratio in (((), math.pi ** 5, 1.0),
+                                (("--phi-range", "12.566370614359172"), 2 * math.pi ** 5, 2.0)):
+        payload = json.loads(run_cli("volume", *args).stdout)
+        assert set(payload) == {"analytic", "analytic_over_pi^5"}
+        assert payload["analytic"] == pytest.approx(volume, rel=1e-12)
+        assert payload["analytic_over_pi^5"] == pytest.approx(ratio, rel=1e-12)

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from su3geom import euler, haar, invariant_forms, tangent_frames, verify
-from su3geom.euler import compose
+from su3geom.euler import compose, decompose
 from su3geom.gellmann import SQRT3
-from su3geom.haar import density, density_from_coframe, sample_angles
+from su3geom.haar import density, sample_angles
 from su3geom.invariant_forms import (left_coframe, left_coframe_closed,
                                      right_coframe, right_coframe_closed)
 from su3geom.tangent_frames import (ChartSingularityError,
@@ -205,7 +206,7 @@ def test_coframe_singular_guard():
 
 def test_density_ratio_half(interior_points):
     for x in interior_points[:20]:
-        assert abs(density_from_coframe(x) / density(x) - 0.5) <= 1e-10
+        assert abs(abs(np.linalg.det(left_coframe(x).entries)) / density(x) - 0.5) <= 1e-10
 
 
 def test_divergence_free_fields(interior_points):
@@ -261,6 +262,48 @@ def test_translation_checks_fail_on_a_decompose_defect(monkeypatch):
     assert [c.name for c in failed] == ["forms.invariance_right_translation",
                                         "forms.covariance_left_translation"]
     assert all(c.residual == math.inf for c in failed)
+
+
+def planted_gamma_wraps(monkeypatch, wraps):
+    """Patch ``verify.decompose`` to add 2 pi to gamma on the calls k with
+    ``wraps(k)``, counting from 0: the same element, but a representative
+    outside the canonical box.  Returns the list of calls made so far."""
+    calls = []
+
+    def shifted(U):
+        x = decompose(U)
+        if wraps(len(calls)):
+            x = dataclasses.replace(x, gamma=x.gamma + 2 * math.pi)
+        calls.append(U)
+        return x
+
+    monkeypatch.setattr(verify, "decompose", shifted)
+    return calls
+
+
+def test_translation_checks_fail_when_every_stencil_wraps(monkeypatch):
+    # every other representative outside the box: each stencil wraps, no
+    # pair is usable, and the two checks must not pass on no evidence
+    planted_gamma_wraps(monkeypatch, lambda k: k % 2 == 1)
+    checks = {c.name: c for c in verify.suite_forms(20, 7)}
+    for name in ("forms.invariance_right_translation",
+                 "forms.covariance_left_translation"):
+        assert not checks[name].passed
+        assert checks[name].residual == math.inf
+    assert "0 points" in checks["forms.invariance_right_translation"].detail
+
+
+def test_translation_checks_skip_wrapped_pairs(monkeypatch):
+    # one wrapped element in the right-translation stencil of each of the
+    # first 3 pairs: those pairs are skipped, and the next 10 still run
+    per_pair = 2 * 17  # right, then left translation, one stencil each
+    calls = planted_gamma_wraps(monkeypatch,
+                                lambda k: k < 3 * per_pair and k % per_pair == 1)
+    checks = {c.name: c for c in verify.suite_forms(20, 7)}
+    assert len(calls) == 13 * per_pair
+    right = checks["forms.invariance_right_translation"]
+    assert right.passed and right.detail.endswith(", 10 points")
+    assert checks["forms.covariance_left_translation"].passed
 
 
 def test_pullback_invariance_right_translation():

@@ -15,7 +15,8 @@ Philox stream that the sampler draws from, and on any load of
 ``EXIT_USAGE``, ``EXIT_NUMERIC`` or ``EXIT_BROKEN_PIPE`` or use of
 ``sys.stderr`` in ``cli.py`` outside ``main``, and on any defaulted
 parameter of a public package function that no call in the package or
-in ``benchmark/`` passes.
+in ``benchmark/`` passes.  It also pins which package modules each
+module imports (``LAYERS``).
 """
 
 import ast
@@ -261,3 +262,51 @@ def test_every_default_has_a_caller():
     defining = [p.read_text() for p in SEED_FILES]
     calling = defining + [p.read_text() for p in sorted((ROOT / "benchmark").glob("*.py"))]
     assert defaults_never_passed(defining, calling, exempt=ONLY_TESTS_PASS) == []
+
+
+PACKAGE = ROOT / "src" / "su3geom"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+#: The package modules each module imports: the layering of the package.
+#: The measure layer ``haar`` stands on the group layer alone.
+LAYERS = {
+    "__init__": {"euler", "gellmann", "haar", "invariant_forms", "tangent_frames"},
+    "cli": {"__init__", "euler", "haar", "serialize", "tangent_frames", "verify"},
+    "euler": {"gellmann"},
+    "gellmann": set(),
+    "haar": {"euler"},
+    "invariant_forms": {"euler", "gellmann", "tangent_frames"},
+    "serialize": {"euler"},
+    "tangent_frames": {"euler", "gellmann"},
+    "verify": {"euler", "gellmann", "haar", "invariant_forms", "tangent_frames"},
+}
+
+
+def package_imports(source):
+    """The package modules that source imports by ``from`` statements,
+    relative or from ``su3geom``; a name imported from the package itself
+    counts as its module, or as ``__init__`` if it is not one."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom) and (n.level or n.module == "su3geom"
+                                              or (n.module or "").startswith("su3geom.")):
+            module = (n.module or "").removeprefix("su3geom").lstrip(".")
+            if module:
+                found.add(module)
+            else:
+                found.update(a.name if a.name in MODULES else "__init__" for a in n.names)
+    return found
+
+
+def test_package_imports_are_found():
+    source = ("from . import __version__, haar\nfrom .euler import compose\n"
+              "from su3geom.gellmann import LAMBDA\nfrom su3geom import verify\n"
+              "import numpy\nfrom numpy import linalg\n"
+              "def f():\n    from .tangent_frames import partial_derivatives\n")
+    assert package_imports(source) == {"__init__", "haar", "euler", "gellmann",
+                                       "verify", "tangent_frames"}
+
+
+def test_package_layering():
+    assert {p.stem: package_imports(p.read_text())
+            for p in PACKAGE.glob("*.py")} == LAYERS
